@@ -284,6 +284,50 @@ def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEd
     )
 
 
+def _distinct_keys(keys: np.ndarray, return_counts: bool = False):
+    """Sorted distinct values of an int64 array, like ``np.unique``.
+
+    For edge keys ``u * n + v`` the sorted order is CSR row order. ``np.sort``
+    plus a ``not_equal`` pass is used because plain ``np.unique`` on int64
+    takes a hash-based path that is tens of times slower. With
+    ``return_counts`` it also returns how often each distinct key occurs.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not return_counts:
+        return keys[first]
+    return keys[first], np.diff(np.flatnonzero(first), append=len(keys))
+
+
+def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=_INT)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _directed(n: int, src: np.ndarray, dst: np.ndarray) -> DirectedGraph:
+    uniq, counts = _distinct_keys(src * np.int64(n) + dst, return_counts=True)
+    return DirectedGraph(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n, multiplicity=counts)
+
+
+def _undirected(n: int, u: np.ndarray, v: np.ndarray) -> UndirectedView:
+    # both orientations of every pair: once deduplicated, each edge is one
+    # key per CSR row it belongs to, so the view needs no second sort
+    n64 = np.int64(n)
+    uniq = _distinct_keys(np.concatenate([u * n64 + v, v * n64 + u]))
+    return UndirectedView(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n, m=len(uniq) // 2)
+
+
+def _checked_pairs(n: int, pairs: Iterable[tuple[int, int]], what: str) -> np.ndarray:
+    a = np.asarray(list(pairs), dtype=_INT).reshape(-1, 2)
+    if len(a) and (a.min() < 0 or a.max() >= n):
+        raise ValueError(f"{what} endpoint out of range")
+    if np.any(a[:, 0] == a[:, 1]):
+        raise ValueError("self-loops are not allowed")
+    return a
+
+
 def build_directed_graph(edges: TemporalEdgeSet, window: TimeWindow | None = None) -> DirectedGraph:
     """Deduplicated directed graph over the arcs inside ``window`` (all if None).
 
@@ -291,86 +335,28 @@ def build_directed_graph(edges: TemporalEdgeSet, window: TimeWindow | None = Non
     no in-window activity remain as isolated vertices and ids are stable
     across windows.
     """
-    n = edges.n_vertices
     s, t = edges.sources, edges.targets
     if window is not None:
         mask = (edges.timestamps >= window.start) & (edges.timestamps < window.end)
         s, t = s[mask], t[mask]
-    if n == 0 or len(s) == 0:
-        return DirectedGraph(
-            n=n,
-            indptr=np.zeros(n + 1, dtype=_INT),
-            indices=np.empty(0, dtype=_INT),
-            multiplicity=np.empty(0, dtype=_INT),
-        )
-    keys = s * np.int64(n) + t
-    uniq, counts = np.unique(keys, return_counts=True)
-    u_src = uniq // n
-    u_tgt = uniq % n
-    indptr = np.zeros(n + 1, dtype=_INT)
-    np.cumsum(np.bincount(u_src, minlength=n), out=indptr[1:])
-    return DirectedGraph(n=n, indptr=indptr, indices=u_tgt, multiplicity=counts.astype(_INT))
+    return _directed(edges.n_vertices, s, t)
 
 
 def directed_from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> DirectedGraph:
     """Directed graph from (source, target) id pairs; duplicates collapse."""
-    pairs = list(arcs)
-    if not pairs:
-        return DirectedGraph(
-            n=n,
-            indptr=np.zeros(n + 1, dtype=_INT),
-            indices=np.empty(0, dtype=_INT),
-            multiplicity=np.empty(0, dtype=_INT),
-        )
-    a = np.asarray(pairs, dtype=_INT)
-    if a.min() < 0 or a.max() >= n:
-        raise ValueError("arc endpoint out of range")
-    if np.any(a[:, 0] == a[:, 1]):
-        raise ValueError("self-loops are not allowed")
-    keys = a[:, 0] * np.int64(n) + a[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    indptr = np.zeros(n + 1, dtype=_INT)
-    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-    return DirectedGraph(n=n, indptr=indptr, indices=uniq % n, multiplicity=counts.astype(_INT))
+    a = _checked_pairs(n, arcs, "arc")
+    return _directed(n, a[:, 0], a[:, 1])
 
 
 def undirected_from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> UndirectedView:
     """Undirected view from unordered vertex-id pairs; duplicates collapse."""
-    pairs = list(edge_list)
-    if not pairs:
-        return UndirectedView(n=n, indptr=np.zeros(n + 1, dtype=_INT), indices=np.empty(0, dtype=_INT), m=0)
-    a = np.asarray(pairs, dtype=_INT)
-    if a.min() < 0 or a.max() >= n:
-        raise ValueError("edge endpoint out of range")
-    lo = np.minimum(a[:, 0], a[:, 1])
-    hi = np.maximum(a[:, 0], a[:, 1])
-    if np.any(lo == hi):
-        raise ValueError("self-loops are not allowed")
-    uniq = np.unique(lo * np.int64(n) + hi)
-    return _symmetrize(n, uniq // n, uniq % n)
-
-
-def _symmetrize(n: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedView:
-    # eu/ev: one row per undirected edge, already deduplicated
-    rows = np.concatenate([eu, ev])
-    cols = np.concatenate([ev, eu])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    indptr = np.zeros(n + 1, dtype=_INT)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return UndirectedView(n=n, indptr=indptr, indices=cols, m=len(eu))
+    a = _checked_pairs(n, edge_list, "edge")
+    return _undirected(n, a[:, 0], a[:, 1])
 
 
 def underlying_undirected(g: DirectedGraph) -> UndirectedView:
     """Collapse arcs to undirected edges: one edge per unordered adjacent pair."""
-    src = g.arc_sources()
-    dst = g.indices
-    if g.m == 0:
-        return UndirectedView(n=g.n, indptr=np.zeros(g.n + 1, dtype=_INT), indices=np.empty(0, dtype=_INT), m=0)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    uniq = np.unique(lo * np.int64(g.n) + hi)
-    return _symmetrize(g.n, uniq // g.n, uniq % g.n)
+    return _undirected(g.n, g.arc_sources(), g.indices)
 
 
 def window_label(start: int, granularity: int) -> str:
@@ -408,7 +394,7 @@ def induced_subgraph(g: DirectedGraph, vertices: Iterable[int]) -> tuple[Directe
     Ids are re-indexed densely; the second return value maps local id ->
     original id (sorted ascending), making the re-indexing recoverable.
     """
-    ids = np.unique(np.asarray(list(vertices), dtype=_INT))
+    ids = _distinct_keys(np.asarray(list(vertices), dtype=_INT))
     if len(ids) and (ids[0] < 0 or ids[-1] >= g.n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"vertex id {bad} out of range for graph with n={g.n}")
@@ -418,9 +404,8 @@ def induced_subgraph(g: DirectedGraph, vertices: Iterable[int]) -> tuple[Directe
     dst = lookup[g.indices]
     keep = (src >= 0) & (dst >= 0)
     k = len(ids)
-    src, dst, mult = src[keep], dst[keep], g.multiplicity[keep]
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(k + 1, dtype=_INT)
-    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
-    sub = DirectedGraph(n=k, indptr=indptr, indices=dst[order], multiplicity=mult[order].copy())
+    # lookup is increasing, so the kept arcs stay in (source, target) order
+    # and their keys are already distinct: no sort, and multiplicities carry over
+    src, dst = src[keep], dst[keep]
+    sub = DirectedGraph(n=k, indptr=_indptr(k, src), indices=dst, multiplicity=g.multiplicity[keep])
     return sub, ids

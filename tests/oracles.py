@@ -8,6 +8,7 @@ from the library's internals beyond the public graph containers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,43 @@ def parse_edge_lines(lines, delimiter=","):
             continue
         arcs.append((parts[0], parts[1], stamp))
     return arcs, malformed, self_loops
+
+
+def csr_reference(n, arcs):
+    """(indptr, indices, multiplicity) of (source, target) id pairs.
+
+    Duplicates are counted with a Counter and rows are ordered with
+    np.lexsort, independently of the library's key sort.
+    """
+    counts = Counter((int(u), int(v)) for u, v in arcs)
+    rows = np.asarray([u for u, _ in counts], dtype=np.int64)
+    cols = np.asarray([v for _, v in counts], dtype=np.int64)
+    mult = np.asarray(list(counts.values()), dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], mult[order]
+
+
+def window_reference(arcs, assignment, k, start, end):
+    """(m, e, D, Q) of one window from the set of unordered pairs inside it.
+
+    ``arcs`` are (source id, target id, timestamp) triples; the window is
+    [start, end). e[i] counts internal edges of group i, D[i] its total
+    degree and Q[i] = e_i/m - (D_i/2m)^2; Q is None when m == 0.
+    """
+    pairs = {(min(u, v), max(u, v)) for u, v, t in arcs if start <= t < end}
+    m = len(pairs)
+    e = [0] * k
+    d = [0] * k
+    for u, v in pairs:
+        d[assignment[u]] += 1
+        d[assignment[v]] += 1
+        if assignment[u] == assignment[v]:
+            e[assignment[u]] += 1
+    if m == 0:
+        return 0, e, d, None
+    return m, e, d, [e[i] / m - (d[i] / (2 * m)) ** 2 for i in range(k)]
 
 
 def adjacency_matrix(und: UndirectedView) -> np.ndarray:

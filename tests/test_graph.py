@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from polarnet.errors import ParseError
@@ -13,6 +15,7 @@ from polarnet.graph import (
     IngestOptions,
     TemporalEdgeSet,
     TimeWindow,
+    _distinct_keys,
     build_directed_graph,
     directed_from_arcs,
     exclude_interval,
@@ -20,6 +23,7 @@ from polarnet.graph import (
     ingest_edge_list,
     slice_windows,
     underlying_undirected,
+    undirected_from_edges,
     window_label,
     write_edge_list,
 )
@@ -278,3 +282,73 @@ def test_induced_subgraph_matches_filter_oracle():
 def test_directed_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         directed_from_arcs(3, [(0, 0)])
+
+
+@settings(deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 5), max_size=60)
+    | st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60)
+)
+@example(keys=[])
+@example(keys=[7])
+@example(keys=[3, 3, 3, 3])
+def test_distinct_keys_matches_np_unique(keys):
+    a = np.asarray(keys, dtype=np.int64)
+    want, want_counts = np.unique(a, return_counts=True)
+    got = _distinct_keys(a)
+    got_keys, got_counts = _distinct_keys(a, return_counts=True)
+    for x, y in ((got, want), (got_keys, want), (got_counts, want_counts)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@st.composite
+def small_arc_lists(draw):
+    """(n, arcs) with repeated and reciprocal (source, target) id pairs."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]), max_size=30))
+    if base:
+        again = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()), max_size=20))
+        base += [(v, u) if flip else (u, v) for (u, v), flip in again]
+    return n, draw(st.permutations(base))
+
+
+def _same_csr(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@settings(deadline=None)
+@given(graph=small_arc_lists(), keep=st.sets(st.integers(0, 11)), data=st.data())
+def test_builders_match_lexsort_reference(graph, keep, data):
+    n, arcs = graph
+    g = directed_from_arcs(n, arcs)
+    _same_csr((g.indptr, g.indices, g.multiplicity), oracles.csr_reference(n, arcs))
+
+    times = data.draw(st.lists(st.integers(0, 9), min_size=len(arcs), max_size=len(arcs)))
+    edges = TemporalEdgeSet(
+        sources=np.asarray([u for u, _ in arcs], dtype=np.int64),
+        targets=np.asarray([v for _, v in arcs], dtype=np.int64),
+        timestamps=np.asarray(times, dtype=np.int64),
+        labels=tuple(str(v) for v in range(n)),
+        label_ids={str(v): v for v in range(n)},
+    )
+    window = TimeWindow(3, 7)
+    inside = [a for a, t in zip(arcs, times) if window.contains(t)]
+    for built, want in ((build_directed_graph(edges), arcs), (build_directed_graph(edges, window), inside)):
+        _same_csr((built.indptr, built.indices, built.multiplicity), oracles.csr_reference(n, want))
+
+    pairs = {(min(u, v), max(u, v)) for u, v in arcs}
+    indptr, indices, _ = oracles.csr_reference(n, [*pairs, *((v, u) for u, v in pairs)])
+    for und in (underlying_undirected(g), undirected_from_edges(n, arcs)):
+        assert und.m == len(pairs)
+        _same_csr((und.indptr, und.indices), (indptr, indices))
+
+    ids = sorted(v for v in keep if v < n)
+    local = {v: i for i, v in enumerate(ids)}
+    sub, sub_ids = induced_subgraph(g, ids[::-1])
+    assert sub_ids.tolist() == ids
+    want = [(local[u], local[v]) for u, v in arcs if u in local and v in local]
+    _same_csr((sub.indptr, sub.indices, sub.multiplicity), oracles.csr_reference(len(ids), want))

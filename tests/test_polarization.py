@@ -7,12 +7,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from polarnet.community import Partition
 from polarnet.errors import DegenerateModularityError, UndefinedModularityError
 from polarnet.graph import (
     TemporalEdgeSet,
+    TimeWindow,
     slice_windows,
     underlying_undirected,
     undirected_from_edges,
@@ -301,3 +304,50 @@ def test_report_json_shape():
     assert len(doc["windows"]) == 5
     assert "q" in doc["trends"]
     assert doc["config"] == {"seed": 0}
+
+
+@st.composite
+def windowed_inputs(draw):
+    """Unsorted timed arcs with duplicates and reciprocals, a grouping, and
+    windows that may be empty, overlap, come out of order or miss the arcs."""
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    stamp = st.integers(0, 40)
+    base = draw(
+        st.lists(st.tuples(vertex, vertex, stamp).filter(lambda a: a[0] != a[1]), max_size=40)
+    )
+    if base:
+        again = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans(), stamp), max_size=20))
+        base += [((v, u) if flip else (u, v)) + (t,) for (u, v, _), flip, t in again]
+    arcs = draw(st.permutations(base))
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    assignment = draw(st.permutations(list(range(k)) + extra))
+    spans = draw(st.lists(st.tuples(st.integers(-10, 60), st.integers(1, 25)), max_size=8))
+    return n, arcs, assignment, [TimeWindow(s, s + w, label=str(j)) for j, (s, w) in enumerate(spans)]
+
+
+@settings(deadline=None)
+@given(windowed_inputs())
+def test_window_series_matches_per_window_pair_oracle(inputs):
+    n, arcs, assignment, windows = inputs
+    edges = TemporalEdgeSet(
+        sources=np.asarray([a[0] for a in arcs], dtype=np.int64),
+        targets=np.asarray([a[1] for a in arcs], dtype=np.int64),
+        timestamps=np.asarray([a[2] for a in arcs], dtype=np.int64),
+        labels=tuple(str(v) for v in range(n)),
+        label_ids={str(v): v for v in range(n)},
+    )
+    part = Partition.from_assignment(assignment)
+    report = window_series(edges, part, windows, tracked_groups=range(part.k))
+    assert [row.label for row in report.windows] == [w.label for w in windows]
+    for w, row in zip(windows, report.windows):
+        m, _, _, contributions = oracles.window_reference(arcs, assignment, part.k, w.start, w.end)
+        assert row.m == m
+        if m == 0:
+            assert row.q is None and row.group_q is None
+            assert all(d is None for d in row.group_d.values())
+            continue
+        assert row.q == pytest.approx(sum(contributions), abs=1e-12)
+        assert row.group_q == pytest.approx(contributions, abs=1e-12)
+        assert sum(row.group_q) == pytest.approx(row.q, abs=1e-12)
