@@ -50,6 +50,7 @@ from .graph import (
     ingest_edge_list,
     slice_windows,
     underlying_undirected,
+    write_edge_list,
 )
 from .polarization import (
     modularity,
@@ -375,10 +376,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = output.vertex_labels
+    arcs = TemporalEdgeSet(
+        sources=output.arc_pairs[:, 0],
+        targets=output.arc_pairs[:, 1],
+        timestamps=stamps,
+        labels=tuple(labels),
+        label_ids={label: i for i, label in enumerate(labels)},
+    )
     edges_path = out_dir / "edges.csv"
     with open(edges_path, "w", encoding="utf-8") as fh:
-        for (s, t), stamp in zip(output.arc_pairs.tolist(), stamps.tolist()):
-            fh.write(f"{labels[s]},{labels[t]},{stamp}\n")
+        write_edge_list(fh, arcs)
     written = [str(edges_path)]
     if output.partition is not None:
         part_path = out_dir / "partition.csv"

@@ -48,6 +48,58 @@ def parse_edge_lines(lines, delimiter=","):
     return arcs, malformed, self_loops
 
 
+def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comment_prefix="#"):
+    """Per-line reader of the documented edge-list rules, over a whole text.
+
+    Lines end at "\\n". Each line and each of its fields is stripped; blank
+    lines, comment lines and (with ``skip_header``) line 1 are ignored; a
+    record has two non-empty labels and an int() timestamp in [0, 2**63).
+    Returns a dict with the TemporalEdgeSet fields (ids in first-seen order
+    over the kept arcs), or ``{"error_line": n}`` naming the first malformed
+    line under ``strict``.
+    """
+    pieces = text.split("\n")
+    if pieces[-1] == "":
+        pieces.pop()
+    ids = {}
+    sources, targets, stamps = [], [], []
+    loops = bad = 0
+    for number, raw in enumerate(pieces, start=1):
+        line = raw.strip()
+        if (skip_header and number == 1) or not line or line.startswith(comment_prefix):
+            continue
+        fields = [f.strip() for f in line.split(delimiter)]
+        stamp = None
+        if len(fields) == 3 and fields[0] and fields[1]:
+            try:
+                stamp = int(fields[2])
+            except ValueError:
+                pass
+        if stamp is None or not 0 <= stamp < 2**63:
+            if strict:
+                return {"error_line": number}
+            bad += 1
+            continue
+        source, target = fields[0], fields[1]
+        if source == target:
+            loops += 1
+            continue
+        for label in (source, target):
+            ids.setdefault(label, len(ids))
+        sources.append(ids[source])
+        targets.append(ids[target])
+        stamps.append(stamp)
+    return {
+        "sources": sources,
+        "targets": targets,
+        "timestamps": stamps,
+        "labels": tuple(ids),
+        "label_ids": ids,
+        "dropped_self_loops": loops,
+        "malformed_lines": bad,
+    }
+
+
 def csr_reference(n, arcs):
     """(indptr, indices, multiplicity) of (source, target) id pairs.
 

@@ -58,6 +58,17 @@ def test_ingest_check_strict_rejects_malformed(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_ingest_check_counts_out_of_range_timestamp(tmp_path, capsys):
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,1\nb,c,99999999999999999999\n", encoding="utf-8")
+    assert run_cli("ingest-check", "--input", str(src)) == 0
+    out = capsys.readouterr().out
+    assert "arcs: 1" in out
+    assert "malformed lines: 1" in out
+    assert run_cli("ingest-check", "--input", str(src), "--strict") == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_ingest_check_header_and_delimiter(tmp_path, capsys):
     src = tmp_path / "edges.tsv"
     src.write_text("src\ttgt\tts\na\tb\t5\n", encoding="utf-8")

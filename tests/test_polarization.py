@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
@@ -327,7 +327,6 @@ def windowed_inputs(draw):
     return n, arcs, assignment, [TimeWindow(s, s + w, label=str(j)) for j, (s, w) in enumerate(spans)]
 
 
-@settings(deadline=None)
 @given(windowed_inputs())
 def test_window_series_matches_per_window_pair_oracle(inputs):
     n, arcs, assignment, windows = inputs
