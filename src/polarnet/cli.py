@@ -9,7 +9,7 @@ arguments, 3 parse/format/IO failure, 4 infeasible coverage target.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
 from pathlib import Path
 
@@ -23,14 +23,14 @@ from .community import (
     save_partition,
 )
 from .domination import (
+    DominationResult,
     coverage_curve,
     domination_to_dict,
     greedy_pdds,
     group_spreaders,
+    in_group_curve,
     in_group_domination,
-    infeasible_to_dict,
     network_domination_by_group,
-    write_curve_csv,
     write_domination_csv,
     write_domination_json,
 )
@@ -46,7 +46,6 @@ from .graph import (
     TemporalEdgeSet,
     build_directed_graph,
     exclude_interval,
-    induced_subgraph,
     ingest_edge_list,
     slice_windows,
     underlying_undirected,
@@ -178,26 +177,22 @@ def cmd_polarization(args: argparse.Namespace) -> int:
     tracked = _resolve_groups(args.groups, part) if args.groups else []
     report = window_series(edges, part, windows, tracked_groups=tracked)
 
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "csv":
+            write_report_csv(report, fh)
+        else:
+            write_report_json(report, fh, extra={"config": _config_dict(args)})
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if args.format == "csv":
-                write_report_csv(report, fh)
-            else:
-                write_report_json(report, fh, extra={"config": _config_dict(args)})
         print(f"windows: {len(report.windows)}")
         for name, trend in sorted(report.trends.items()):
             print(f"trend {name}: slope {trend.slope:+.6f} per window")
         print(f"report written to {args.out}")
-    else:
-        if args.format == "csv":
-            write_report_csv(report, sys.stdout)
-        else:
-            write_report_json(report, sys.stdout, extra={"config": _config_dict(args)})
     return EXIT_OK
 
 
 def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
-    """Yield (name, payload_kind, payload) for every requested run."""
+    """Yield (name, payload) for every requested run: a DominationResult or a curve."""
     if args.mode == "unrestricted":
         group_list: list[int | None] = [None]
     else:
@@ -216,12 +211,8 @@ def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
                 cand = group_spreaders(g, part, i)
                 curve = coverage_curve(g, candidates=cand, max_spreaders=args.max_spreaders)
             else:
-                members = part.members(i)
-                cand = group_spreaders(g, part, i)
-                sub, gids = induced_subgraph(g, members)
-                local = np.searchsorted(gids, cand)
-                curve = coverage_curve(sub, candidates=local, max_spreaders=args.max_spreaders)
-            yield f"curve_{args.mode}_{slug}", "curve", curve
+                curve = in_group_curve(g, part, i, args.max_spreaders)
+            yield f"curve_{args.mode}_{slug}", curve
             continue
         for rho in args.rho:
             name = f"dominate_{args.mode}_{slug}_rho{rho:g}"
@@ -233,55 +224,38 @@ def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
                 else:
                     result = in_group_domination(g, part, i, rho)
             except InfeasibleCoverageError as err:
-                yield name, "infeasible", (err, rho)
-                continue
-            yield name, "result", result
+                result = err.result
+            yield name, result
 
 
-def _write_infeasible_csv(err: InfeasibleCoverageError, fh, labels) -> None:
-    fh.write("step,vertex,covered,fraction\n")
-    for j, (v, c) in enumerate(zip(err.selected, err.covered_after_step), start=1):
-        name = labels[v] if labels is not None else str(v)
-        frac = c / err.n_target if err.n_target else 0.0
-        fh.write(f"{j},{name},{c},{frac:.6f}\n")
-    fh.write(f"# infeasible: {err}\n")
+def _write_tasks(stream, tasks, args: argparse.Namespace, labels, named: bool) -> None:
+    """Write dominate tasks in --format: all of them named (stdout), or one (a task file)."""
+    if args.format == "csv":
+        for name, payload in tasks:
+            if named:
+                stream.write(f"# {name}\n")
+            write_domination_csv(payload, stream, labels)
+        return
+    docs = [domination_to_dict(payload, labels) for _, payload in tasks]
+    if named:
+        for (name, _), doc in zip(tasks, docs):
+            doc["name"] = name
+        doc = {"config": _config_dict(args), "tasks": docs}
+    else:
+        (doc,) = docs
+        doc["config"] = _config_dict(args)
+    write_domination_json(doc, stream)
 
 
-def _write_dominate_file(path: Path, kind, payload, args, labels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if args.format == "csv":
-            if kind == "curve":
-                write_curve_csv(payload, fh)
-            elif kind == "result":
-                write_domination_csv(payload, fh, labels)
-            else:
-                _write_infeasible_csv(payload[0], fh, labels)
-        else:
-            if kind == "curve":
-                doc = {"curve": [{"spreaders": c, "fraction": f} for c, f in payload]}
-            elif kind == "result":
-                doc = domination_to_dict(payload, labels)
-            else:
-                doc = infeasible_to_dict(payload[0], payload[1], labels)
-            doc["config"] = _config_dict(args)
-            write_domination_json(doc, fh)
-
-
-def _task_summary(name: str, kind, payload) -> str:
-    if kind == "curve":
+def _task_summary(name: str, payload) -> str:
+    if not isinstance(payload, DominationResult):
         final = payload[-1][1] if payload else 0.0
         return f"{name}: {len(payload)} points, final fraction {final:.4f}"
-    if kind == "result":
-        return (
-            f"{name}: {len(payload.selected)} spreaders cover "
-            f"{payload.covered}/{payload.n_target} ({payload.fraction:.4f})"
-        )
-    err = payload[0]
-    frac = err.max_coverable / err.n_target if err.n_target else 0.0
-    return (
-        f"{name}: INFEASIBLE, candidate pool covers at most "
-        f"{err.max_coverable}/{err.n_target} ({frac:.4f})"
-    )
+    if payload.feasible:
+        outcome = f"{len(payload.selected)} spreaders cover"
+    else:
+        outcome = "INFEASIBLE, candidate pool covers at most"
+    return f"{name}: {outcome} {payload.covered}/{payload.n_target} ({payload.fraction:.4f})"
 
 
 def cmd_dominate(args: argparse.Namespace) -> int:
@@ -300,36 +274,15 @@ def cmd_dominate(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = list(_dominate_tasks(args, g, part))
-    any_infeasible = any(kind == "infeasible" for _, kind, _ in tasks)
-
-    if out_dir is not None:
-        for name, kind, payload in tasks:
-            _write_dominate_file(out_dir / f"{name}.{args.format}", kind, payload, args, labels)
-            print(_task_summary(name, kind, payload))
-    elif args.format == "json":
-        doc_tasks = []
-        for name, kind, payload in tasks:
-            if kind == "curve":
-                doc = {"curve": [{"spreaders": c, "fraction": f} for c, f in payload]}
-            elif kind == "result":
-                doc = domination_to_dict(payload, labels)
-            else:
-                doc = infeasible_to_dict(payload[0], payload[1], labels)
-            doc["name"] = name
-            doc_tasks.append(doc)
-        json.dump({"config": _config_dict(args), "tasks": doc_tasks}, sys.stdout,
-                  indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    if out_dir is None:
+        _write_tasks(sys.stdout, tasks, args, labels, named=True)
     else:
-        for name, kind, payload in tasks:
-            sys.stdout.write(f"# {name}\n")
-            if kind == "curve":
-                write_curve_csv(payload, sys.stdout)
-            elif kind == "result":
-                write_domination_csv(payload, sys.stdout, labels)
-            else:
-                _write_infeasible_csv(payload[0], sys.stdout, labels)
-    return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
+        for name, payload in tasks:
+            with open(out_dir / f"{name}.{args.format}", "w", encoding="utf-8") as fh:
+                _write_tasks(fh, [(name, payload)], args, labels, named=False)
+            print(_task_summary(name, payload))
+    infeasible = any(isinstance(p, DominationResult) and not p.feasible for _, p in tasks)
+    return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:

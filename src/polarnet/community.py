@@ -10,6 +10,7 @@ produce identical partitions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -246,10 +247,19 @@ def detect_communities(
 
 
 _META_PREFIX = "#meta"
+# A label that would read as a comment (leading "#"), or as an escaped one,
+# is saved with one more leading backslash, which loading takes off again.
+_ESCAPED = re.compile(r"\\*#")
 
 
 def save_partition(p: Partition, stream: TextIO, labels: Sequence[str]) -> None:
-    """Write ``vertex-label,group-index`` lines plus ``#meta`` group names."""
+    """Write ``vertex-label,group-index`` lines plus ``#meta`` group names.
+
+    Every label ingest can produce (non-empty, no surrounding whitespace,
+    no line break) round-trips through load_partition: the group index
+    follows the last comma, and a label matching ``\\*#`` is written with
+    one extra leading backslash.
+    """
     if len(labels) != p.n:
         raise ValueError(f"expected {p.n} labels, got {len(labels)}")
     for i in sorted(p.group_meta):
@@ -258,8 +268,10 @@ def save_partition(p: Partition, stream: TextIO, labels: Sequence[str]) -> None:
             raise ValueError(f"group name {save_name!r} contains reserved characters")
         stream.write(f"{_META_PREFIX},{i},{save_name}\n")
     for v, label in enumerate(labels):
-        if "," in label or "\n" in label or label.startswith("#"):
-            raise ValueError(f"vertex label {label!r} contains reserved characters")
+        if "\n" in label:
+            raise ValueError(f"vertex label {label!r} contains a line break")
+        if _ESCAPED.match(label):
+            label = "\\" + label
         stream.write(f"{label},{p.assignment[v]}\n")
 
 
@@ -287,6 +299,8 @@ def load_partition(stream: Iterable[str], labels: Sequence[str]) -> Partition:
         head, _, tail = line.rpartition(",")
         if not head or not tail:
             raise FormatError(f"bad partition line {lineno}: {line!r}")
+        if head.startswith("\\") and _ESCAPED.match(head, 1):
+            head = head[1:]
         try:
             group = int(tail)
         except ValueError:

@@ -30,10 +30,11 @@ BRUTE_FORCE_LIMIT = 25
 
 @dataclass(frozen=True)
 class DominationResult:
-    """Outcome of a feasible greedy run.
+    """Outcome of a greedy run, feasible or not.
 
     ``selected`` lists picks in order; ``covered_after_step[j]`` is how many
-    targets the first j+1 picks cover together.
+    targets the first j+1 picks cover together. An infeasible run stops when
+    the candidates add no coverage, so its ``covered`` is the most they reach.
     """
 
     selected: tuple[int, ...]
@@ -42,6 +43,7 @@ class DominationResult:
     target: int
     n_target: int
     candidates: str
+    feasible: bool
 
     @property
     def covered(self) -> int:
@@ -87,6 +89,15 @@ def _resolve_ids(g: DirectedGraph, ids: Sequence[int] | np.ndarray, what: str) -
         bad = int(arr[0]) if arr[0] < 0 else int(arr[-1])
         raise ValueError(f"{what} id {bad} out of range for graph with {g.n} vertices")
     return arr
+
+
+def _target_mask(g: DirectedGraph, cover_targets: Sequence[int] | np.ndarray | None) -> np.ndarray:
+    """The vertices to cover as a boolean mask; every vertex when None."""
+    if cover_targets is None:
+        return np.ones(g.n, dtype=bool)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[_resolve_ids(g, cover_targets, "target")] = True
+    return mask
 
 
 def _greedy_run(
@@ -158,6 +169,31 @@ def _greedy_run(
                         heapq.heappush(heap, (-s, u))
 
 
+def _solve(
+    g: DirectedGraph, rho: float, cand: np.ndarray, target_mask: np.ndarray, desc: str
+) -> DominationResult:
+    """Greedy run to the rho target; its result says whether it got there."""
+    n_target = int(np.count_nonzero(target_mask))
+    target = coverage_target(rho, n_target)
+    selected, covered_after, exhausted = _greedy_run(g, cand, target_mask, target, None)
+    return DominationResult(
+        selected=tuple(selected),
+        covered_after_step=tuple(covered_after),
+        rho=rho,
+        target=target,
+        n_target=n_target,
+        candidates=desc,
+        feasible=not exhausted,
+    )
+
+
+def _feasible(result: DominationResult) -> DominationResult:
+    """The result itself, or InfeasibleCoverageError carrying it."""
+    if not result.feasible:
+        raise InfeasibleCoverageError(result)
+    return result
+
+
 def greedy_pdds(
     g: DirectedGraph,
     rho: float,
@@ -167,38 +203,17 @@ def greedy_pdds(
     """Greedy cover of a fraction rho of the targets by candidate spans.
 
     Candidates default to the spreaders; targets default to every vertex.
-    Raises InfeasibleCoverageError, carrying the partial run, when the
+    Raises InfeasibleCoverageError, carrying the infeasible result, when the
     candidate pool cannot reach the requested count at all.
     """
-    if cover_targets is None:
-        target_mask = np.ones(g.n, dtype=bool)
-        n_target = g.n
-    else:
-        target_ids = _resolve_ids(g, cover_targets, "target")
-        target_mask = np.zeros(g.n, dtype=bool)
-        target_mask[target_ids] = True
-        n_target = len(target_ids)
-
+    target_mask = _target_mask(g, cover_targets)
     if candidates is None:
         cand = spreaders(g)
         desc = f"spreaders ({len(cand)} candidates)"
     else:
         cand = _resolve_ids(g, candidates, "candidate")
         desc = f"restricted pool ({len(cand)} candidates)"
-
-    target = coverage_target(rho, n_target)
-    selected, covered_after, exhausted = _greedy_run(g, cand, target_mask, target, None)
-    if exhausted:
-        reached = covered_after[-1] if covered_after else 0
-        raise InfeasibleCoverageError(target, n_target, reached, selected, covered_after)
-    return DominationResult(
-        selected=tuple(selected),
-        covered_after_step=tuple(covered_after),
-        rho=rho,
-        target=target,
-        n_target=n_target,
-        candidates=desc,
-    )
+    return _feasible(_solve(g, rho, cand, target_mask, desc))
 
 
 def coverage_curve(
@@ -215,14 +230,8 @@ def coverage_curve(
     """
     if max_spreaders < 1:
         raise ValueError("max_spreaders must be at least 1")
-    if cover_targets is None:
-        target_mask = np.ones(g.n, dtype=bool)
-        n_target = g.n
-    else:
-        target_ids = _resolve_ids(g, cover_targets, "target")
-        target_mask = np.zeros(g.n, dtype=bool)
-        target_mask[target_ids] = True
-        n_target = len(target_ids)
+    target_mask = _target_mask(g, cover_targets)
+    n_target = int(np.count_nonzero(target_mask))
     if n_target == 0:
         return []
     cand = spreaders(g) if candidates is None else _resolve_ids(g, candidates, "candidate")
@@ -245,10 +254,7 @@ def brute_force_pdds(
     cand = _resolve_ids(g, candidates, "candidate")
     if len(cand) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at {BRUTE_FORCE_LIMIT} candidates, got {len(cand)}")
-    if cover_targets is None:
-        target_ids = np.arange(g.n, dtype=_INT)
-    else:
-        target_ids = _resolve_ids(g, cover_targets, "target")
+    target_ids = np.flatnonzero(_target_mask(g, cover_targets))
     n_target = len(target_ids)
     target = coverage_target(rho, n_target)
     if target == 0:
@@ -289,43 +295,37 @@ def group_spreaders(g: DirectedGraph, p: Partition, i: int) -> np.ndarray:
     return members[g.out_degrees[members] > 0]
 
 
+def _in_group(g: DirectedGraph, p: Partition, i: int) -> tuple[DirectedGraph, np.ndarray, np.ndarray]:
+    """Group i's induced subgraph, its local -> global ids, and its spreaders in local ids."""
+    cand = group_spreaders(g, p, i)
+    sub, gids = induced_subgraph(g, p.members(i))
+    return sub, gids, np.searchsorted(gids, cand)
+
+
 def in_group_domination(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:
     """Cover a fraction of group i using only its own spreader members.
 
     Spreader status comes from the full graph, so a member whose arcs all
     leave the group still qualifies but covers only itself here. Vertex ids
-    in the result refer to the full graph.
+    in the result, feasible or not, refer to the full graph.
     """
-    members = p.members(i)
-    cand_global = group_spreaders(g, p, i)
-    sub, gids = induced_subgraph(g, members)
-    local_cand = np.searchsorted(gids, cand_global)
-    desc = f"group {i} spreaders, in-group targets ({len(cand_global)} candidates)"
-    try:
-        result = greedy_pdds(sub, rho, candidates=local_cand)
-    except InfeasibleCoverageError as err:
-        raise InfeasibleCoverageError(
-            err.target,
-            err.n_target,
-            err.max_coverable,
-            [int(gids[v]) for v in err.selected],
-            err.covered_after_step,
-        ) from None
-    return replace(
-        result,
-        selected=tuple(int(gids[v]) for v in result.selected),
-        candidates=desc,
-    )
+    sub, gids, cand = _in_group(g, p, i)
+    desc = f"group {i} spreaders, in-group targets ({len(cand)} candidates)"
+    result = _solve(sub, rho, cand, _target_mask(sub, None), desc)
+    return _feasible(replace(result, selected=tuple(int(gids[v]) for v in result.selected)))
+
+
+def in_group_curve(g: DirectedGraph, p: Partition, i: int, max_spreaders: int) -> list[tuple[int, float]]:
+    """Fraction of group i covered after 1..max_spreaders picks of its own spreaders."""
+    sub, _, cand = _in_group(g, p, i)
+    return coverage_curve(sub, candidates=cand, max_spreaders=max_spreaders)
 
 
 def network_domination_by_group(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:
     """Cover a fraction of the whole network using only group i spreaders."""
     cand = group_spreaders(g, p, i)
-    result = greedy_pdds(g, rho, candidates=cand)
-    return replace(
-        result,
-        candidates=f"group {i} spreaders, network targets ({len(cand)} candidates)",
-    )
+    desc = f"group {i} spreaders, network targets ({len(cand)} candidates)"
+    return _feasible(_solve(g, rho, cand, _target_mask(g, None), desc))
 
 
 def _name(v: int, labels: Sequence[str] | None) -> str:
@@ -333,48 +333,55 @@ def _name(v: int, labels: Sequence[str] | None) -> str:
 
 
 def write_domination_csv(
-    result: DominationResult, stream: TextIO, labels: Sequence[str] | None = None
+    payload: DominationResult | Sequence[tuple[int, float]],
+    stream: TextIO,
+    labels: Sequence[str] | None = None,
 ) -> None:
+    """CSV of a result, one row per pick, or of a coverage curve.
+
+    An infeasible result ends with a ``# infeasible: <reason>`` line.
+    """
+    if not isinstance(payload, DominationResult):
+        stream.write("spreaders,fraction\n")
+        for count, frac in payload:
+            stream.write(f"{count},{frac:.6f}\n")
+        return
     stream.write("step,vertex,covered,fraction\n")
-    for j, (v, c) in enumerate(zip(result.selected, result.covered_after_step), start=1):
-        stream.write(f"{j},{_name(v, labels)},{c},{c / result.n_target:.6f}\n")
+    for j, (v, c) in enumerate(zip(payload.selected, payload.covered_after_step), start=1):
+        stream.write(f"{j},{_name(v, labels)},{c},{c / payload.n_target:.6f}\n")
+    if not payload.feasible:
+        stream.write(f"# infeasible: {InfeasibleCoverageError(payload)}\n")
 
 
-def domination_to_dict(result: DominationResult, labels: Sequence[str] | None = None) -> dict:
-    return {
-        "feasible": True,
-        "rho": result.rho,
-        "target": result.target,
-        "n_target": result.n_target,
-        "candidates": result.candidates,
-        "selected": [_name(v, labels) for v in result.selected],
-        "covered_after_step": list(result.covered_after_step),
-        "covered": result.covered,
-        "fraction": result.fraction,
-    }
-
-
-def infeasible_to_dict(
-    err: InfeasibleCoverageError, rho: float, labels: Sequence[str] | None = None
+def domination_to_dict(
+    payload: DominationResult | Sequence[tuple[int, float]], labels: Sequence[str] | None = None
 ) -> dict:
-    return {
-        "feasible": False,
-        "rho": rho,
-        "target": err.target,
-        "n_target": err.n_target,
-        "candidates": None,
-        "selected": [_name(v, labels) for v in err.selected],
-        "covered_after_step": list(err.covered_after_step),
-        "max_coverable": err.max_coverable,
-        "max_fraction": err.max_coverable / err.n_target if err.n_target else 0.0,
-        "error": str(err),
+    """JSON-ready form of a result or of a coverage curve.
+
+    An infeasible result reports ``max_coverable``/``max_fraction`` and the
+    reason in ``error`` where a feasible one has ``covered``/``fraction``,
+    and its ``candidates`` is None.
+    """
+    if not isinstance(payload, DominationResult):
+        return {"curve": [{"spreaders": c, "fraction": f} for c, f in payload]}
+    doc = {
+        "feasible": payload.feasible,
+        "rho": payload.rho,
+        "target": payload.target,
+        "n_target": payload.n_target,
+        "selected": [_name(v, labels) for v in payload.selected],
+        "covered_after_step": list(payload.covered_after_step),
     }
-
-
-def write_curve_csv(curve: Sequence[tuple[int, float]], stream: TextIO) -> None:
-    stream.write("spreaders,fraction\n")
-    for count, frac in curve:
-        stream.write(f"{count},{frac:.6f}\n")
+    if payload.feasible:
+        doc.update(candidates=payload.candidates, covered=payload.covered, fraction=payload.fraction)
+    else:
+        doc.update(
+            candidates=None,
+            max_coverable=payload.covered,
+            max_fraction=payload.fraction,
+            error=str(InfeasibleCoverageError(payload)),
+        )
+    return doc
 
 
 def write_domination_json(payload: dict, stream: TextIO) -> None:

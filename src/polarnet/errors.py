@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .domination import DominationResult
+
 
 class PolarnetError(Exception):
     """Base class for all toolkit-specific errors."""
@@ -31,25 +36,16 @@ class DegenerateModularityError(PolarnetError):
 class InfeasibleCoverageError(PolarnetError):
     """The requested coverage target exceeds what the candidate set can reach.
 
-    Carries the state of the greedy run at exhaustion so callers can report
-    the partial result instead of just failing.
+    ``result`` is the infeasible domination result: the picks made until the
+    candidates ran out of new coverage, so callers can report the partial
+    run instead of just failing. ``max_coverable`` is its ``covered``.
     """
 
-    def __init__(
-        self,
-        target: int,
-        n_target: int,
-        max_coverable: int,
-        selected: list[int],
-        covered_after_step: list[int],
-    ):
-        frac = max_coverable / n_target if n_target else 0.0
+    def __init__(self, result: DominationResult):
+        self.result = result
+        self.n_target = result.n_target
+        self.max_coverable = result.covered
         super().__init__(
-            f"coverage target {target} of {n_target} is unreachable: "
-            f"candidate set covers at most {max_coverable} ({frac:.1%})"
+            f"coverage target {result.target} of {result.n_target} is unreachable: "
+            f"candidate set covers at most {result.covered} ({result.fraction:.1%})"
         )
-        self.target = target
-        self.n_target = n_target
-        self.max_coverable = max_coverable
-        self.selected = selected
-        self.covered_after_step = covered_after_step

@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from polarnet.community import (
@@ -155,6 +157,36 @@ def test_partition_file_round_trip():
     loaded = load_partition(io.StringIO(buf.getvalue()), labels)
     assert np.array_equal(loaded.assignment, part.assignment)
     assert loaded.group_meta == part.group_meta
+
+
+# "\x1f" is the delimiter of the generated edge lists below
+_RAW_LABELS = st.lists(
+    st.text(st.characters(blacklist_characters="\n\x1f"), min_size=1, max_size=6)
+    | st.sampled_from(["#", "#b", "#meta", "\\", "\\#", "\\\\#x", "\\a", "a,b", ",", "x,0", "a\rb"]),
+    max_size=10,
+)
+
+
+@given(_RAW_LABELS, st.lists(st.integers(0, 3), min_size=20, max_size=20))
+@example(["#b", "\\#b", "\\\\#b", "a,b", "#meta,0,x"], [0] * 20)
+def test_partition_file_round_trips_every_ingest_label(raw, groups):
+    # each drawn label is a target, so a leading "#" cannot turn its line
+    # into a comment; ingest strips it and may reject or loop it
+    text = "s\x1ft\x1f0\n" + "".join(f"s\x1f{label}\x1f0\n" for label in raw)
+    labels = list(oracles.ingest_reference(text, delimiter="\x1f")["labels"])
+    assignment = np.unique([groups[v % len(groups)] for v in range(len(labels))], return_inverse=True)[1]
+    part = Partition.from_assignment(assignment, {0: "left"})
+    buf = io.StringIO()
+    save_partition(part, buf, labels)
+    loaded = load_partition(io.StringIO(buf.getvalue()), labels)
+    assert loaded.assignment.tolist() == part.assignment.tolist()
+    assert loaded.group_meta == part.group_meta
+    # only labels that would read as a comment, or as an escaped one, change
+    written = buf.getvalue().split("\n")[1:-1]
+    assert len(written) == len(labels)
+    for label, line, group in zip(labels, written, assignment.tolist()):
+        escaped = label.lstrip("\\").startswith("#")
+        assert line == ("\\" if escaped else "") + f"{label},{group}"
 
 
 def test_partition_file_missing_vertex_is_named():

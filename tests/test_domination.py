@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from polarnet.community import Partition
@@ -12,6 +14,8 @@ from polarnet.domination import (
     coverage_curve,
     coverage_target,
     greedy_pdds,
+    group_spreaders,
+    in_group_curve,
     in_group_domination,
     network_domination_by_group,
     spreaders,
@@ -255,6 +259,38 @@ def test_in_group_equals_manual_induced_run():
         assert manual.covered_after_step == via_api.covered_after_step
 
 
+def _outcome(solve):
+    """A run's result, or the result its InfeasibleCoverageError carries."""
+    try:
+        return solve()
+    except InfeasibleCoverageError as err:
+        return err.result
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 24),
+    st.sampled_from([0.05, 0.15, 0.4]),
+    st.integers(1, 4),
+    st.sampled_from([0.3, 0.5, 0.9, 1.0]),
+    st.integers(1, 6),
+)
+def test_in_group_runs_equal_full_graph_runs_on_group_targets(seed, n, p, k, rho, max_spreaders):
+    rng = np.random.default_rng(seed)
+    g = oracles.random_digraph(n, p, rng)
+    part = Partition.from_assignment(oracles.random_grouping(n, min(k, n), rng))
+    for i in range(part.k):
+        cand, members = group_spreaders(g, part, i), part.members(i)
+        sub = _outcome(lambda: in_group_domination(g, part, i, rho))
+        full = _outcome(lambda: greedy_pdds(g, rho, candidates=cand, cover_targets=members))
+        assert sub.selected == full.selected
+        assert sub.covered_after_step == full.covered_after_step
+        assert (sub.target, sub.n_target, sub.feasible) == (full.target, full.n_target, full.feasible)
+        assert in_group_curve(g, part, i, max_spreaders) == coverage_curve(
+            g, candidates=cand, cover_targets=members, max_spreaders=max_spreaders
+        )
+
+
 def test_network_by_group_universal_hub():
     # group 0 holds a hub wired to every other vertex
     arcs = [(0, v) for v in range(1, 8)] + [(1, 2)]
@@ -309,7 +345,8 @@ def test_infeasible_error_carries_partial_run():
     with pytest.raises(InfeasibleCoverageError) as info:
         greedy_pdds(g, 1.0, candidates=[0])
     err = info.value
-    assert err.selected == [0]
-    assert err.covered_after_step == [3]
+    assert err.result.selected == (0,)
+    assert err.result.covered_after_step == (3,)
+    assert err.result.feasible is False
     assert err.max_coverable == 3
     assert "3" in str(err)
