@@ -1,16 +1,19 @@
 """Community detection and partition handling.
 
-Detection is the classic two-phase multilevel scheme: seeded local moving of
-vertices between groups until the modularity gain of a full pass drops below
-a threshold, then aggregation of groups into supervertices, repeated until
-nothing changes. Determinism is pinned down by a seeded visit order and a
-lowest-index tie-break, so identical (graph, resolution, seed) inputs always
-produce identical partitions.
+Detection is the two-phase multilevel scheme: local moving of vertices
+between groups, then aggregation of groups into supervertices, repeated until
+nothing changes. Local moving follows the fast local-move queue of Traag,
+Waltman & van Eck ("From Louvain to Leiden", 2019): after a first visit of
+every vertex, only the neighbours of vertices that moved are visited again.
+Determinism is pinned down by a seeded visit order and a lowest-index
+tie-break, so identical (graph, resolution, seed, min_improvement) inputs
+always produce identical partitions.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -97,47 +100,43 @@ def _local_move(
     resolution: float,
     order_source: np.random.Generator,
     min_improvement: float,
-) -> tuple[float, int]:
-    """Repeated local-moving passes; returns (modularity gain, move count).
-
-    A vertex moves only on strict gain; among equally good target groups the
-    lowest group index wins. Passes repeat until a full pass gains less than
-    ``min_improvement``.
-    """
+) -> int:
+    """One level of queue-driven local moving, as detect_communities
+    describes it; returns the number of moves."""
     n = len(strength)
-    total_gain = 0.0
+    queue = deque(order_source.permutation(n).tolist())
+    queued = [True] * n
     n_moves = 0
-    while True:
-        order = order_source.permutation(n).tolist()
-        pass_gain = 0.0
-        for v in order:
-            c_old = comm[v]
-            kv = strength[v]
-            sigma_tot[c_old] -= kv
-            acc: dict[int, float] = {}
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        c_old = comm[v]
+        kv = strength[v]
+        sigma_tot[c_old] -= kv
+        acc: dict[int, float] = {}
+        for j in range(adj_ptr[v], adj_ptr[v + 1]):
+            c = comm[adj_idx[j]]
+            acc[c] = acc.get(c, 0.0) + adj_w[j]
+        coef = resolution * kv / two_m
+        stay = acc.get(c_old, 0.0) - coef * sigma_tot[c_old]
+        best_c = c_old
+        best = stay
+        for c, w in acc.items():
+            if c == c_old:
+                continue
+            score = w - coef * sigma_tot[c]
+            if score > best or (score == best and c < best_c):
+                best, best_c = score, c
+        if 2.0 * (best - stay) / two_m > min_improvement:
+            comm[v] = best_c
+            n_moves += 1
             for j in range(adj_ptr[v], adj_ptr[v + 1]):
-                c = comm[adj_idx[j]]
-                acc[c] = acc.get(c, 0.0) + adj_w[j]
-            coef = resolution * kv / two_m
-            stay = acc.get(c_old, 0.0) - coef * sigma_tot[c_old]
-            best_c = c_old
-            best = stay
-            for c, w in acc.items():
-                if c == c_old:
-                    continue
-                score = w - coef * sigma_tot[c]
-                if score > best or (score == best and c < best_c):
-                    best, best_c = score, c
-            if best_c != c_old and best > stay:
-                comm[v] = best_c
-                pass_gain += best - stay
-                n_moves += 1
-            sigma_tot[comm[v]] += kv
-        pass_gain = 2.0 * pass_gain / two_m
-        total_gain += pass_gain
-        if pass_gain < min_improvement:
-            break
-    return total_gain, n_moves
+                u = adj_idx[j]
+                if not queued[u] and comm[u] != best_c:
+                    queued[u] = True
+                    queue.append(u)
+        sigma_tot[comm[v]] += kv
+    return n_moves
 
 
 def _level_modularity(
@@ -179,7 +178,7 @@ def _louvain(
         n_l = len(self_w)
         comm = list(range(n_l))
         sigma_tot = strength.tolist()
-        _, n_moves = _local_move(
+        n_moves = _local_move(
             indptr.tolist(),
             indices.tolist(),
             weights.tolist(),
@@ -232,9 +231,19 @@ def detect_communities(
 ) -> Partition:
     """Multilevel modularity-maximization partition of an undirected view.
 
-    Deterministic for fixed (graph, resolution, seed). Isolated vertices end
-    up in singleton groups. Raises ValueError on an empty graph (no vertices
-    or no edges), where modularity optimization is undefined.
+    Each level queues every vertex once, in an order drawn from ``seed``.
+    A popped vertex moves to the neighbouring group that raises modularity
+    most, ties going to the lowest group index, but only when that gain
+    exceeds ``min_improvement``; then each of its neighbours outside its new
+    group is queued again unless already queued. The level ends when the
+    queue is empty. Every move raises modularity, which lies within
+    [-resolution, 1], by more than ``min_improvement``, so a run makes fewer
+    than (1 + resolution) / min_improvement moves.
+
+    Deterministic for fixed (graph, resolution, seed, min_improvement).
+    Isolated vertices end up in singleton groups. Raises ValueError on an
+    empty graph (no vertices or no edges), where modularity optimization is
+    undefined.
     """
     if g.n == 0 or g.m == 0:
         raise ValueError("community detection requires a graph with at least one edge")
@@ -255,21 +264,25 @@ _ESCAPED = re.compile(r"\\*#")
 def save_partition(p: Partition, stream: TextIO, labels: Sequence[str]) -> None:
     """Write ``vertex-label,group-index`` lines plus ``#meta`` group names.
 
-    Every label ingest can produce (non-empty, no surrounding whitespace,
-    no line break) round-trips through load_partition: the group index
-    follows the last comma, and a label matching ``\\*#`` is written with
-    one extra leading backslash.
+    Every label ingest can produce from a file (non-empty, no surrounding
+    whitespace, no line break) round-trips through load_partition: the group
+    index follows the last comma, and a label matching ``\\*#`` is written
+    with one extra leading backslash. A label or group name holding ``\\n``
+    or ``\\r``, either of which ends a line under universal newlines, raises
+    ValueError before anything is written.
     """
     if len(labels) != p.n:
         raise ValueError(f"expected {p.n} labels, got {len(labels)}")
-    for i in sorted(p.group_meta):
-        save_name = p.group_meta[i]
-        if "," in save_name or "\n" in save_name:
-            raise ValueError(f"group name {save_name!r} contains reserved characters")
-        stream.write(f"{_META_PREFIX},{i},{save_name}\n")
-    for v, label in enumerate(labels):
-        if "\n" in label:
+    names = sorted(p.group_meta.items())
+    for _, name in names:
+        if "," in name or "\n" in name or "\r" in name:
+            raise ValueError(f"group name {name!r} contains reserved characters")
+    for label in labels:
+        if "\n" in label or "\r" in label:
             raise ValueError(f"vertex label {label!r} contains a line break")
+    for i, name in names:
+        stream.write(f"{_META_PREFIX},{i},{name}\n")
+    for v, label in enumerate(labels):
         if _ESCAPED.match(label):
             label = "\\" + label
         stream.write(f"{label},{p.assignment[v]}\n")

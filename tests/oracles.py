@@ -171,6 +171,32 @@ def group_double_sum(und: UndirectedView, assignment, i) -> float:
     return math.fsum(terms) / two_m
 
 
+def induced_is_connected(und: UndirectedView, members) -> bool:
+    """Whether ``members`` induce a connected subgraph, by graph search."""
+    inside = {int(v) for v in members}
+    start = next(iter(inside))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for u in und.indices[und.indptr[v]:und.indptr[v + 1]].tolist():
+            if u in inside and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen == inside
+
+
+def planted_agreement(detected, truth) -> float:
+    """Fraction of vertices matched under the best one-to-one alignment of
+    detected groups to planted blocks (Hungarian method)."""
+    from scipy.optimize import linear_sum_assignment
+
+    confusion = np.zeros((detected.k, truth.k), dtype=np.int64)
+    np.add.at(confusion, (detected.assignment, truth.assignment), 1)
+    rows, cols = linear_sum_assignment(-confusion)
+    return confusion[rows, cols].sum() / detected.n
+
+
 def set_partitions(items):
     """All partitions of a list into nonempty blocks (Bell-number many)."""
     if not items:

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -60,6 +60,16 @@ def test_planted_blocks_recovered():
     assert agree >= 285  # 95% of 300
 
 
+def test_sparse_planted_blocks_recovered():
+    # the sparse-blocks benchmark shape at test scale: 10 blocks of 300 with
+    # about 6 in-block and 0.4 cross-block arcs per vertex
+    g, planted = planted_partition([300] * 10, 6 / 299, 0.4 / 2700, seed=1)
+    und = underlying_undirected(g)
+    for seed in range(4):
+        detected = detect_communities(und, seed=seed)
+        assert oracles.planted_agreement(detected, planted) >= 0.95
+
+
 def test_detection_is_deterministic_per_seed():
     g, _ = planted_partition([40, 40], 0.25, 0.03, seed=1)
     und = underlying_undirected(g)
@@ -78,6 +88,30 @@ def test_detected_beats_singleton_partition():
         part = detect_communities(und, seed=0)
         singleton = Partition.from_assignment(np.arange(und.n))
         assert modularity(und, part) >= modularity(und, singleton)
+
+
+def test_min_improvement_is_a_per_move_threshold():
+    # no single move raises modularity by 1, so every vertex stays alone
+    part = detect_communities(TWO_TRIANGLES, seed=0, min_improvement=1.0)
+    assert part.k == 6
+
+
+@st.composite
+def _graph_and_seed(draw):
+    n = draw(st.integers(2, 24))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v] or [(0, 1)]
+    return undirected_from_edges(n, edges), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300)
+@given(_graph_and_seed())
+def test_every_detected_group_induces_a_connected_subgraph(case):
+    und, seed = case
+    part = detect_communities(und, seed=seed)
+    for i in range(part.k):
+        assert oracles.induced_is_connected(und, part.members(i))
 
 
 def test_level_modularity_history_is_non_decreasing():
@@ -159,10 +193,12 @@ def test_partition_file_round_trip():
     assert loaded.group_meta == part.group_meta
 
 
-# "\x1f" is the delimiter of the generated edge lists below
+# "\x1f" is the delimiter of the generated edge lists below; "\r" cannot
+# reach a label read from a file with universal newlines, and saving one is
+# refused (test_partition_file_refuses_line_breaks_before_writing)
 _RAW_LABELS = st.lists(
-    st.text(st.characters(blacklist_characters="\n\x1f"), min_size=1, max_size=6)
-    | st.sampled_from(["#", "#b", "#meta", "\\", "\\#", "\\\\#x", "\\a", "a,b", ",", "x,0", "a\rb"]),
+    st.text(st.characters(blacklist_characters="\n\r\x1f"), min_size=1, max_size=6)
+    | st.sampled_from(["#", "#b", "#meta", "\\", "\\#", "\\\\#x", "\\a", "a,b", ",", "x,0"]),
     max_size=10,
 )
 
@@ -187,6 +223,16 @@ def test_partition_file_round_trips_every_ingest_label(raw, groups):
     for label, line, group in zip(labels, written, assignment.tolist()):
         escaped = label.lstrip("\\").startswith("#")
         assert line == ("\\" if escaped else "") + f"{label},{group}"
+
+
+@pytest.mark.parametrize("labels, bad", [(["a\rb", "c", "d"], "a\rb"), (["a", "b", "x\ny"], "x\ny")])
+def test_partition_file_refuses_line_breaks_before_writing(labels, bad):
+    part = Partition.from_assignment([0, 1, 1], {0: "left"})
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        save_partition(part, buf, labels)
+    assert repr(bad) in str(info.value)
+    assert buf.getvalue() == ""
 
 
 def test_partition_file_missing_vertex_is_named():
