@@ -483,13 +483,71 @@ def ingest_edge_list(
     )
 
 
+# Output bytes write_edge_list assembles at a time. Its largest temporaries
+# are int64 byte offsets, eight per output byte: 2 MiB, below the 4 MiB at
+# which arrays start to pick up transparent-huge-page RSS.
+_WRITE_CHUNK = 1 << 18
+# 10**1 .. 10**18: a timestamp has one digit more than the powers it reaches
+_POW10 = 10 ** np.arange(1, 19, dtype=_INT)
+
+
 def write_edge_list(stream: TextIO, edges: TemporalEdgeSet, delimiter: str = ",") -> None:
-    """Serialize arcs as ``source,target,timestamp`` lines (inverse of ingest)."""
-    labels = edges.labels
-    columns = (edges.sources.tolist(), edges.targets.tolist(), edges.timestamps.tolist())
-    stream.writelines(
-        f"{labels[s]}{delimiter}{labels[t]}{delimiter}{stamp}\n" for s, t, stamp in zip(*columns)
-    )
+    """Serialize arcs as ``source,target,timestamp`` lines (inverse of ingest).
+
+    The text is exactly ``f"{source}{delimiter}{target}{delimiter}{stamp}\\n"``
+    per arc, in arc order. It is assembled as UTF-8 bytes in numpy about
+    256 KiB at a time (label bytes copied from a per-id table, decimal
+    digits from the timestamps) and written as text, so any label or
+    delimiter, lone surrogates included, comes out as that f-string would
+    give it.
+    """
+    encoded = [label.encode("utf-8", "surrogatepass") for label in edges.labels]
+    lengths = np.fromiter(map(len, encoded), dtype=_INT, count=len(encoded))
+    table = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    offsets = np.cumsum(lengths) - lengths
+    delim = delimiter.encode("utf-8", "surrogatepass")
+    fixed = 2 * len(delim) + 1  # two delimiters and the newline
+    # rows per chunk: as many as fit if labels are of average length and
+    # stamps have all 19 digits; a chunk of longer rows is cut to fit
+    rows = max(1, _WRITE_CHUNK // (2 * len(table) // max(1, len(lengths)) + fixed + 19))
+    start = 0
+    while start < edges.n_arcs:
+        s = edges.sources[start : start + rows]
+        t = edges.targets[start : start + rows]
+        stamps = edges.timestamps[start : start + rows]
+        ls, lt = lengths[s], lengths[t]
+        digits = 1 + np.searchsorted(_POW10, stamps, side="right")
+        ends = np.cumsum(ls + lt + digits + fixed)
+        take = max(1, int(np.searchsorted(ends, _WRITE_CHUNK, side="right")))
+        if take < len(s):
+            s, t, stamps, ls, lt, digits, ends = (a[:take] for a in (s, t, stamps, ls, lt, digits, ends))
+        start += len(s)
+
+        out = np.empty(int(ends[-1]), dtype=np.uint8)
+        first = ends - (ls + lt + digits + fixed)
+        second = first + ls + len(delim)
+        _copy_segments(out, np.concatenate([first, second]), table,
+                       np.concatenate([offsets[s], offsets[t]]), np.concatenate([ls, lt]))
+        for k, byte in enumerate(delim):
+            out[second - len(delim) + k] = byte
+            out[second + lt + k] = byte
+        last = ends - 2  # the timestamp's last digit
+        rest = stamps.copy()
+        for power in range(int(digits.max())):
+            here = np.flatnonzero(digits > power)
+            out[last[here] - power] = ord("0") + rest[here] % 10
+            rest //= 10
+        out[ends - 1] = _NEWLINE
+        stream.write(out.tobytes().decode("utf-8", "surrogatepass"))
+
+
+def _copy_segments(out: np.ndarray, at: np.ndarray, source: np.ndarray,
+                   start: np.ndarray, length: np.ndarray) -> None:
+    """``out[at[r]:at[r] + length[r]] = source[start[r]:start[r] + length[r]]`` for every r."""
+    total = int(length.sum())
+    base = np.cumsum(length) - length  # each segment's place in the flat copy
+    flat = np.arange(total, dtype=_INT)
+    out[np.repeat(at - base, length) + flat] = source[np.repeat(start - base, length) + flat]
 
 
 def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEdgeSet:

@@ -221,6 +221,54 @@ def max_modularity(und: UndirectedView) -> float:
     return best
 
 
+def rewire_reference(und: UndirectedView, swaps, proposals):
+    """Sequential double-edge swap chain over a given proposal stream.
+
+    Each proposal ``(i, j, flip)`` names two edges by their index in
+    ``und.edge_pairs()`` order (as the chain has updated them) and whether
+    to reverse the second: edges (a, b) and (c, d), or (d, c), become
+    (a, d) and (c, b). It is rejected when i == j, when it would make a
+    self-loop, or when a new edge equals the other or is already present.
+    Every proposal counts against ``max(1000, 200 * swaps)``; exhausting it
+    before ``swaps`` acceptances raises RuntimeError. Returns the sorted
+    edge list.
+    """
+    edges = [tuple(e) for e in und.edge_pairs().tolist()]
+    present = set(edges)
+    budget = max(1000, 200 * swaps)
+    stream = iter(proposals)
+    accepted = attempts = 0
+    while accepted < swaps:
+        if attempts == budget:
+            raise RuntimeError(
+                f"degree-preserving rewire stalled: {accepted}/{swaps} swaps "
+                f"accepted after {budget} attempts"
+            )
+        i, j, flip = next(stream)
+        attempts += 1
+        if i == j:
+            continue
+        (a, b), (c, d) = edges[i], edges[j]
+        if flip:
+            c, d = d, c
+        if a == d or c == b:
+            continue
+        p, q = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if p == q or p in present or q in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {p, q}
+        edges[i], edges[j] = p, q
+        accepted += 1
+    return sorted(edges)
+
+
+def edge_list_text(labels, arcs, delimiter=","):
+    """The edge-list file text of (source id, target id, stamp) triples,
+    one f-string per arc."""
+    return "".join(f"{labels[s]}{delimiter}{labels[t]}{delimiter}{stamp}\n" for s, t, stamp in arcs)
+
+
 def closed_out_neighborhood(g: DirectedGraph, v) -> set:
     return set(g.out_neighbors(v).tolist()) | {v}
 

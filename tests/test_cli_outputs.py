@@ -1,10 +1,11 @@
-"""Byte-pinned `dominate` and `polarization` outputs.
+"""Byte-pinned `dominate`, `polarization` and `synth` outputs.
 
 Every combination of dominate mode, run kind, format and destination is run
-on one small graph, and every byte the CLI produces (exit code, stdout, each
-written file) is compared with `cli_outputs.json`. The expected bytes were
-captured from the CLI before its output path was consolidated, so any
-change to them is a change of the file formats.
+on one small graph, every synth family is run at fixed seeds, and every byte
+the CLI produces (exit code, stdout, each written file) is compared with
+`cli_outputs.json`. The expected bytes were captured from the CLI before its
+output path was consolidated, so any change to them is a change of the file
+formats. The configuration-model bytes are those of the batched swap chain.
 
 Regenerate the expected file (only for an intended format change) with
 ``PYTHONPATH=src python tests/test_cli_outputs.py``.
@@ -30,10 +31,22 @@ EXPECTED = Path(__file__).with_name("cli_outputs.json")
 # spreader or the target of one.
 EDGES = "a,b,0\na,c,0\nd,e,0\ne,f,0\n"
 PARTITION = "#meta,0,left\na,0\nb,0\nc,1\nd,1\ne,1\nf,1\n"
+# base graph for configuration-model: a 12-ring with chords to i + 3 and i + 5
+BASE = "".join(f"u{i},u{(i + step) % 12},{i}\n" for step in (1, 3, 5) for i in range(12))
 
 DOMINATE_RUNS = {
     "rho": ["--rho", "0.5", "--rho", "1.0"],  # 1.0 is out of reach for some groups
     "curve": ["--curve", "--max-spreaders", "3"],
+}
+
+
+SYNTH_RUNS = {
+    "figure2": [],
+    "planted-partition": ["--blocks", "5,4", "--p-in", "0.6", "--p-out", "0.1", "--seed", "3"],
+    "configuration-model": ["--input", "base.csv", "--seed", "5"],  # 10·m swaps
+    "star": ["--leaves", "5"],
+    "directed-cycle": ["--n", "7"],
+    "disjoint-cliques": ["--sizes", "3,4", "--seed", "2"],
 }
 
 
@@ -56,6 +69,10 @@ def _cases() -> dict[str, list[str]]:
             if dest == "out":
                 argv += ["--out", f"out/report.{fmt}"]
             cases[f"polarization {fmt} {dest}"] = argv
+    for family, args in SYNTH_RUNS.items():
+        for days in ("0", "3"):
+            cases[f"synth {family} days {days}"] = [
+                "synth", "--family", family, *args, "--days", days, "--out", "out"]
     return cases
 
 
@@ -67,6 +84,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         case_dir.mkdir()
         (case_dir / "edges.csv").write_text(EDGES, encoding="utf-8")
         (case_dir / "part.csv").write_text(PARTITION, encoding="utf-8")
+        (case_dir / "base.csv").write_text(BASE, encoding="utf-8")
         out = case_dir / "out"
         out.mkdir()
         stdout = io.StringIO()

@@ -206,6 +206,39 @@ def test_edge_list_round_trip():
     assert np.array_equal(again.timestamps, edges.timestamps)
 
 
+def _edge_set(labels, arcs):
+    """A TemporalEdgeSet of (source id, target id, stamp) triples as given."""
+    src, tgt, stamps = (np.array([arc[k] for arc in arcs], dtype=np.int64) for k in range(3))
+    return TemporalEdgeSet(sources=src, targets=tgt, timestamps=stamps, labels=tuple(labels),
+                           label_ids={label: i for i, label in enumerate(labels)})
+
+
+@given(
+    st.lists(st.text(st.characters() | st.sampled_from(["\ud800", ",", "\n", "é"]), max_size=6),
+             min_size=1, max_size=8, unique=True),
+    st.data(),
+    st.sampled_from([",", ";", "\t", "::", "é", "\udc80"]),
+)
+def test_edge_list_writer_equals_per_arc_text(labels, data, delimiter):
+    arc = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
+                    st.integers(0, 2**63 - 1) | st.integers(0, 1000))
+    arcs = data.draw(st.lists(arc, max_size=40))
+    edges = _edge_set(labels, arcs)
+    buf = io.StringIO()
+    write_edge_list(buf, edges, delimiter)
+    assert buf.getvalue() == oracles.edge_list_text(labels, arcs, delimiter)
+
+
+def test_edge_list_writer_cuts_chunks_of_long_rows():
+    # rows through the 50k-byte hub are far longer than the average label
+    # suggests, so the writer must cut its chunks by their actual bytes
+    labels = ["h" * 50_000] + [f"v{i}" for i in range(100)]
+    arcs = [(0, 1 + i % 100, i) for i in range(30)] + [(1 + i, 2 + i, 7) for i in range(99)]
+    buf = io.StringIO()
+    write_edge_list(buf, _edge_set(labels, arcs))
+    assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
+
+
 def test_build_directed_graph_collapses_duplicates():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 100), ("a", "b", 120), ("b", "c", 130)])
     g = build_directed_graph(edges)

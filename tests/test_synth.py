@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from polarnet.graph import underlying_undirected, undirected_from_edges
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
     GeneratorSpec,
+    _proposals,
     configuration_rewire,
     directed_cycle,
     disjoint_cliques,
@@ -156,6 +159,57 @@ def test_rewire_rejects_tiny_graphs():
     g = undirected_from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         configuration_rewire(g, 5)
+
+
+def test_rewire_stall_reports_progress_and_budget():
+    k5 = undirected_from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    with pytest.raises(RuntimeError, match=r"stalled: 0/5 swaps accepted after 1000 attempts"):
+        configuration_rewire(k5, 5)
+
+
+def _proposal_stream(m, seed):
+    """The proposals configuration_rewire draws, one (i, j, flip) at a time."""
+    for block in _proposals(m, seed):
+        yield from zip(*(col.tolist() for col in block))
+
+
+@st.composite
+def random_graphs(draw):
+    """4-60 vertices, from sparse to complete: near-complete graphs make
+    almost every proposal of a batch depend on an earlier one."""
+    n = draw(st.integers(4, 60))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9, 0.97, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    assume(len(pairs) >= 2)
+    return undirected_from_edges(n, pairs)
+
+
+# a batch never holds more proposals than swaps are left to accept, so any
+# rejection starts another batch
+@settings(max_examples=100)
+@given(random_graphs(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_rewire_equals_sequential_chain_over_its_proposals(g, swaps, seed):
+    try:
+        expected = oracles.rewire_reference(g, swaps, _proposal_stream(g.m, seed))
+    except RuntimeError as stalled:
+        with pytest.raises(RuntimeError) as err:
+            configuration_rewire(g, swaps, seed=seed)
+        assert str(err.value) == str(stalled)
+        return
+    shuffled = configuration_rewire(g, swaps, seed=seed)
+    assert shuffled.edge_pairs().tolist() == [list(e) for e in expected]
+    assert shuffled.m == g.m  # duplicates would have collapsed
+    assert np.array_equal(shuffled.degrees, g.degrees)
+    rows = np.repeat(np.arange(g.n), shuffled.degrees)
+    assert not np.any(rows == shuffled.indices)
+
+
+def test_rewire_equals_sequential_chain_on_a_larger_graph():
+    # 12k edges: batches of m // 16 proposals, with fast and slow ones
+    g = underlying_undirected(planted_partition([150, 150], 0.3, 0.02, seed=4)[0])
+    expected = oracles.rewire_reference(g, 5000, _proposal_stream(g.m, 9))
+    assert configuration_rewire(g, 5000, seed=9).edge_pairs().tolist() == [list(e) for e in expected]
 
 
 def test_star_shape():
