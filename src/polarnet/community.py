@@ -292,7 +292,9 @@ def load_partition(stream: Iterable[str], labels: Sequence[str]) -> Partition:
     """Read a partition file back against a known vertex universe.
 
     Every vertex in ``labels`` must be assigned exactly once; unknown or
-    missing vertices raise :class:`FormatError` naming the offender.
+    missing vertices raise :class:`FormatError` naming the offender. A group
+    index of ``len(labels)`` or more, or a meta index that is not ASCII
+    digits, raises it naming the line.
     """
     ids = {label: v for v, label in enumerate(labels)}
     assignment = np.full(len(labels), -1, dtype=_INT)
@@ -303,7 +305,7 @@ def load_partition(stream: Iterable[str], labels: Sequence[str]) -> Partition:
             continue
         if line.startswith(_META_PREFIX + ","):
             parts = line.split(",", 2)
-            if len(parts) != 3 or not parts[1].isdigit():
+            if len(parts) != 3 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise FormatError(f"bad meta line {lineno}: {line!r}")
             meta[int(parts[1])] = parts[2]
             continue
@@ -320,6 +322,9 @@ def load_partition(stream: Iterable[str], labels: Sequence[str]) -> Partition:
             raise FormatError(f"bad group index at line {lineno}: {tail!r}") from None
         if group < 0:
             raise FormatError(f"negative group index at line {lineno}")
+        if group >= len(labels):
+            # n vertices fill at most n non-empty groups
+            raise FormatError(f"group index {group} at line {lineno} exceeds the {len(labels)} vertices")
         if head not in ids:
             raise FormatError(f"unknown vertex label {head!r} at line {lineno}")
         v = ids[head]

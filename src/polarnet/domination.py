@@ -5,6 +5,12 @@ target set needs covering. The greedy rule repeatedly picks the candidate
 with the largest uncovered span (ties to the lowest vertex id) until the
 requested fraction of targets is covered, which carries the standard
 H(delta+1) approximation guarantee for this objective.
+
+The loop is the accelerated (lazy) greedy of Minoux (1978), known as CELF
+(Leskovec et al., KDD 2007): a heap keeps one possibly stale span per
+candidate and only the candidate on top is re-evaluated. Spans only fall,
+so a stored span is an upper bound, and a top whose stored span is current
+is exactly the pick a full rescan would make (see ``_greedy_run``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .community import Partition
 from .errors import InfeasibleCoverageError
-from .graph import DirectedGraph, induced_subgraph
+from .graph import DirectedGraph, _directed, induced_subgraph
 
 _INT = np.int64
 
@@ -74,15 +80,6 @@ def coverage_target(rho: float, n_target: int) -> int:
     return int(math.ceil(scaled))
 
 
-def _reverse_csr(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR over in-neighbors: who points at each vertex."""
-    order = np.argsort(g.indices, kind="stable")
-    rev_indices = g.arc_sources()[order]
-    rev_ptr = np.zeros(g.n + 1, dtype=_INT)
-    np.cumsum(np.bincount(g.indices, minlength=g.n), out=rev_ptr[1:])
-    return rev_ptr, rev_indices
-
-
 def _resolve_ids(g: DirectedGraph, ids: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
     arr = np.unique(np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=_INT))
     if len(arr) and (arr[0] < 0 or arr[-1] >= g.n):
@@ -107,26 +104,37 @@ def _greedy_run(
     stop_covered: int | None,
     max_picks: int | None,
 ) -> tuple[list[int], list[int], bool]:
-    """Core greedy loop shared by the solver and the curve.
+    """Core greedy loop shared by the solver and the curve, evaluated lazily.
+
+    The heap holds at most one ``(-stored_span, id)`` entry per live
+    candidate. Spans only fall as targets get covered, so a stored span is an
+    upper bound on the current one. When the top entry's stored span is
+    current, no other candidate can beat it, and any candidate tying it
+    stores the same key with a larger id, so it is exactly the eager pick:
+    largest span, lowest id. A stale top is re-inserted with its current
+    span, or dropped once that is 0. Per pick this costs one heap operation
+    per stale top plus one vectorised span update over the in-neighbors of
+    the newly covered targets.
 
     Returns (selected, covered_after_step, exhausted). ``exhausted`` means the
     candidate pool ran out of useful picks before any stop condition was met.
     """
     n = g.n
-    rev_ptr, rev_indices = _reverse_csr(g)
+    sources = g.arc_sources()
+    # the reversed graph's CSR: row w lists the vertices pointing at w
+    rev = _directed(n, g.indices, sources)
+    rev_ptr, rev_indices = rev.indptr, rev.indices
 
     hits = target_mask[g.indices]
-    spans = np.bincount(g.arc_sources()[hits], minlength=n).astype(_INT)
+    spans = np.bincount(sources[hits], minlength=n).astype(_INT)
     spans += target_mask.astype(_INT)
     is_cand = np.zeros(n, dtype=bool)
     is_cand[candidate_ids] = True
-    spans[~is_cand] = 0
 
-    heap = [(-int(spans[v]), int(v)) for v in candidate_ids if spans[v] > 0]
+    heap = [(-s, v) for v, s in zip(candidate_ids.tolist(), spans[candidate_ids].tolist()) if s > 0]
     heapq.heapify(heap)
 
     covered = np.zeros(n, dtype=bool)
-    picked = np.zeros(n, dtype=bool)
     selected: list[int] = []
     covered_after: list[int] = []
     f = 0
@@ -136,19 +144,20 @@ def _greedy_run(
             return selected, covered_after, False
         if max_picks is not None and len(selected) >= max_picks:
             return selected, covered_after, False
-        v = -1
         while heap:
-            neg_span, u = heap[0]
-            if picked[u] or spans[u] != -neg_span:
-                heapq.heappop(heap)  # stale entry
-                continue
-            v = u
-            heapq.heappop(heap)
-            break
-        if v < 0:
+            neg_span, v = heap[0]
+            span = int(spans[v])
+            if span == -neg_span:
+                heapq.heappop(heap)
+                break
+            if span > 0:
+                heapq.heapreplace(heap, (-span, v))
+            else:
+                heapq.heappop(heap)
+        else:
             return selected, covered_after, True
 
-        picked[v] = True
+        is_cand[v] = False
         closed = np.append(g.indices[g.indptr[v]: g.indptr[v + 1]], v)
         newly = closed[target_mask[closed] & ~covered[closed]]
         covered[newly] = True
@@ -160,13 +169,7 @@ def _greedy_run(
             chunks = [rev_indices[rev_ptr[w]: rev_ptr[w + 1]] for w in newly.tolist()]
             chunks.append(newly)
             touch = np.concatenate(chunks)
-            touch = touch[is_cand[touch] & ~picked[touch]]
-            if touch.size:
-                uniq, cnt = np.unique(touch, return_counts=True)
-                spans[uniq] -= cnt
-                for u, s in zip(uniq.tolist(), spans[uniq].tolist()):
-                    if s > 0:
-                        heapq.heappush(heap, (-s, u))
+            np.subtract.at(spans, touch[is_cand[touch]], 1)
 
 
 def _solve(

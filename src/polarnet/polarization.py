@@ -51,12 +51,6 @@ def group_contributions(g: UndirectedView, p: Partition) -> np.ndarray:
     return _contributions(p.assignment[pairs[:, 0]], p.assignment[pairs[:, 1]], p.k, float(g.m))
 
 
-def group_contribution(g: UndirectedView, p: Partition, i: int) -> float:
-    if not (0 <= i < p.k):
-        raise ValueError(f"group index {i} out of range (k={p.k})")
-    return float(group_contributions(g, p)[i])
-
-
 def d_modularity(
     g: UndirectedView, p: Partition, i: int, tolerance: float = DEFAULT_D_TOLERANCE
 ) -> float:

@@ -279,7 +279,8 @@ def greedy_reference(g: DirectedGraph, rho, candidates, cover_targets=None):
     Mirrors the intended selection semantics exactly: pick the candidate
     whose remaining span is largest, lowest vertex id on ties, stop once
     ceil-adjusted rho * |targets| vertices are covered. Returns
-    (selected, covered_after) or None when the pool cannot reach the target.
+    (selected, covered_after, feasible); an infeasible run stops when no
+    remaining candidate adds coverage and reports the picks it made.
     """
     targets = set(range(g.n)) if cover_targets is None else set(cover_targets)
     n_target = len(targets)
@@ -297,12 +298,12 @@ def greedy_reference(g: DirectedGraph, rho, candidates, cover_targets=None):
             if span > best_span:
                 best_v, best_span = v, span
         if best_v is None or best_span == 0:
-            return None
+            return selected, covered_after, False
         remaining.remove(best_v)
         covered |= closed_out_neighborhood(g, best_v) & targets
         selected.append(best_v)
         covered_after.append(len(covered))
-    return selected, covered_after
+    return selected, covered_after, True
 
 
 def brute_minimum_cover(g: DirectedGraph, rho, candidates, cover_targets=None):

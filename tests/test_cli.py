@@ -286,6 +286,24 @@ def test_polarization_partition_vertex_mismatch(tmp_path, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["polarization", "dominate"])
+@pytest.mark.parametrize(
+    "partition, lineno",
+    [
+        ("a,0\nb,0\nc,99999999999999999999\n", 3),
+        ("a,0\nb,0\nc,1000000000000\n", 3),
+        ("#meta,\u00b2,x\na,0\nb,0\nc,1\n", 1),
+    ],
+)
+def test_partition_bad_group_index_is_a_format_error(tmp_path, capsys, command, partition, lineno):
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,1\nb,c,2\nc,a,3\n", encoding="utf-8")
+    part_file = tmp_path / "part.csv"
+    part_file.write_text(partition, encoding="utf-8")
+    assert run_cli(command, "--input", str(src), "--partition", str(part_file)) == 3
+    assert f"line {lineno}" in capsys.readouterr().err
+
+
 # dominate
 
 

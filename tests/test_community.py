@@ -253,8 +253,24 @@ def test_partition_file_duplicate_vertex():
 
 
 def test_partition_file_gap_in_group_indices():
-    with pytest.raises(FormatError):
-        load_partition(io.StringIO("a,0\nb,2\n"), ["a", "b"])
+    with pytest.raises(FormatError, match="group index 1 has no members"):
+        load_partition(io.StringIO("a,0\nb,2\nc,2\n"), ["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("a,0\nb,99999999999999999999\n", 2),  # beyond int64
+        ("a,0\nb,1000000000000\n", 2),  # would size a 1e12-group count
+        ("a,0\nb,2\n", 2),  # two vertices fill at most groups 0 and 1
+        ("#meta,\u00b2,x\na,0\nb,0\n", 1),  # a digit to str.isdigit, not to int
+        ("a,0\n#meta,\u0663,x\nb,0\n", 2),  # an Arabic-Indic three
+    ],
+)
+def test_partition_file_bad_group_index_names_its_line(text, lineno):
+    with pytest.raises(FormatError) as info:
+        load_partition(io.StringIO(text), ["a", "b"])
+    assert f"line {lineno}" in str(info.value)
 
 
 def test_partition_validation_rejects_unused_group():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -96,9 +96,64 @@ def test_greedy_matches_full_rescan_reference():
         rho = float(rng.choice([0.3, 0.5, 0.8, 1.0]))
         expected = oracles.greedy_reference(g, rho, range(n))
         result = greedy_pdds(g, rho, candidates=range(n))
-        assert expected is not None
+        assert expected[2]
         assert list(result.selected) == expected[0]
         assert list(result.covered_after_step) == expected[1]
+
+
+@st.composite
+def _greedy_instance(draw):
+    """A graph, candidate pool, targets, rho and curve length for the greedy.
+
+    Besides random digraphs, the shapes are tie-heavy: equal disjoint stars
+    or cliques and directed cycles under a random relabelling, where many
+    heap entries share a span and the lowest-id rule decides, optionally
+    with a few extra arcs so that stale spans fall unevenly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "stars", "cliques", "cycle"]))
+    if shape == "random":
+        n = draw(st.integers(1, 24))
+        p = draw(st.sampled_from([0.05, 0.15, 0.4]))
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    elif shape == "stars":
+        k, leaves = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        n = k * (leaves + 1)
+        arcs = [(h, h + j) for h in range(0, n, leaves + 1) for j in range(1, leaves + 1)]
+    elif shape == "cliques":
+        k, size = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+        n = k * size
+        arcs = [(a, b) for c in range(0, n, size) for a in range(c, c + size) for b in range(c, c + size) if a != b]
+    else:
+        n = draw(st.integers(2, 20))
+        arcs = [(v, (v + 1) % n) for v in range(n)]
+    extra = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(draw(st.integers(0, 3)), 2)) if a != b]
+    perm = rng.permutation(n)
+    g = directed_from_arcs(n, [(int(perm[a]), int(perm[b])) for a, b in [*arcs, *extra]])
+    pool = draw(st.sampled_from(["spreaders", "all", "subset"]))
+    candidates = None if pool == "spreaders" else [v for v in range(n) if pool == "all" or rng.random() < 0.5]
+    cover_targets = [v for v in range(n) if rng.random() < 0.6] if draw(st.booleans()) else None
+    rho = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0]))
+    return g, candidates, cover_targets, rho, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=300)
+@given(_greedy_instance())
+def test_greedy_and_curve_match_full_rescan_reference(instance):
+    # restricted pools and targets, infeasible runs and curve prefixes,
+    # against the recompute-everything oracle
+    g, candidates, cover_targets, rho, max_spreaders = instance
+    pool = spreaders(g).tolist() if candidates is None else candidates
+    selected, covered_after, feasible = oracles.greedy_reference(g, rho, pool, cover_targets)
+    result = _outcome(lambda: greedy_pdds(g, rho, candidates=candidates, cover_targets=cover_targets))
+    assert list(result.selected) == selected
+    assert list(result.covered_after_step) == covered_after
+    assert result.feasible == feasible
+
+    n_target = g.n if cover_targets is None else len(cover_targets)
+    _, full_run, _ = oracles.greedy_reference(g, 1.0, pool, cover_targets)
+    expected_curve = [(j + 1, c / n_target) for j, c in enumerate(full_run[:max_spreaders])]
+    assert coverage_curve(g, candidates, cover_targets, max_spreaders) == expected_curve
 
 
 def test_greedy_tie_breaks_to_lowest_vertex_id():

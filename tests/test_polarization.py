@@ -22,7 +22,6 @@ from polarnet.graph import (
 )
 from polarnet.polarization import (
     d_modularity,
-    group_contribution,
     group_contributions,
     linear_trend,
     modularity,
@@ -54,9 +53,9 @@ def test_single_group_partition_has_zero_modularity():
 def test_figure2_reference_values():
     und, part = figure2_instance()
     assert modularity(und, part) == pytest.approx(0.402, abs=0.001)
-    assert group_contribution(und, part, 0) == pytest.approx(0.180, abs=0.001)
-    assert group_contribution(und, part, 1) == pytest.approx(0.111, abs=0.001)
-    assert group_contribution(und, part, 2) == pytest.approx(0.111, abs=0.001)
+    assert group_contributions(und, part)[0] == pytest.approx(0.180, abs=0.001)
+    assert group_contributions(und, part)[1] == pytest.approx(0.111, abs=0.001)
+    assert group_contributions(und, part)[2] == pytest.approx(0.111, abs=0.001)
     assert d_modularity(und, part, 0) == pytest.approx(0.448, abs=0.002)
     assert d_modularity(und, part, 1) == pytest.approx(0.276, abs=0.002)
     assert d_modularity(und, part, 2) == pytest.approx(0.276, abs=0.002)
@@ -68,13 +67,13 @@ def test_figure2_aggregate_form_exact_arithmetic():
     d_black = int(und.degrees[part.members(0)].sum())
     assert d_black == 14
     expected = 6 / 19 - (14 / 38) ** 2
-    assert group_contribution(und, part, 0) == pytest.approx(expected, abs=1e-12)
+    assert group_contributions(und, part)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_degree_group_contributes_nothing():
     und = undirected_from_edges(5, [(0, 1), (1, 2), (0, 2)])
     part = Partition.from_assignment([0, 0, 0, 1, 1])
-    assert group_contribution(und, part, 1) == pytest.approx(0.0, abs=1e-15)
+    assert group_contributions(und, part)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modularity_requires_edges():
@@ -91,11 +90,6 @@ def test_d_modularity_degenerate_when_q_is_zero():
     part = Partition.from_assignment([0] * 6)
     with pytest.raises(DegenerateModularityError):
         d_modularity(TWO_TRIANGLES, part, 0)
-
-
-def test_group_index_out_of_range():
-    with pytest.raises(ValueError):
-        group_contribution(TWO_TRIANGLES, COMPONENTS, 2)
 
 
 def test_decomposition_identity_on_random_pairs():
@@ -125,7 +119,7 @@ def test_aggregate_form_matches_double_sum_oracle():
             oracles.modularity_double_sum(und, assignment), abs=1e-12
         )
         for i in range(part.k):
-            assert group_contribution(und, part, i) == pytest.approx(
+            assert group_contributions(und, part)[i] == pytest.approx(
                 oracles.group_double_sum(und, assignment, i), abs=1e-12
             )
 
