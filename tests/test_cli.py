@@ -293,6 +293,10 @@ def test_polarization_partition_vertex_mismatch(tmp_path, capsys):
         ("a,0\nb,0\nc,99999999999999999999\n", 3),
         ("a,0\nb,0\nc,1000000000000\n", 3),
         ("#meta,\u00b2,x\na,0\nb,0\nc,1\n", 1),
+        ("a,0\nb,0\nc,\u0661\n", 3),
+        ("a,0\nb,0\nc,0_1\n", 3),
+        ("a,0\nb,0\nc, +1\n", 3),
+        ("a,0\nb,0\nc,-1\n", 3),
     ],
 )
 def test_partition_bad_group_index_is_a_format_error(tmp_path, capsys, command, partition, lineno):

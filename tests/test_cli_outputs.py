@@ -1,11 +1,15 @@
-"""Byte-pinned `dominate`, `polarization` and `synth` outputs.
+"""Byte-pinned `dominate`, `polarization`, `synth` and `communities` outputs.
 
 Every combination of dominate mode, run kind, format and destination is run
-on one small graph, every synth family is run at fixed seeds, and every byte
-the CLI produces (exit code, stdout, each written file) is compared with
+on one small graph, every synth family is run at fixed seeds, `communities`
+is run at four seeds and one lower resolution, and every byte the CLI
+produces (exit code, stdout, each written file) is compared with
 `cli_outputs.json`. The expected bytes were captured from the CLI before its
 output path was consolidated, so any change to them is a change of the file
 formats. The configuration-model bytes are those of the batched swap chain.
+The `communities` bytes were captured from the float-weight local moving that
+preceded the per-level neighbour lists; the ring graph makes Louvain move
+supervertices at level 1, so the aggregated levels are pinned too.
 
 Regenerate the expected file (only for an intended format change) with
 ``PYTHONPATH=src python tests/test_cli_outputs.py``.
@@ -33,6 +37,13 @@ EDGES = "a,b,0\na,c,0\nd,e,0\ne,f,0\n"
 PARTITION = "#meta,0,left\na,0\nb,0\nc,1\nd,1\ne,1\nf,1\n"
 # base graph for configuration-model: a 12-ring with chords to i + 3 and i + 5
 BASE = "".join(f"u{i},u{(i + step) % 12},{i}\n" for step in (1, 3, 5) for i in range(12))
+# communities graph: a ring of ten triangles, each joined to the next by one
+# edge, plus four chords; Louvain merges neighbouring triangles at level 1
+RING = "".join(
+    f"r{3 * c + i},r{3 * c + j},0\n" for c in range(10) for i, j in ((0, 1), (0, 2), (1, 2))
+) + "".join(f"r{3 * c + 2},r{3 * (c + 1) % 30},0\n" for c in range(10)) + (
+    "r4,r17,0\nr9,r25,0\nr1,r22,0\nr13,r28,0\n"
+)
 
 DOMINATE_RUNS = {
     "rho": ["--rho", "0.5", "--rho", "1.0"],  # 1.0 is out of reach for some groups
@@ -47,6 +58,11 @@ SYNTH_RUNS = {
     "star": ["--leaves", "5"],
     "directed-cycle": ["--n", "7"],
     "disjoint-cliques": ["--sizes", "3,4", "--seed", "2"],
+}
+
+COMMUNITIES_RUNS = {
+    **{f"seed {s}": ["--seed", str(s)] for s in range(4)},
+    "resolution 0.5": ["--resolution", "0.5", "--seed", "1"],
 }
 
 
@@ -73,6 +89,9 @@ def _cases() -> dict[str, list[str]]:
         for days in ("0", "3"):
             cases[f"synth {family} days {days}"] = [
                 "synth", "--family", family, *args, "--days", days, "--out", "out"]
+    for run, args in COMMUNITIES_RUNS.items():
+        cases[f"communities {run}"] = [
+            "communities", "--input", "ring.csv", "--out", "out/partition.csv", *args]
     return cases
 
 
@@ -85,6 +104,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "edges.csv").write_text(EDGES, encoding="utf-8")
         (case_dir / "part.csv").write_text(PARTITION, encoding="utf-8")
         (case_dir / "base.csv").write_text(BASE, encoding="utf-8")
+        (case_dir / "ring.csv").write_text(RING, encoding="utf-8")
         out = case_dir / "out"
         out.mkdir()
         stdout = io.StringIO()

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,6 +124,39 @@ def test_level_modularity_history_is_non_decreasing():
         _, history = _louvain(und, resolution=1.0, seed=3, min_improvement=1e-7)
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-12
+
+
+@st.composite
+def _clique_ring(draw):
+    """A ring of small cliques, consecutive ones joined by one to three
+    edges, plus random chords: level 0 gathers the cliques, so later levels
+    move weighted supervertices."""
+    k, size = draw(st.integers(3, 10)), draw(st.integers(2, 5))
+    n = k * size
+    edges = [(c * size + i, c * size + j) for c in range(k) for i in range(size) for j in range(i + 1, size)]
+    member = st.integers(0, size - 1)
+    for c in range(k):
+        for a, b in draw(st.lists(st.tuples(member, member), min_size=1, max_size=3)):
+            edges.append((c * size + a, (c + 1) % k * size + b))
+    vertex = st.integers(0, n - 1)
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2)) if u != v]
+    return undirected_from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _clique_ring(),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([1e-7, 1e-3]),
+    st.integers(0, 2**16),
+)
+def test_louvain_equals_float_weight_reference(und, resolution, min_improvement, seed):
+    expected, expected_q = oracles.louvain_reference(und, resolution, seed, min_improvement)
+    # a third level runs only when level 1 moved a supervertex
+    assume(len(expected_q) >= 3)
+    assignment, q_history = _louvain(und, resolution, seed, min_improvement)
+    assert assignment.tolist() == expected.tolist()
+    assert q_history == expected_q
 
 
 def test_empty_graph_is_rejected():
@@ -265,12 +298,25 @@ def test_partition_file_gap_in_group_indices():
         ("a,0\nb,2\n", 2),  # two vertices fill at most groups 0 and 1
         ("#meta,\u00b2,x\na,0\nb,0\n", 1),  # a digit to str.isdigit, not to int
         ("a,0\n#meta,\u0663,x\nb,0\n", 2),  # an Arabic-Indic three
+        # group indices int() reads but save_partition never writes
+        ("a,0\nb,\u0661\n", 2),  # an Arabic-Indic one
+        ("a,0\nb,0_1\n", 2),  # a digit-group separator
+        ("a,0\nb, +1\n", 2),  # a sign after a space
+        ("a,0\nb,-1\n", 2),
     ],
 )
 def test_partition_file_bad_group_index_names_its_line(text, lineno):
     with pytest.raises(FormatError) as info:
         load_partition(io.StringIO(text), ["a", "b"])
     assert f"line {lineno}" in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["a,0\n#meta,{},x\nb,0\n", "a,0\nb,{}\n"])
+def test_partition_file_index_beyond_int_digit_limit_names_its_line(text):
+    # 5000 digits: more than int() converts from a string
+    with pytest.raises(FormatError) as info:
+        load_partition(io.StringIO(text.format("1" * 5000)), ["a", "b"])
+    assert "line 2" in str(info.value)
 
 
 def test_partition_validation_rejects_unused_group():
