@@ -46,9 +46,6 @@ class TimeWindow:
         if self.start >= self.end:
             raise ValueError(f"window start {self.start} must precede end {self.end}")
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True, eq=False)
 class TemporalEdgeSet:
@@ -610,18 +607,13 @@ def _checked_pairs(n: int, pairs: Iterable[tuple[int, int]], what: str) -> np.nd
     return a
 
 
-def build_directed_graph(edges: TemporalEdgeSet, window: TimeWindow | None = None) -> DirectedGraph:
-    """Deduplicated directed graph over the arcs inside ``window`` (all if None).
+def build_directed_graph(edges: TemporalEdgeSet) -> DirectedGraph:
+    """Deduplicated directed graph over all arcs.
 
-    The vertex universe always stays the full label index, so vertices with
-    no in-window activity remain as isolated vertices and ids are stable
-    across windows.
+    The vertex universe is the full label index, so a vertex without arcs
+    stays as an isolated vertex and ids match the edge set's.
     """
-    s, t = edges.sources, edges.targets
-    if window is not None:
-        mask = (edges.timestamps >= window.start) & (edges.timestamps < window.end)
-        s, t = s[mask], t[mask]
-    return _directed(edges.n_vertices, s, t)
+    return _directed(edges.n_vertices, edges.sources, edges.targets)
 
 
 def directed_from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> DirectedGraph:

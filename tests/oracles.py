@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from polarnet.graph import DirectedGraph, UndirectedView
+from polarnet.polarization import DEFAULT_D_TOLERANCE, PolarizationReport, TrendFit, WindowStats
 
 
 def parse_edge_lines(lines, delimiter=","):
@@ -135,6 +136,108 @@ def window_reference(arcs, assignment, k, start, end):
     if m == 0:
         return 0, e, d, None
     return m, e, d, [e[i] / m - (d[i] / (2 * m)) ** 2 for i in range(k)]
+
+
+def _contributions_reference(gu, gv, k, m):
+    e = np.bincount(gu[gu == gv], minlength=k)
+    d = np.bincount(gu, minlength=k) + np.bincount(gv, minlength=k)
+    return e / m - (d / (2.0 * m)) ** 2
+
+
+def _trend_reference(points):
+    pts = list(points)
+    xs = np.asarray([p[0] for p in pts], dtype=np.float64)
+    ys = np.asarray([p[1] for p in pts], dtype=np.float64)
+    xbar = xs.mean()
+    sxx = float(np.sum((xs - xbar) ** 2))
+    ybar = ys.mean()
+    slope = float(np.sum((xs - xbar) * (ys - ybar))) / sxx
+    return TrendFit(slope=slope, intercept=float(ybar - slope * xbar))
+
+
+def window_series_reference(edges, p, windows, tracked_groups=(), d_tolerance=DEFAULT_D_TOLERANCE):
+    """The per-window series as it was computed one window at a time.
+
+    A stable time sort, then for each window the distinct pairs of its
+    slice and its Q_i as one float array, q as that array's sum, and trends
+    fitted from Python lists of points. ``np.unique`` stands in for the
+    library's sort-based dedup (the same sorted values) and the two helpers
+    above are the library's modularity and least-squares arithmetic of the
+    time, so the result can be compared with ``==``, float for float.
+    """
+    tracked = tuple(int(i) for i in tracked_groups)
+    n = np.int64(edges.n_vertices)
+    order = np.argsort(edges.timestamps, kind="stable")
+    times = edges.timestamps[order]
+    s, t = edges.sources[order], edges.targets[order]
+    keys = np.minimum(s, t) * n + np.maximum(s, t)
+    begins = np.searchsorted(times, [w.start for w in windows])
+    ends = np.searchsorted(times, [w.end for w in windows])
+    a = p.assignment
+
+    stats = []
+    for w, begin, end in zip(windows, begins, ends):
+        pairs = np.unique(keys[begin:end])
+        if len(pairs) == 0:
+            stats.append(
+                WindowStats(label=w.label, m=0, q=None, group_q=None,
+                            group_d={i: None for i in tracked})
+            )
+            continue
+        contributions = _contributions_reference(a[pairs // n], a[pairs % n], p.k, float(len(pairs)))
+        q = float(contributions.sum())
+        group_d = {}
+        for i in tracked:
+            group_d[i] = None if abs(q) <= d_tolerance else float(contributions[i]) / q
+        stats.append(
+            WindowStats(
+                label=w.label,
+                m=len(pairs),
+                q=q,
+                group_q=tuple(float(x) for x in contributions),
+                group_d=group_d,
+            )
+        )
+
+    trends = {}
+
+    def fit(name, pts):
+        if len(pts) >= 2:
+            trends[name] = _trend_reference(pts)
+
+    fit("q", [(t, s.q) for t, s in enumerate(stats) if s.q is not None])
+    for i in tracked:
+        fit(f"group_q_{i}", [(t, s.group_q[i]) for t, s in enumerate(stats) if s.group_q is not None])
+        fit(
+            f"group_d_{i}",
+            [(t, s.group_d[i]) for t, s in enumerate(stats) if s.group_d.get(i) is not None],
+        )
+
+    return PolarizationReport(
+        windows=tuple(stats), k=p.k, tracked_groups=tracked, trends=trends
+    )
+
+
+def report_payload(report):
+    """The JSON object a polarization report stands for, as plain values."""
+    return {
+        "k": report.k,
+        "tracked_groups": list(report.tracked_groups),
+        "windows": [
+            {
+                "label": s.label,
+                "m": s.m,
+                "q": s.q,
+                "group_q": None if s.group_q is None else list(s.group_q),
+                "group_d": {str(i): v for i, v in s.group_d.items()},
+            }
+            for s in report.windows
+        ],
+        "trends": {
+            name: {"slope": t.slope, "intercept": t.intercept}
+            for name, t in report.trends.items()
+        },
+    }
 
 
 def adjacency_matrix(und: UndirectedView) -> np.ndarray:

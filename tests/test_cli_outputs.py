@@ -9,10 +9,17 @@ output path was consolidated, so any change to them is a change of the file
 formats. The configuration-model bytes are those of the batched swap chain.
 The `communities` bytes were captured from the float-weight local moving that
 preceded the per-level neighbour lists; the ring graph makes Louvain move
-supervertices at level 1, so the aggregated levels are pinned too.
+supervertices at level 1, so the aggregated levels are pinned too. The
+`polarization windows` cases run five hourly windows (one of them empty) over
+three groups, tracked by name and by index; their bytes were captured from the
+per-window series and the `json.dump` writer that preceded the all-window
+series and the direct report writer.
 
-Regenerate the expected file (only for an intended format change) with
-``PYTHONPATH=src python tests/test_cli_outputs.py``.
+``PYTHONPATH=src python tests/test_cli_outputs.py`` captures the cases that
+`cli_outputs.json` does not hold yet and leaves every pinned case as it is. If
+a pinned case's bytes differ, it writes nothing, lists the differing cases and
+exits non-zero. To recapture an intended format change, delete the case's
+entry from `cli_outputs.json` first, then run the script.
 """
 
 from __future__ import annotations
@@ -44,6 +51,16 @@ RING = "".join(
 ) + "".join(f"r{3 * c + 2},r{3 * (c + 1) % 30},0\n" for c in range(10)) + (
     "r4,r17,0\nr9,r25,0\nr1,r22,0\nr13,r28,0\n"
 )
+# polarization over hourly windows: lines out of time order, repeated and
+# reciprocal arcs, hour 2 empty, hour 3 mostly across groups
+WINDOWS = (
+    "a,b,30\nb,c,100\ng,a,3700\na,c,200\nd,e,300\nb,a,3599\ne,f,400\n"
+    "g,h,500\nc,d,600\na,b,900\na,b,3600\nd,e,3650\ne,f,4000\nf,d,4100\n"
+    "g,h,4200\nh,i,4300\ng,i,4400\nb,h,5000\na,d,10800\nb,e,11000\n"
+    "c,f,11500\nh,b,12000\ng,h,12500\na,b,14400\na,c,15000\ng,h,15500\n"
+    "h,i,16000\nd,f,17000\n"
+)
+PARTITION3 = "#meta,0,left\n#meta,2,right\na,0\nb,0\nc,0\nd,1\ne,1\nf,1\ng,2\nh,2\ni,2\n"
 
 DOMINATE_RUNS = {
     "rho": ["--rho", "0.5", "--rho", "1.0"],  # 1.0 is out of reach for some groups
@@ -85,6 +102,11 @@ def _cases() -> dict[str, list[str]]:
             if dest == "out":
                 argv += ["--out", f"out/report.{fmt}"]
             cases[f"polarization {fmt} {dest}"] = argv
+            argv = ["polarization", "--input", "windows.csv", "--partition", "part3.csv",
+                    "--groups", "right,1", "--window-seconds", "3600", "--format", fmt]
+            if dest == "out":
+                argv += ["--out", f"out/report.{fmt}"]
+            cases[f"polarization windows {fmt} {dest}"] = argv
     for family, args in SYNTH_RUNS.items():
         for days in ("0", "3"):
             cases[f"synth {family} days {days}"] = [
@@ -105,6 +127,8 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "part.csv").write_text(PARTITION, encoding="utf-8")
         (case_dir / "base.csv").write_text(BASE, encoding="utf-8")
         (case_dir / "ring.csv").write_text(RING, encoding="utf-8")
+        (case_dir / "windows.csv").write_text(WINDOWS, encoding="utf-8")
+        (case_dir / "part3.csv").write_text(PARTITION3, encoding="utf-8")
         out = case_dir / "out"
         out.mkdir()
         stdout = io.StringIO()
@@ -142,7 +166,16 @@ def test_output_matrix_covers_both_outcomes_in_every_group_mode():
 
 
 if __name__ == "__main__":
+    pinned = json.loads(EXPECTED.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        pinned = run_matrix(Path(tmp))
+        actual = run_matrix(Path(tmp))
+    changed = sorted(name for name in pinned if name in actual and actual[name] != pinned[name])
+    if changed:
+        print("pinned cases whose bytes differ (delete an entry to recapture it):", file=sys.stderr)
+        for name in changed:
+            print(f"  {name}", file=sys.stderr)
+        sys.exit(1)
+    added = sorted(set(actual) - set(pinned))
+    pinned.update((name, actual[name]) for name in added)
     EXPECTED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(pinned)} cases to {EXPECTED}", file=sys.stderr)
+    print(f"added {len(added)} cases to {EXPECTED}; {len(pinned)} pinned", file=sys.stderr)

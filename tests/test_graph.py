@@ -33,6 +33,18 @@ def _ingest(text, **kwargs):
     return ingest_edge_list(io.StringIO(text), IngestOptions(**kwargs))
 
 
+def _in_window(edges, window):
+    """The arcs at ``window.start <= t < window.end``, over the same universe."""
+    keep = (window.start <= edges.timestamps) & (edges.timestamps < window.end)
+    return TemporalEdgeSet(
+        sources=edges.sources[keep],
+        targets=edges.targets[keep],
+        timestamps=edges.timestamps[keep],
+        labels=edges.labels,
+        label_ids=edges.label_ids,
+    )
+
+
 def test_ingest_drops_and_counts_self_loops():
     edges = _ingest("a,b,100\nb,a,150\na,a,200\n")
     assert edges.n_arcs == 2
@@ -251,7 +263,7 @@ def test_build_directed_graph_collapses_duplicates():
 
 def test_build_directed_graph_window_filter():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 100), ("a", "b", 120), ("b", "c", 130)])
-    g = build_directed_graph(edges, window=TimeWindow(110, 125))
+    g = build_directed_graph(_in_window(edges, TimeWindow(110, 125)))
     assert g.m == 1
     assert g.multiplicity.tolist() == [1]
     # vertex universe is preserved even when vertices fall silent
@@ -267,9 +279,9 @@ def test_build_directed_graph_matches_distinct_pair_count():
     arcs = [(s, t, ts) for s, t, ts in arcs if s != t]
     edges = TemporalEdgeSet.from_arcs(arcs)
     window = TimeWindow(100, 400)
-    g = build_directed_graph(edges, window=window)
-    distinct = {(s, t) for s, t, ts in arcs if window.contains(ts)}
-    in_window = sum(1 for _, _, ts in arcs if window.contains(ts))
+    g = build_directed_graph(_in_window(edges, window))
+    distinct = {(s, t) for s, t, ts in arcs if window.start <= ts < window.end}
+    in_window = sum(1 for _, _, ts in arcs if window.start <= ts < window.end)
     assert g.m == len(distinct)
     assert int(g.multiplicity.sum()) == in_window
 
@@ -320,7 +332,7 @@ def test_slice_windows_single_timestamp():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 50)])
     windows = slice_windows(edges, 86400)
     assert len(windows) == 1
-    assert windows[0].contains(50)
+    assert windows[0].start <= 50 < windows[0].end
 
 
 def test_slice_windows_empty_edge_set():
@@ -342,10 +354,10 @@ def test_slice_windows_partition_all_arcs():
     edges = TemporalEdgeSet.from_arcs(arcs)
     windows = slice_windows(edges, 86400)
     assert len(windows) == 44
-    membership = [sum(1 for w in windows if w.contains(ts)) for ts in edges.timestamps]
+    membership = [sum(1 for w in windows if w.start <= ts < w.end) for ts in edges.timestamps]
     assert all(count == 1 for count in membership)
     total = sum(
-        build_directed_graph(edges, window=w).multiplicity.sum() for w in windows
+        build_directed_graph(_in_window(edges, w)).multiplicity.sum() for w in windows
     )
     assert int(total) == edges.n_arcs
 
@@ -459,8 +471,9 @@ def test_builders_match_lexsort_reference(graph, keep, data):
         label_ids={str(v): v for v in range(n)},
     )
     window = TimeWindow(3, 7)
-    inside = [a for a, t in zip(arcs, times) if window.contains(t)]
-    for built, want in ((build_directed_graph(edges), arcs), (build_directed_graph(edges, window), inside)):
+    inside = [a for a, t in zip(arcs, times) if window.start <= t < window.end]
+    built_inside = build_directed_graph(_in_window(edges, window))
+    for built, want in ((build_directed_graph(edges), arcs), (built_inside, inside)):
         _same_csr((built.indptr, built.indices, built.multiplicity), oracles.csr_reference(n, want))
 
     pairs = {(min(u, v), max(u, v)) for u, v in arcs}

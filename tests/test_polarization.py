@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from polarnet.graph import (
     undirected_from_edges,
 )
 from polarnet.polarization import (
+    PolarizationReport,
+    TrendFit,
+    WindowStats,
     d_modularity,
     group_contributions,
     linear_trend,
@@ -302,35 +306,46 @@ def test_report_json_shape():
 
 @st.composite
 def windowed_inputs(draw):
-    """Unsorted timed arcs with duplicates and reciprocals, a grouping, and
-    windows that may be empty, overlap, come out of order or miss the arcs."""
+    """Unsorted timed arcs with duplicates and reciprocals, a grouping,
+    windows that may be empty, overlap, come out of order or miss the arcs,
+    and an ordered subset of groups to track.
+
+    Stamps and windows are sometimes scaled by 2^56, so times near the int64
+    limit are covered too."""
     n = draw(st.integers(2, 12))
     vertex = st.integers(0, n - 1)
     stamp = st.integers(0, 40)
+    scale = draw(st.sampled_from([1, 1 << 56]))
     base = draw(
         st.lists(st.tuples(vertex, vertex, stamp).filter(lambda a: a[0] != a[1]), max_size=40)
     )
     if base:
         again = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans(), stamp), max_size=20))
         base += [((v, u) if flip else (u, v)) + (t,) for (u, v, _), flip, t in again]
-    arcs = draw(st.permutations(base))
+    arcs = [(u, v, t * scale) for u, v, t in draw(st.permutations(base))]
     k = draw(st.integers(1, n))
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     assignment = draw(st.permutations(list(range(k)) + extra))
     spans = draw(st.lists(st.tuples(st.integers(-10, 60), st.integers(1, 25)), max_size=8))
-    return n, arcs, assignment, [TimeWindow(s, s + w, label=str(j)) for j, (s, w) in enumerate(spans)]
+    windows = [TimeWindow(s * scale, (s + w) * scale, label=str(j)) for j, (s, w) in enumerate(spans)]
+    tracked = draw(st.lists(st.integers(0, k - 1), unique=True))
+    return n, arcs, assignment, windows, tracked
 
 
-@given(windowed_inputs())
-def test_window_series_matches_per_window_pair_oracle(inputs):
-    n, arcs, assignment, windows = inputs
-    edges = TemporalEdgeSet(
+def _edge_set(n, arcs):
+    return TemporalEdgeSet(
         sources=np.asarray([a[0] for a in arcs], dtype=np.int64),
         targets=np.asarray([a[1] for a in arcs], dtype=np.int64),
         timestamps=np.asarray([a[2] for a in arcs], dtype=np.int64),
         labels=tuple(str(v) for v in range(n)),
         label_ids={str(v): v for v in range(n)},
     )
+
+
+@given(windowed_inputs())
+def test_window_series_matches_per_window_pair_oracle(inputs):
+    n, arcs, assignment, windows, _ = inputs
+    edges = _edge_set(n, arcs)
     part = Partition.from_assignment(assignment)
     report = window_series(edges, part, windows, tracked_groups=range(part.k))
     assert [row.label for row in report.windows] == [w.label for w in windows]
@@ -344,3 +359,117 @@ def test_window_series_matches_per_window_pair_oracle(inputs):
         assert row.q == pytest.approx(sum(contributions), abs=1e-12)
         assert row.group_q == pytest.approx(contributions, abs=1e-12)
         assert sum(row.group_q) == pytest.approx(row.q, abs=1e-12)
+
+
+@given(windowed_inputs())
+def test_window_series_equals_per_window_reference(inputs):
+    # dataclass equality: every float, None row, share and trend bit for bit
+    n, arcs, assignment, windows, tracked = inputs
+    edges = _edge_set(n, arcs)
+    part = Partition.from_assignment(assignment)
+    report = window_series(edges, part, windows, tracked_groups=tracked)
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=tracked)
+
+
+def test_window_series_equals_reference_with_many_groups():
+    # 200 groups: numpy's pairwise summation splits a row of more than 128
+    # values, and q, a row sum of the all-window array, must still equal the
+    # sum of that window's own array
+    rng = np.random.default_rng(41)
+    n, k = 600, 200
+    pairs = rng.integers(0, n, size=(20000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    arcs = [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, rng.integers(0, 6 * 3600, len(pairs)))]
+    edges = _edge_set(n, arcs)
+    part = Partition.from_assignment(rng.permutation(np.arange(n) % k))
+    windows = slice_windows(edges, 3600) + [TimeWindow(1800, 9000, label="overlap")]
+    tracked = [0, 199, 57]
+    report = window_series(edges, part, windows, tracked_groups=tracked)
+    assert [row.m > 0 for row in report.windows] == [True] * 7
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=tracked)
+
+
+def test_window_series_sparse_windows_cost_only_their_rows():
+    # 10,000 one-minute windows, 3 of them holding arcs, and 150 groups: the
+    # rows and their temporaries exist for the 3 windows only, so memory
+    # does not grow with windows × groups (1.5M cells here)
+    rng = np.random.default_rng(5)
+    n, k = 450, 150
+    pairs = rng.integers(0, n, size=(3000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    stamps = rng.choice([60 * 7, 60 * 4000, 60 * 9999], len(pairs)) + rng.integers(0, 60, len(pairs))
+    edges = _edge_set(n, [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, stamps)])
+    part = Partition.from_assignment(rng.permutation(np.arange(n) % k))
+    windows = [TimeWindow(60 * j, 60 * (j + 1), label=str(j)) for j in range(10000)]
+    tracemalloc.start()
+    try:
+        report = window_series(edges, part, windows, tracked_groups=[0, 149])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [j for j, row in enumerate(report.windows) if row.m > 0] == [7, 4000, 9999]
+    assert peak < 16 * 2**20
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[0, 149])
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_labels = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t", "é€😀", "nan", "-inf", "info"]),
+)
+
+
+@st.composite
+def reports(draw):
+    """Random reports: no windows or many, empty rows, up to 13 groups and
+    up to 13 tracked keys, non-finite and signed-zero floats, any labels."""
+    window = st.builds(
+        WindowStats,
+        label=_labels,
+        m=st.integers(0, 10**6),
+        q=st.none() | _floats,
+        group_q=st.none() | st.lists(_floats, max_size=13).map(tuple),
+        group_d=st.dictionaries(st.integers(0, 15), st.none() | _floats, max_size=13),
+    )
+    return PolarizationReport(
+        windows=tuple(draw(st.lists(window, max_size=6))),
+        k=draw(st.integers(0, 20)),
+        tracked_groups=tuple(draw(st.lists(st.integers(0, 15), max_size=13))),
+        trends=draw(st.dictionaries(
+            st.sampled_from(["q", "group_q_0", "group_d_10", "group_d_2"]),
+            st.builds(TrendFit, slope=_floats, intercept=_floats),
+        )),
+    )
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _labels,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_labels, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(reports(), st.dictionaries(
+    st.sampled_from(["a", "config", "k", "trends", "tracked_groups", "w", "windows", "zz"]),
+    _json_values,
+    max_size=3,
+))
+def test_report_json_bytes_equal_json_dumps(report, extra):
+    buf = io.StringIO()
+    write_report_json(report, buf, extra=extra)
+    payload = oracles.report_payload(report)
+    payload.update(extra)
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_special_floats_and_wide_shares():
+    # eleven tracked keys put "10" before "2"; NaN and infinities are spelled as json spells them
+    row = WindowStats(label="nan\u00e9", m=3, q=float("nan"), group_q=(-0.0, float("inf")),
+                      group_d={i: (float("-inf") if i == 2 else i / 3) for i in range(11)})
+    report = PolarizationReport(windows=(row,), k=2, tracked_groups=tuple(range(11)), trends={})
+    buf = io.StringIO()
+    write_report_json(report, buf)
+    text = buf.getvalue()
+    assert text == json.dumps(oracles.report_payload(report), indent=2, sort_keys=True) + "\n"
+    assert text.index('"10":') < text.index('"2":')
+    assert '"q": NaN' in text and "-Infinity" in text and "-0.0" in text
