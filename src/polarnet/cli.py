@@ -13,8 +13,6 @@ import contextlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .community import (
     Partition,
     detect_communities,
@@ -57,7 +55,7 @@ from .polarization import (
     write_report_csv,
     write_report_json,
 )
-from .synth import FAMILIES, GeneratorSpec, generate
+from .synth import FAMILIES, GeneratorSpec, check_parameters, generate
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -286,56 +284,46 @@ def cmd_dominate(args: argparse.Namespace) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(piece) for piece in text.split(",") if piece.strip()]
+    try:
+        return [int(piece) for piece in text.split(",") if piece.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+# the synth parameter flags: (flag, the generate() parameter it sets, type, help)
+_SYNTH_PARAMETERS = (
+    ("--blocks", "block_sizes", _int_list, "planted-partition block sizes, e.g. 100,100"),
+    ("--p-in", "p_in", float, "planted-partition arc probability inside a block"),
+    ("--p-out", "p_out", float, "planted-partition arc probability across blocks"),
+    ("--swaps", "swaps", int, "accepted swaps for configuration-model (default 10·m)"),
+    ("--leaves", "n_leaves", int, "leaf count for star"),
+    ("--n", "n", int, "vertex count for directed-cycle"),
+    ("--sizes", "sizes", _int_list, "disjoint-cliques sizes, e.g. 5,5,4"),
+)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    params: dict = {}
+    flags = {name: flag for flag, name, _, _ in _SYNTH_PARAMETERS}
+    params = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
     base = None
-    if args.family == "planted-partition":
-        if args.blocks is None or args.p_in is None or args.p_out is None:
-            raise ValueError("planted-partition requires --blocks, --p-in and --p-out")
-        params = {"block_sizes": _int_list(args.blocks), "p_in": args.p_in, "p_out": args.p_out}
-    elif args.family == "configuration-model":
-        if args.input is None:
-            raise ValueError("configuration-model requires --input (the graph to rewire)")
+    if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
             edges = ingest_edge_list(fh, IngestOptions())
         base = underlying_undirected(build_directed_graph(edges))
-        if args.swaps is not None:
-            params = {"swaps": args.swaps}
-    elif args.family == "star":
-        if args.leaves is None:
-            raise ValueError("star requires --leaves")
-        params = {"n_leaves": args.leaves}
-    elif args.family == "directed-cycle":
-        if args.n is None:
-            raise ValueError("directed-cycle requires --n")
-        params = {"n": args.n}
-    elif args.family == "disjoint-cliques":
-        if args.sizes is None:
-            raise ValueError("disjoint-cliques requires --sizes")
-        params = {"sizes": _int_list(args.sizes)}
 
     output = generate(GeneratorSpec(family=args.family, parameters=params, seed=args.seed), base)
-
-    n_arcs = len(output.arc_pairs)
-    if args.days > 0:
-        rng = np.random.default_rng([args.seed, 1])
-        stamps = rng.integers(0, args.days * 86400, size=n_arcs)
-    else:
-        stamps = np.zeros(n_arcs, dtype=np.int64)
+    arcs = output.temporal_edges(args.days, args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = output.vertex_labels
-    arcs = TemporalEdgeSet(
-        sources=output.arc_pairs[:, 0],
-        targets=output.arc_pairs[:, 1],
-        timestamps=stamps,
-        labels=tuple(labels),
-        label_ids={label: i for i, label in enumerate(labels)},
-    )
     edges_path = out_dir / "edges.csv"
     with open(edges_path, "w", encoding="utf-8") as fh:
         write_edge_list(fh, arcs)
@@ -343,11 +331,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if output.partition is not None:
         part_path = out_dir / "partition.csv"
         with open(part_path, "w", encoding="utf-8") as fh:
-            save_partition(output.partition, fh, labels)
+            save_partition(output.partition, fh, arcs.labels)
         written.append(str(part_path))
     print(f"family: {args.family}")
     print(f"vertices: {output.n}")
-    print(f"arcs: {n_arcs}")
+    print(f"arcs: {arcs.n_arcs}")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -406,16 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--out", required=True, help="directory for edges.csv (+ partition.csv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--days", type=int, default=0,
+    p.add_argument("--days", type=_non_negative_int, default=0,
                    help="spread timestamps uniformly over this many days (default: all zero)")
-    p.add_argument("--blocks", default=None, help="planted-partition block sizes, e.g. 100,100")
-    p.add_argument("--p-in", type=float, default=None, dest="p_in")
-    p.add_argument("--p-out", type=float, default=None, dest="p_out")
     p.add_argument("--input", default=None, help="base graph for configuration-model")
-    p.add_argument("--swaps", type=int, default=None, help="accepted swaps for configuration-model")
-    p.add_argument("--leaves", type=int, default=None, help="leaf count for star")
-    p.add_argument("--n", type=int, default=None, help="vertex count for directed-cycle")
-    p.add_argument("--sizes", default=None, help="disjoint-cliques sizes, e.g. 5,5,4")
+    for flag, name, kind, text in _SYNTH_PARAMETERS:
+        p.add_argument(flag, dest=name, type=kind, default=None, help=text)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -5,19 +5,25 @@ cliques, planted blocks) or preserves a chosen property of a real graph
 (degree-preserving rewire), so downstream measurements can be checked
 against ground truth. All randomness flows through numpy's seeded
 default_rng, making every family reproducible bit for bit.
+
+``FAMILIES`` is the one table of families: each
+name maps to its builder, its required and optional parameters, and whether
+it rewires a base graph. ``generate`` and the ``synth`` command both check
+their arguments against it with ``check_parameters``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .community import Partition
 from .graph import (
     DirectedGraph,
+    TemporalEdgeSet,
     UndirectedView,
     _undirected,
     directed_from_arcs,
@@ -27,15 +33,6 @@ from .graph import (
 _INT = np.int64
 # ends each sorted key array the rewire searches, so a search never runs off the end
 _SENTINEL = np.iinfo(_INT).max
-
-FAMILIES = (
-    "figure2",
-    "planted-partition",
-    "configuration-model",
-    "star",
-    "directed-cycle",
-    "disjoint-cliques",
-)
 
 # three groups of four: a clique plus two cycles, lightly tied together
 _FIG2_EDGES = (
@@ -351,6 +348,55 @@ def disjoint_cliques(sizes: Sequence[int]) -> tuple[DirectedGraph, Partition]:
 
 
 @dataclass(frozen=True)
+class Family:
+    """How to build one family: ``build(parameters, seed, base)`` gives the
+    graph and its ground-truth partition (or None). ``rewires`` families take
+    the base graph; no other family does."""
+
+    build: Callable[[dict, int, UndirectedView | None],
+                    tuple[DirectedGraph | UndirectedView, Partition | None]]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    rewires: bool = False
+
+
+# the builders look configuration_rewire up when called, so a wrapper put on
+# the module attribute sees every rewire
+FAMILIES: dict[str, Family] = {
+    "figure2": Family(lambda p, seed, base: figure2_instance()),
+    "planted-partition": Family(
+        lambda p, seed, base: planted_partition(p["block_sizes"], p["p_in"], p["p_out"], seed=seed),
+        required=("block_sizes", "p_in", "p_out"),
+    ),
+    "configuration-model": Family(
+        lambda p, seed, base: (
+            configuration_rewire(base, swaps=p.get("swaps", 10 * base.m), seed=seed), None),
+        optional=("swaps",),
+        rewires=True,
+    ),
+    "star": Family(lambda p, seed, base: (star(p["n_leaves"]), None), required=("n_leaves",)),
+    "directed-cycle": Family(lambda p, seed, base: (directed_cycle(p["n"]), None), required=("n",)),
+    "disjoint-cliques": Family(lambda p, seed, base: disjoint_cliques(p["sizes"]), required=("sizes",)),
+}
+
+
+def check_parameters(family: str, given: Iterable[str], has_base: bool,
+                     spell: Callable[[str], str] = repr) -> None:
+    """Raise ValueError unless ``family`` takes the ``given`` parameter names
+    and, exactly when ``has_base``, a base graph (named ``"base"``).
+    ``spell`` renders each name in the message."""
+    entry = FAMILIES[family]
+    unknown = sorted(set(given) - {*entry.required, *entry.optional})
+    unknown += ["base"] if has_base and not entry.rewires else []
+    if unknown:
+        raise ValueError(f"{family} does not take {', '.join(map(spell, unknown))}")
+    missing = [name for name in entry.required if name not in given]
+    missing += ["base"] if entry.rewires and not has_base else []
+    if missing:
+        raise ValueError(f"{family} requires {', '.join(map(spell, missing))}")
+
+
+@dataclass(frozen=True)
 class GeneratorSpec:
     """A named family plus its parameters and seed; the unit of reproducibility."""
 
@@ -373,68 +419,34 @@ class SynthOutput:
     arc_pairs: np.ndarray
     partition: Partition | None
 
-    @property
-    def vertex_labels(self) -> list[str]:
-        return [f"v{i}" for i in range(self.n)]
-
-
-def _arcs_of_directed(g: DirectedGraph) -> np.ndarray:
-    return np.column_stack([g.arc_sources(), g.indices])
-
-
-def _arcs_of_undirected(und: UndirectedView) -> np.ndarray:
-    rows = np.repeat(np.arange(und.n, dtype=_INT), und.degrees)
-    return np.column_stack([rows, und.indices])
-
-
-_ALLOWED_PARAMS = {
-    "figure2": set(),
-    "planted-partition": {"block_sizes", "p_in", "p_out"},
-    "configuration-model": {"swaps"},
-    "star": {"n_leaves"},
-    "directed-cycle": {"n"},
-    "disjoint-cliques": {"sizes"},
-}
+    def temporal_edges(self, days: int = 0, seed: int = 0) -> TemporalEdgeSet:
+        """The arcs over labels ``v0 .. v{n-1}``, stamped uniformly over
+        ``days`` days by ``default_rng([seed, 1])``, or all at 0 for 0 days."""
+        if days < 0:
+            raise ValueError(f"days must be non-negative, got {days}")
+        n_arcs = len(self.arc_pairs)
+        if days > 0:
+            stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=n_arcs)
+        else:
+            stamps = np.zeros(n_arcs, dtype=_INT)
+        labels = tuple(f"v{i}" for i in range(self.n))
+        return TemporalEdgeSet(
+            sources=self.arc_pairs[:, 0],
+            targets=self.arc_pairs[:, 1],
+            timestamps=stamps,
+            labels=labels,
+            label_ids={label: i for i, label in enumerate(labels)},
+        )
 
 
 def generate(spec: GeneratorSpec, base: UndirectedView | None = None) -> SynthOutput:
     """Materialize a family; undirected families serialize one arc per direction.
 
     The configuration-model family rewires ``base`` and is the only one that
-    needs it.
+    takes it.
     """
-    unknown = set(spec.parameters) - _ALLOWED_PARAMS[spec.family]
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for family {spec.family!r}"
-        )
-    params = spec.parameters
-    if spec.family == "figure2":
-        und, part = figure2_instance()
-        return SynthOutput(n=und.n, arc_pairs=_arcs_of_undirected(und), partition=part)
-    if spec.family == "planted-partition":
-        for req in ("block_sizes", "p_in", "p_out"):
-            if req not in params:
-                raise ValueError(f"planted-partition requires parameter {req!r}")
-        g, part = planted_partition(
-            params["block_sizes"], params["p_in"], params["p_out"], seed=spec.seed
-        )
-        return SynthOutput(n=g.n, arc_pairs=_arcs_of_directed(g), partition=part)
-    if spec.family == "configuration-model":
-        if base is None:
-            raise ValueError("configuration-model requires a base graph to rewire")
-        swaps = params.get("swaps", 10 * base.m)
-        rewired = configuration_rewire(base, swaps=swaps, seed=spec.seed)
-        return SynthOutput(n=rewired.n, arc_pairs=_arcs_of_undirected(rewired), partition=None)
-    if spec.family == "star":
-        if "n_leaves" not in params:
-            raise ValueError("star requires parameter 'n_leaves'")
-        g = star(params["n_leaves"])
-        return SynthOutput(n=g.n, arc_pairs=_arcs_of_directed(g), partition=None)
-    if spec.family == "directed-cycle":
-        if "n" not in params:
-            raise ValueError("directed-cycle requires parameter 'n'")
-        g = directed_cycle(params["n"])
-        return SynthOutput(n=g.n, arc_pairs=_arcs_of_directed(g), partition=None)
-    g, part = disjoint_cliques(params.get("sizes", ()))
-    return SynthOutput(n=g.n, arc_pairs=_arcs_of_directed(g), partition=part)
+    check_parameters(spec.family, spec.parameters, base is not None)
+    g, part = FAMILIES[spec.family].build(spec.parameters, spec.seed, base)
+    # a CSR row per vertex: an undirected view holds each edge in both rows
+    sources = np.repeat(np.arange(g.n, dtype=_INT), np.diff(g.indptr))
+    return SynthOutput(n=g.n, arc_pairs=np.column_stack([sources, g.indices]), partition=part)

@@ -11,7 +11,11 @@ from polarnet.community import load_partition
 
 
 def run_cli(*argv: str) -> int:
-    return main(list(argv))
+    """main's exit code, also for an argument the parser itself refuses."""
+    try:
+        return main(list(argv))
+    except SystemExit as stop:
+        return stop.code
 
 
 def write_two_triangles(path) -> None:
@@ -157,9 +161,51 @@ def test_synth_star(tmp_path):
     assert not (out_dir / "partition.csv").exists()
 
 
-def test_synth_missing_family_params(tmp_path, capsys):
-    assert run_cli("synth", "--family", "star", "--out", str(tmp_path / "x")) == 2
-    assert "--leaves" in capsys.readouterr().err
+@pytest.mark.parametrize("family, given, flag", [
+    pytest.param("star", [], "--leaves", id="star"),
+    pytest.param("directed-cycle", [], "--n", id="directed-cycle"),
+    pytest.param("disjoint-cliques", [], "--sizes", id="disjoint-cliques"),
+    pytest.param("planted-partition", ["--p-in", "0.5", "--p-out", "0.1"], "--blocks", id="planted-blocks"),
+    pytest.param("planted-partition", ["--blocks", "3,3", "--p-out", "0.1"], "--p-in", id="planted-p-in"),
+    pytest.param("planted-partition", ["--blocks", "3,3", "--p-in", "0.5"], "--p-out", id="planted-p-out"),
+    pytest.param("configuration-model", ["--swaps", "2"], "--input", id="configuration-model"),
+])
+def test_synth_missing_family_params(tmp_path, capsys, family, given, flag):
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", family, *given, "--out", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"error: {family} requires {flag}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("family, given, flag", [
+    ("star", ["--leaves", "3", "--n", "9"], "--n"),
+    ("figure2", ["--input", "base.csv"], "--input"),
+], ids=["star-n", "figure2-input"])
+def test_synth_refuses_another_familys_flags(tmp_path, capsys, monkeypatch, family, given, flag):
+    write_two_triangles(tmp_path / "base.csv")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("synth", "--family", family, *given, "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {family} does not take {flag}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_rejects_negative_days(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", "star", "--leaves", "3", "--days", "-2",
+                   "--out", str(out_dir)) == 2
+    assert "argument --days: must be non-negative, got -2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("family, given, flag, text", [
+    ("planted-partition", ["--blocks", "3,x", "--p-in", "0.5", "--p-out", "0.1"], "--blocks", "3,x"),
+    ("disjoint-cliques", ["--sizes", "4,,y"], "--sizes", "4,,y"),
+], ids=["blocks", "sizes"])
+def test_synth_malformed_list_names_its_flag(tmp_path, capsys, family, given, flag, text):
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", family, *given, "--out", str(out_dir)) == 2
+    assert f"argument {flag}: expected comma-separated integers, got {text!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_synth_days_spread_timestamps(tmp_path):

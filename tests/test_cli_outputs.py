@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from polarnet.cli import main
+from polarnet.synth import FAMILIES
 
 EXPECTED = Path(__file__).with_name("cli_outputs.json")
 
@@ -150,6 +151,10 @@ def test_output_matrix_is_byte_identical(tmp_path):
     assert sorted(actual) == sorted(expected)
     for name in expected:
         assert actual[name] == expected[name], name
+
+
+def test_synth_runs_pin_every_family():
+    assert set(SYNTH_RUNS) == set(FAMILIES)
 
 
 def test_output_matrix_covers_both_outcomes_in_every_group_mode():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ import oracles
 from polarnet.graph import underlying_undirected, undirected_from_edges
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
+    FAMILIES,
     GeneratorSpec,
     _proposals,
     configuration_rewire,
@@ -258,8 +261,9 @@ def test_generate_figure2_and_vertex_labels():
     out = generate(GeneratorSpec("figure2", {}))
     assert out.n == 12
     assert len(out.arc_pairs) == 38  # both directions of 19 edges
-    assert out.vertex_labels[0] == "v0"
-    assert out.vertex_labels[-1] == "v11"
+    labels = out.temporal_edges().labels
+    assert labels[0] == "v0"
+    assert labels[-1] == "v11"
 
 
 def test_generate_rejects_unknown_family_and_params():
@@ -269,6 +273,49 @@ def test_generate_rejects_unknown_family_and_params():
         generate(GeneratorSpec("star", {"n_leaves": 3, "extra": 1}))
     with pytest.raises(ValueError):
         generate(GeneratorSpec("configuration-model", {}))  # needs a base graph
+
+
+# parameters each family with required ones accepts
+VALID_PARAMETERS = {
+    "planted-partition": {"block_sizes": [3, 3], "p_in": 0.5, "p_out": 0.1},
+    "star": {"n_leaves": 3},
+    "directed-cycle": {"n": 4},
+    "disjoint-cliques": {"sizes": [3, 3]},
+}
+
+
+@pytest.mark.parametrize("family, missing", [
+    (family, name) for family, entry in FAMILIES.items() for name in entry.required
+])
+def test_generate_names_each_missing_parameter(family, missing):
+    params = VALID_PARAMETERS[family]
+    generate(GeneratorSpec(family, params))
+    absent = {name: value for name, value in params.items() if name != missing}
+    with pytest.raises(ValueError, match=re.escape(f"{family} requires {missing!r}")):
+        generate(GeneratorSpec(family, absent))
+
+
+def test_generate_refuses_another_familys_parameters_and_base():
+    base, _ = figure2_instance()
+    with pytest.raises(ValueError, match=re.escape("star does not take 'n'")):
+        generate(GeneratorSpec("star", {"n_leaves": 3, "n": 9}))
+    with pytest.raises(ValueError, match=re.escape("figure2 does not take 'base'")):
+        generate(GeneratorSpec("figure2"), base)
+    with pytest.raises(ValueError, match=re.escape("configuration-model requires 'base'")):
+        generate(GeneratorSpec("configuration-model", {"swaps": 2}))
+
+
+def test_temporal_edges_stamps_and_labels():
+    out = generate(GeneratorSpec("directed-cycle", {"n": 50}))
+    flat = out.temporal_edges()
+    assert flat.labels == tuple(f"v{i}" for i in range(50))
+    assert flat.label_ids == {f"v{i}": i for i in range(50)}
+    assert flat.timestamps.tolist() == [0] * 50
+    spread = out.temporal_edges(days=2, seed=3)
+    expected = np.random.default_rng([3, 1]).integers(0, 2 * 86400, size=50)
+    assert spread.timestamps.tolist() == expected.tolist()
+    with pytest.raises(ValueError, match="days must be non-negative"):
+        out.temporal_edges(days=-1)
 
 
 def test_generate_configuration_model_from_base():
