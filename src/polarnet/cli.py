@@ -55,7 +55,7 @@ from .polarization import (
     write_report_csv,
     write_report_json,
 )
-from .synth import FAMILIES, GeneratorSpec, check_parameters, generate
+from .synth import FAMILIES, MAX_DAYS, GeneratorSpec, check_parameters, generate
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -290,10 +290,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _non_negative_int(text: str) -> int:
+def _days(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value > MAX_DAYS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DAYS}, got {value}")
     return value
 
 
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--out", required=True, help="directory for edges.csv (+ partition.csv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--days", type=_non_negative_int, default=0,
+    p.add_argument("--days", type=_days, default=0,
                    help="spread timestamps uniformly over this many days (default: all zero)")
     p.add_argument("--input", default=None, help="base graph for configuration-model")
     for flag, name, kind, text in _SYNTH_PARAMETERS:

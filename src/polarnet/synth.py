@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .graph import (
 _INT = np.int64
 # ends each sorted key array the rewire searches, so a search never runs off the end
 _SENTINEL = np.iinfo(_INT).max
+# the most days whose seconds an int64 timestamp still holds
+MAX_DAYS = np.iinfo(_INT).max // 86400
 
 # three groups of four: a clique plus two cycles, lightly tied together
 _FIG2_EDGES = (
@@ -353,7 +356,7 @@ class Family:
     graph and its ground-truth partition (or None). ``rewires`` families take
     the base graph; no other family does."""
 
-    build: Callable[[dict, int, UndirectedView | None],
+    build: Callable[[Mapping, int, UndirectedView | None],
                     tuple[DirectedGraph | UndirectedView, Partition | None]]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
@@ -398,10 +401,14 @@ def check_parameters(family: str, given: Iterable[str], has_base: bool,
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A named family plus its parameters and seed; the unit of reproducibility."""
+    """A named family plus its parameters and seed; the unit of reproducibility.
+
+    ``parameters`` is frozen into a read-only copy, list values into tuples,
+    so equal specs compare and hash equal.
+    """
 
     family: str
-    parameters: dict = field(default_factory=dict)
+    parameters: Mapping = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -409,6 +416,11 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
             )
+        frozen = {name: tuple(v) if isinstance(v, list) else v for name, v in self.parameters.items()}
+        object.__setattr__(self, "parameters", MappingProxyType(frozen))
+
+    def __hash__(self):
+        return hash((self.family, frozenset(self.parameters.items()), self.seed))
 
 
 @dataclass(frozen=True)
@@ -421,9 +433,12 @@ class SynthOutput:
 
     def temporal_edges(self, days: int = 0, seed: int = 0) -> TemporalEdgeSet:
         """The arcs over labels ``v0 .. v{n-1}``, stamped uniformly over
-        ``days`` days by ``default_rng([seed, 1])``, or all at 0 for 0 days."""
+        ``days`` days by ``default_rng([seed, 1])``, or all at 0 for 0 days.
+        ``days`` runs from 0 to ``MAX_DAYS``."""
         if days < 0:
             raise ValueError(f"days must be non-negative, got {days}")
+        if days > MAX_DAYS:
+            raise ValueError(f"days must be at most {MAX_DAYS}, got {days}")
         n_arcs = len(self.arc_pairs)
         if days > 0:
             stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=n_arcs)

@@ -55,15 +55,14 @@ def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comme
     Lines end at "\\n". Each line and each of its fields is stripped; blank
     lines, comment lines and (with ``skip_header``) line 1 are ignored; a
     record has two non-empty labels and an int() timestamp in [0, 2**63).
-    Returns a dict with the TemporalEdgeSet fields (ids in first-seen order
-    over the kept arcs), or ``{"error_line": n}`` naming the first malformed
-    line under ``strict``.
+    Returns a dict with the TemporalEdgeSet fields (ids are the labels of
+    the kept arcs in Python's string order, which is code-point order), or
+    ``{"error_line": n}`` naming the first malformed line under ``strict``.
     """
     pieces = text.split("\n")
     if pieces[-1] == "":
         pieces.pop()
-    ids = {}
-    sources, targets, stamps = [], [], []
+    arcs = []
     loops = bad = 0
     for number, raw in enumerate(pieces, start=1):
         line = raw.strip()
@@ -85,16 +84,14 @@ def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comme
         if source == target:
             loops += 1
             continue
-        for label in (source, target):
-            ids.setdefault(label, len(ids))
-        sources.append(ids[source])
-        targets.append(ids[target])
-        stamps.append(stamp)
+        arcs.append((source, target, stamp))
+    labels = tuple(sorted({label for arc in arcs for label in arc[:2]}))
+    ids = {label: i for i, label in enumerate(labels)}
     return {
-        "sources": sources,
-        "targets": targets,
-        "timestamps": stamps,
-        "labels": tuple(ids),
+        "sources": [ids[s] for s, _, _ in arcs],
+        "targets": [ids[t] for _, t, _ in arcs],
+        "timestamps": [stamp for _, _, stamp in arcs],
+        "labels": labels,
         "label_ids": ids,
         "dropped_self_loops": loops,
         "malformed_lines": bad,

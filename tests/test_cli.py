@@ -8,6 +8,7 @@ import pytest
 
 from polarnet.cli import main
 from polarnet.community import load_partition
+from polarnet.synth import MAX_DAYS
 
 
 def run_cli(*argv: str) -> int:
@@ -195,6 +196,18 @@ def test_synth_rejects_negative_days(tmp_path, capsys):
                    "--out", str(out_dir)) == 2
     assert "argument --days: must be non-negative, got -2" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_synth_refuses_days_past_the_int64_seconds_limit(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", "star", "--leaves", "1", "--days", str(MAX_DAYS + 1),
+                   "--out", str(out_dir)) == 2
+    assert f"argument --days: must be at most {MAX_DAYS}, got {MAX_DAYS + 1}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert run_cli("synth", "--family", "star", "--leaves", "1", "--days", str(MAX_DAYS),
+                   "--out", str(out_dir)) == 0
+    (line,) = (out_dir / "edges.csv").read_text().splitlines()
+    assert 0 <= int(line.split(",")[2]) < MAX_DAYS * 86400
 
 
 @pytest.mark.parametrize("family, given, flag, text", [

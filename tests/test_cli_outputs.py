@@ -7,9 +7,13 @@ produces (exit code, stdout, each written file) is compared with
 `cli_outputs.json`. The expected bytes were captured from the CLI before its
 output path was consolidated, so any change to them is a change of the file
 formats. The configuration-model bytes are those of the batched swap chain.
-The `communities` bytes were captured from the float-weight local moving that
-preceded the per-level neighbour lists; the ring graph makes Louvain move
-supervertices at level 1, so the aggregated levels are pinned too. The
+The `communities` bytes were first captured from the float-weight local moving
+that preceded the per-level neighbour lists, which reproduced them. They were
+recaptured when vertex ids became the sorted labels (`r0, r1, r10, r11, ...,
+r2, ...` on the ring graph) instead of first-seen ones: the seeded visit order
+and the lowest-id tie-breaks then run over other vertices, and all five
+partitions moved. The ring graph makes Louvain move supervertices at level 1,
+so the aggregated levels are pinned too. The
 `polarization windows` cases run five hourly windows (one of them empty) over
 three groups, tracked by name and by index; their bytes were captured from the
 per-window series and the `json.dump` writer that preceded the all-window

@@ -177,6 +177,41 @@ def test_ingest_matches_per_line_reference(case, skip_header, strict, comment_pr
         assert getattr(from_lines, name) == want[name]
 
 
+# "ba" sorts after "ab" though its little-endian word is the smaller; the
+# 9-byte labels tie in their first word; "loop" is named only by a
+# self-loop, so it is no vertex. The per-line records add " ab" padded and
+# the non-ASCII "é".
+_FAST_RECORDS = [("ba", "ab", 1), ("abcdefgh2", "abcdefgh1", 2), ("loop", "loop", 4), ("b", "abcdefgh", 5),
+                 ("abcdefgh1", "b", 7)]
+_PER_LINE_RECORDS = [(" é ", "ab", 3), (" ab", "ba", 6)]
+
+
+@pytest.mark.parametrize("per_line", (False, True))
+@pytest.mark.parametrize("block", (1, 3, 9, 16, 1 << 20))
+def test_ingest_ids_are_labels_in_byte_order(per_line, block):
+    records = sorted(_FAST_RECORDS + (_PER_LINE_RECORDS if per_line else []), key=lambda r: r[2])
+    text = "".join(f"{s},{t},{ts}\n" for s, t, ts in records)
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks put equal labels in different blocks
+        mp.setattr("polarnet.graph._BLOCK_CHARS", block)
+        edges = _ingest(text)
+    kept = [(s.strip(), t.strip(), ts) for s, t, ts in records if s != t]
+    assert edges.labels == tuple(sorted({label for s, t, _ in kept for label in (s, t)}))
+    assert edges.labels[:4] == ("ab", "abcdefgh", "abcdefgh1", "abcdefgh2")
+    assert edges.label_ids == {label: i for i, label in enumerate(edges.labels)}
+    arcs = [(edges.labels[s], edges.labels[t], ts)
+            for s, t, ts in zip(edges.sources.tolist(), edges.targets.tolist(), edges.timestamps.tolist())]
+    assert arcs == kept
+    assert edges.dropped_self_loops == 1
+    want = oracles.ingest_reference(text)
+    assert (edges.labels, edges.sources.tolist(), edges.targets.tolist()) == (
+        want["labels"], want["sources"], want["targets"])
+    from_arcs = TemporalEdgeSet.from_arcs([(s.strip(), t.strip(), ts) for s, t, ts in records])
+    assert from_arcs.labels == edges.labels
+    assert from_arcs.sources.tolist() == edges.sources.tolist()
+    assert from_arcs.dropped_self_loops == 1
+
+
 def test_ingest_matches_reference_parser_on_synthetic_file():
     rng = np.random.default_rng(11)
     lines = []

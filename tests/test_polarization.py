@@ -217,7 +217,7 @@ def test_window_series_single_window_matches_global_call():
     und, part = figure2_instance()
     arcs = [(f"v{u}", f"v{v}", 10) for u, v in und.edge_pairs().tolist()]
     edges = TemporalEdgeSet.from_arcs(arcs)
-    # labels arrive in first-seen order, so remap the partition to match
+    # ids are the sorted labels (v0, v1, v10, v11, v2, ...), so remap the partition to match
     remap = [int(lbl[1:]) for lbl in edges.labels]
     part_aligned = Partition.from_assignment(part.assignment[remap])
     windows = slice_windows(edges, 86400)

@@ -14,6 +14,7 @@ from polarnet.graph import underlying_undirected, undirected_from_edges
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
     FAMILIES,
+    MAX_DAYS,
     GeneratorSpec,
     _proposals,
     configuration_rewire,
@@ -316,6 +317,30 @@ def test_temporal_edges_stamps_and_labels():
     assert spread.timestamps.tolist() == expected.tolist()
     with pytest.raises(ValueError, match="days must be non-negative"):
         out.temporal_edges(days=-1)
+
+
+def test_temporal_edges_days_stop_at_the_int64_seconds_limit():
+    # one arc, so the largest span stamps a single value
+    out = generate(GeneratorSpec("star", {"n_leaves": 1}))
+    (stamp,) = out.temporal_edges(days=MAX_DAYS).timestamps.tolist()
+    assert 0 <= stamp < MAX_DAYS * 86400 <= 2**63 - 1 < (MAX_DAYS + 1) * 86400
+    with pytest.raises(ValueError, match=f"days must be at most {MAX_DAYS}, got {MAX_DAYS + 1}"):
+        out.temporal_edges(days=MAX_DAYS + 1)
+
+
+def test_generator_spec_is_frozen_and_hashable():
+    params = {"sizes": [3, 4]}
+    spec = GeneratorSpec("disjoint-cliques", params, seed=2)
+    params["sizes"].append(5)
+    same = GeneratorSpec("disjoint-cliques", {"sizes": (3, 4)}, seed=2)
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same, GeneratorSpec("disjoint-cliques", {"sizes": [4, 3]}, seed=2)}) == 2
+    assert spec.parameters == {"sizes": (3, 4)}
+    with pytest.raises(TypeError):
+        spec.parameters["sizes"] = (1,)
+    assert generate(spec).arc_pairs.tolist() == generate(same).arc_pairs.tolist()
+    planted = GeneratorSpec("planted-partition", {"block_sizes": [3, 2], "p_in": 0.5, "p_out": 0.1})
+    assert generate(planted).n == 5
 
 
 def test_generate_configuration_model_from_base():
