@@ -65,6 +65,11 @@ EXIT_INFEASIBLE = 4
 
 def _add_ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="edge-list file (source,target,timestamp)")
+    _add_format_args(p)
+
+
+def _add_format_args(p: argparse.ArgumentParser) -> None:
+    """The flags that say how to read --input."""
     p.add_argument("--delimiter", default=",", help="field separator (default ',')")
     p.add_argument("--header", action="store_true", help="skip the first line")
     p.add_argument("--strict", action="store_true",
@@ -317,9 +322,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
     base = None
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            edges = ingest_edge_list(fh, IngestOptions())
-        base = underlying_undirected(build_directed_graph(edges))
+        base = underlying_undirected(build_directed_graph(_load_edges(args)))
+    else:
+        given = [flag for flag, on in (("--delimiter", args.delimiter != ","), ("--header", args.header),
+                                       ("--strict", args.strict)) if on]
+        if given:
+            raise ValueError(f"{', '.join(given)} {'needs' if len(given) == 1 else 'need'} --input")
 
     output = generate(GeneratorSpec(family=args.family, parameters=params, seed=args.seed), base)
     arcs = output.temporal_edges(args.days, args.seed)
@@ -399,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=_days, default=0,
                    help="spread timestamps uniformly over this many days (default: all zero)")
     p.add_argument("--input", default=None, help="base graph for configuration-model")
+    _add_format_args(p)
     for flag, name, kind, text in _SYNTH_PARAMETERS:
         p.add_argument(flag, dest=name, type=kind, default=None, help=text)
     p.set_defaults(func=cmd_synth)

@@ -72,8 +72,8 @@ class TemporalEdgeSet:
         if len(self.label_ids) != n:
             raise ValueError("label index is not a bijection")
         if len(self.sources) > 0:
-            ids = np.concatenate([self.sources, self.targets])
-            if ids.min() < 0 or ids.max() >= n:
+            lowest = min(self.sources.min(), self.targets.min())
+            if lowest < 0 or max(self.sources.max(), self.targets.max()) >= n:
                 raise ValueError("arc endpoint outside the vertex index")
             if self.timestamps.min() < 0:
                 raise ValueError("timestamps must be non-negative")
@@ -181,12 +181,25 @@ class UndirectedView:
 # 1 MiB page-faulted twice as much fresh memory per call for their numpy
 # temporaries, and spent twice the system time doing it.
 _BLOCK_CHARS = 1 << 18
-# 18 digits stay below 2**63, so a fast timestamp never overflows int64.
-_FAST_DIGITS = 18
+# A fast timestamp is read from two 8-byte words, and 16 digits stay below
+# 2**63, so it never overflows int64.
+_FAST_DIGITS = 16
 _INT64_MAX = int(np.iinfo(_INT).max)
-# _WORD_MASKS[k] keeps the low k bytes of a little-endian uint64 word
+# _WORD_MASKS[k] keeps the low k bytes of a little-endian uint64 word, and
+# _TOP_MASKS[k] its high k bytes
 _WORD_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+_TOP_MASKS = ~_WORD_MASKS[::-1]
 _NEWLINE = ord("\n")
+# The zero bytes around a block's text in its padded copy: a timestamp's
+# two words start up to 16 bytes before its newline, and a label word may
+# start at any byte of the text.
+_FRONT = bytes(16)
+_BACK = bytes(7)
+# "0", 0x76 and 0x80 in every byte of a word
+_ZERO_DIGITS, _PLUS_118, _HIGH_BITS = (np.uint64(byte * 0x0101010101010101) for byte in (0x30, 0x76, 0x80))
+# (multiplier, shift, mask) of each step that merges pairs of decimal fields
+_MERGES = tuple((np.uint64(10**k), np.uint64(8 * k), np.uint64(mask)) for k, mask in (
+    (1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF)))
 
 
 def _parse_line(raw: str, opts: IngestOptions) -> tuple[str, str, int] | tuple[()] | None:
@@ -234,13 +247,36 @@ def _blocks(stream: TextIO | Iterable[str]) -> Iterator[str]:
         yield tail + "\n"
 
 
+def _decimal_words(words: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number that the last ``digits[i]`` (0 to 8) bytes of little-endian
+    word ``words[i]`` spell in decimal, all eight at once; and a mask that is
+    nonzero where one of those bytes is not an ASCII digit.
+
+    The caller passes bytes below 0x80, so adding 0x76 to a byte sets its
+    high bit exactly when it is 10 or more and never carries.
+    """
+    v = words ^ _ZERO_DIGITS
+    v &= _TOP_MASKS[digits]
+    bad = v + _PLUS_118
+    bad |= v
+    bad &= _HIGH_BITS
+    # the lower byte holds the higher digit: merge digits into pairs, pairs
+    # into fours, fours into eights
+    for multiplier, shift, mask in _MERGES:
+        high = v >> shift
+        v *= multiplier
+        v += high
+        v &= mask
+    return v, bad
+
+
 class _FastLines:
     """Vector parse of the lines of a block that need none of the per-line rules.
 
     A line is fast when its only bytes that are a delimiter, ASCII
     whitespace or control (<= 0x20, 0x7F) or non-ASCII (>= 0x80) are
     delimiter, delimiter, newline; both labels are non-empty; it does not
-    start with the comment prefix; and its timestamp is 1 to 18 ASCII
+    start with the comment prefix; and its timestamp is 1 to 16 ASCII
     digits. Such a line is a valid record as it stands, with no stripping.
     """
 
@@ -254,17 +290,20 @@ class _FastLines:
         # an empty prefix makes every line a comment
         self.enabled = single and bool(self.prefix)
 
-    def scan(self, b: np.ndarray):
+    def scan(self, padded: np.ndarray, width: int):
         """Split a block of whole lines and parse its fast lines.
 
-        Returns the lines' start and end (newline) offsets, the indices of
-        the fast lines, their label words (sources, then targets) and their
-        timestamps.
+        ``padded`` is the block's bytes between ``_FRONT`` and ``_BACK``.
+        Returns the lines' start and end (newline) offsets in the block,
+        the indices of the fast lines, their label words (sources, then
+        targets; at least ``width`` words each) and their timestamps.
         """
+        front = len(_FRONT)
+        b = padded[front : len(padded) - len(_BACK)]
         if not self.enabled:
             ends = np.flatnonzero(b == _NEWLINE)
             none = np.empty(0, dtype=_INT)
-            return _starts(ends), ends, none, np.empty((0, 1), dtype=np.uint64), none
+            return _starts(ends), ends, none, np.zeros((width, 0), dtype=np.uint64), none
         # bytes <= 0x20 or >= 0x7F wrap to >= 0x5E after subtracting 0x21
         special = np.flatnonzero((b - np.uint8(0x21) >= 0x5E) | (b == self.delimiter))
         kinds = b[special]
@@ -273,66 +312,173 @@ class _FastLines:
         starts = _starts(ends)
         rows = np.flatnonzero(np.diff(k, prepend=-1) == 3)
         k = k[rows]
-        d1, d2 = special[k - 2], special[k - 1]
-        s, e = starts[rows], ends[rows]
-        digits = e - d2 - 1
+        s, d1, d2, e = starts[rows], special[k - 2], special[k - 1], ends[rows]
+        # the lengths of the two labels and of the timestamp
+        n1, n2, digits = d1 - s, d2 - d1 - 1, e - d2 - 1
+
+        # the little-endian uint64 that starts at each byte of the padded block
+        view = np.ndarray((len(padded) - len(_BACK),), dtype="<u8", buffer=padded, strides=(1,))
+        # the 8 bytes that end at the newline hold the last 8 digits
+        stamps, bad = _decimal_words(view[e + (front - 8)], np.minimum(digits, 8))
+        # the 8 bytes before them hold digits 9 to 16, on the lines that have them
+        long = np.flatnonzero(digits > 8)
+        if len(long):
+            high, high_bad = _decimal_words(view[e[long] + (front - 16)], np.minimum(digits[long] - 8, 8))
+            stamps[long] += high * np.uint64(10**8)
+            bad[long] |= high_bad
         ok = (
             (kinds[k - 2] == self.delimiter) & (kinds[k - 1] == self.delimiter)
-            & (d1 > s) & (d2 > d1 + 1) & (digits >= 1) & (digits <= _FAST_DIGITS)
+            & (n1 > 0) & (n2 > 0) & (digits > 0) & (digits <= _FAST_DIGITS) & (bad == 0)
         )
-        comment = np.ones(len(rows), dtype=bool)
-        for j, byte in enumerate(self.prefix):
+        # s < e on every line, so only the prefix's later bytes need a bound
+        comment = b[s] == self.prefix[0]
+        for j, byte in enumerate(self.prefix[1:], start=1):
             comment &= (s + j < e) & (b[np.minimum(s + j, e)] == byte)
         ok &= ~comment
-        rows, s, d1, d2, e, digits = rows[ok], s[ok], d1[ok], d2[ok], e[ok], digits[ok]
-
-        stamps = np.zeros(len(rows), dtype=_INT)
-        ok = np.ones(len(rows), dtype=bool)
-        for j in range(int(digits.max(initial=0))):
-            # column j counts from the last digit; shorter stamps skip it
-            here = digits > j
-            digit = b[np.maximum(e - 1 - j, 0)] - np.uint8(ord("0"))
-            ok &= (digit < 10) | ~here
-            stamps += np.where(here, digit, 0).astype(_INT) * (10 ** j)
-        rows, s, d1, d2, stamps = rows[ok], s[ok], d1[ok], d2[ok], stamps[ok]
-        words = _label_words(b, np.concatenate([s, d1 + 1]), np.concatenate([d1 - s, d2 - d1 - 1]))
-        return starts, ends, rows, words, stamps
+        rows, s, d1, n1, n2, stamps = rows[ok], s[ok], d1[ok], n1[ok], n2[ok], stamps[ok]
+        words = _label_words(view, np.concatenate([s + front, d1 + (front + 1)]),
+                             np.concatenate([n1, n2]), width)
+        return starts, ends, rows, words, stamps.view(_INT)
 
 
 def _starts(ends: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], ends + 1])[:-1]
 
 
-def _label_words(b: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Byte strings ``b[start:start + length]`` as rows of big-endian uint64
-    words, zero-padded to the longest. Rows compare word by word, word 0
-    first, as the byte strings compare.
-
-    The words are read little-endian and byteswapped in place: a gather
-    through a big-endian view measured about 7 % slower over a whole ingest.
+def _label_words(view: np.ndarray, start: np.ndarray, length: np.ndarray, width: int) -> np.ndarray:
+    """The byte strings ``length[i]`` bytes long at ``start[i]`` in the buffer
+    of ``view`` (the uint64 at every byte offset, see ``_FastLines.scan``)
+    as columns of little-endian uint64 words, zero-padded: row ``j`` holds
+    bytes ``8j`` to ``8j + 7`` of every string. There are ``width`` rows, or
+    more if the longest string needs them.
     """
-    width = max(1, -(-int(length.max(initial=0)) // 8))
-    # a uint64 at every byte offset; 7 zero bytes pad the last ones
-    padded = np.concatenate([b, np.zeros(7, dtype=np.uint8)])
-    view = np.ndarray((len(b),), dtype="<u8", buffer=padded, strides=(1,))
-    words = np.empty((len(start), width), dtype=np.uint64)
-    for j in range(width):
+    needed = -(-int(length.max(initial=0)) // 8)
+    words = np.zeros((max(width, needed), len(start)), dtype=np.uint64)
+    if needed:
+        np.bitwise_and(view[start], _WORD_MASKS[np.minimum(length, 8)], out=words[0])
+    last = len(view) - 1
+    for j in range(1, needed):
         rest = np.clip(length - 8 * j, 0, 8)
-        words[:, j] = view[np.minimum(start + 8 * j, len(b) - 1)] & _WORD_MASKS[rest]
-    return words.byteswap(inplace=True)
+        np.bitwise_and(view[np.minimum(start + 8 * j, last)], _WORD_MASKS[rest], out=words[j])
+    return words
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense id of every row of label words (equal rows, equal ids), and the
-    distinct rows in id order, which is the byte order of their labels."""
-    # lexsort's last key is its primary one
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
-    ordered = words[order]
-    new = np.ones(len(words), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ids = np.empty(len(words), dtype=_INT)
+    """Dense id of every column of label words (equal columns, equal ids),
+    and the distinct columns in id order."""
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    ordered = words[:, order]
+    new = np.ones(len(order), dtype=bool)
+    if len(words) == 1:
+        np.not_equal(ordered[0, 1:], ordered[0, :-1], out=new[1:])
+    else:
+        new[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    ids = np.empty(len(order), dtype=_INT)
     ids[order] = np.cumsum(new) - 1
-    return ids, ordered[new]
+    return ids, ordered[:, new]
+
+
+class _LabelTable:
+    """The distinct labels of the fast lines read so far, as columns of label
+    words (see :func:`_label_words`), found through an open-addressing hash
+    table with linear probing. A label's id is its column, in order of
+    insertion; :meth:`in_byte_order` ranks the ids.
+    """
+
+    def __init__(self):
+        self.words = np.zeros((1, 64), dtype=np.uint64)
+        self.count = 0
+        self.slots = np.full(64, -1, dtype=np.int32)  # id per slot, -1 when empty
+
+    @property
+    def width(self) -> int:
+        return len(self.words)
+
+    def _home(self, words: np.ndarray) -> np.ndarray:
+        """The first slot each column of label words probes: the top bits of
+        a multiplicative hash. A zero word adds nothing to the hash, so a
+        label keeps its slot when the table widens."""
+        h = np.zeros(words.shape[1], dtype=np.uint64)
+        for j, word in enumerate(words):
+            h += word * np.uint64(((2 * j + 1) * 0x9E3779B97F4A7C15) & (2**64 - 1))
+        # fold the high half into the low one and multiply again, so that
+        # labels that differ only in a few bits of a few bytes still spread
+        h ^= h >> np.uint64(32)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        return (h >> np.uint64(65 - len(self.slots).bit_length())).astype(np.intp)
+
+    def _holds(self, found: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Whether each of the ids ``found`` in slots (-1: empty) is the
+        label in that column of ``words``."""
+        same = found >= 0
+        for j, word in enumerate(words):
+            same &= self.words[j][found] == word
+        return same
+
+    def ids(self, words: np.ndarray) -> np.ndarray:
+        """The id of every column of ``words`` (label words, at least as many
+        rows as the table has), adding the labels the table does not hold."""
+        if len(words) > self.width:
+            pad = np.zeros((len(words) - self.width, self.words.shape[1]), dtype=np.uint64)
+            self.words = np.concatenate([self.words, pad])
+        mask = len(self.slots) - 1
+        at = self._home(words)
+        found = self.slots[at]
+        same = self._holds(found, words)
+        ids = np.where(same, found, -1)
+        # the columns whose home slot holds another label walk on from there
+        todo = np.flatnonzero((found >= 0) ^ same)
+        at = at[todo]
+        while len(todo):
+            at = (at + 1) & mask
+            found = self.slots[at]
+            same = self._holds(found, words[:, todo])
+            ids[todo[same]] = found[same]
+            step = (found >= 0) ^ same
+            todo, at = todo[step], at[step]
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            fresh, distinct = _distinct_rows(words[:, new])
+            ids[new] = self.count + fresh
+            self._add(distinct)
+        return ids
+
+    def _add(self, distinct: np.ndarray) -> None:
+        """Insert labels that the table does not hold, as the next ids."""
+        old, self.count = self.count, self.count + distinct.shape[1]
+        if self.count > self.words.shape[1]:
+            grown = np.zeros((self.width, 1 << (self.count - 1).bit_length()), dtype=np.uint64)
+            grown[:, :old] = self.words[:, :old]
+            self.words = grown
+        self.words[:, old : self.count] = distinct
+        if 8 * self.count <= len(self.slots):
+            self._place(np.arange(old, self.count, dtype=_INT))
+            return
+        # keep at most an eighth of the slots full, so that most labels sit
+        # in their first slot: rehash every label into a larger table
+        self.slots = np.full(8 << self.count.bit_length(), -1, dtype=np.int32)
+        self._place(np.arange(self.count, dtype=_INT))
+
+    def _place(self, ids: np.ndarray) -> None:
+        """Put the ids of labels that no slot holds yet into free slots."""
+        at = self._home(self.words[:, ids])
+        while len(ids):
+            free = self.slots[at] < 0
+            # of the labels that reach one free slot, one write lands there
+            self.slots[at[free]] = ids[free]
+            lost = self.slots[at] != ids
+            ids, at = ids[lost], (at[lost] + 1) & (len(self.slots) - 1)
+
+    def in_byte_order(self) -> tuple[list[str], np.ndarray]:
+        """The labels sorted by their bytes, and each id's place among them."""
+        words = self.words[:, : self.count]
+        # big-endian words compare as the bytes do; lexsort's last key is its primary one
+        order = np.lexsort(words.byteswap()[::-1])
+        rank = np.empty(self.count, dtype=_INT)
+        rank[order] = np.arange(self.count, dtype=_INT)
+        # fast labels are ASCII without NUL bytes, so zero padding ends each one
+        names = np.ascontiguousarray(words[:, order].T).view(f"S{8 * self.width}").ravel()
+        return names.astype(str).tolist(), rank
 
 
 def _merge_labels(names: list[str], *columns: Iterable[str]
@@ -349,23 +495,32 @@ def _merge_labels(names: list[str], *columns: Iterable[str]
 
 
 def _edge_set(names: list[str], src: np.ndarray, tgt: np.ndarray, ts: np.ndarray,
-              malformed: int = 0) -> TemporalEdgeSet:
+              malformed: int = 0, loops: int = 0) -> TemporalEdgeSet:
     """The arcs ``src[i] -> tgt[i]`` over ids into ``names`` (sorted), with
-    self-loops dropped and counted and the labels no kept arc touches dropped."""
+    self-loops dropped and counted on top of ``loops`` dropped before, and
+    the labels no kept arc touches dropped.
+
+    The arrays become the edge set's own when nothing is dropped."""
     kept = src != tgt
-    src, tgt, ts = src[kept], tgt[kept], ts[kept]
+    if not kept.all():
+        loops += len(kept) - int(np.count_nonzero(kept))
+        src, tgt, ts = src[kept], tgt[kept], ts[kept]
     used = np.zeros(len(names), dtype=bool)
     used[src] = True
     used[tgt] = True
-    remap = np.cumsum(used) - 1
-    labels = tuple(itertools.compress(names, used.tolist()))
+    if used.all():
+        labels = tuple(names)
+    else:
+        remap = np.cumsum(used) - 1
+        labels = tuple(itertools.compress(names, used.tolist()))
+        src, tgt = remap[src], remap[tgt]
     return TemporalEdgeSet(
-        sources=remap[src],
-        targets=remap[tgt],
+        sources=src,
+        targets=tgt,
         timestamps=ts,
         labels=labels,
         label_ids=dict(zip(labels, range(len(labels)))),
-        dropped_self_loops=len(kept) - len(src),
+        dropped_self_loops=loops,
         malformed_lines=malformed,
     )
 
@@ -390,23 +545,30 @@ def ingest_edge_list(
 
     The stream is read in blocks of about 256 KiB. Lines that are records as
     they stand (no padding, ASCII, two single-byte delimiters, a timestamp
-    of at most 18 digits) are parsed as whole numpy columns; a multi-byte,
+    of at most 16 digits) are parsed as whole numpy columns, a timestamp
+    from the one or two 8-byte words that end at its newline; a multi-byte,
     whitespace or digit delimiter turns this off. Every other line (blank,
-    comment, padded, non-ASCII or malformed) goes through the per-line
-    rules of ``_parse_line``. On a 2-core x86-64 VM that is about 0.6 µs
-    per fast line and 2.5 µs per other line. Each block's labels are
-    deduplicated by one sort of their big-endian 8-byte words, and the
-    blocks' distinct labels by one more, which leaves them in byte order:
-    code-point order, for UTF-8. Labels from the per-line rules are merged
-    in by a string sort. Besides one block and the distinct labels, ingest
-    holds 32 bytes per fast record line (two label ids, a line number and a
-    timestamp) and four Python objects per other record line.
+    comment, padded, non-ASCII, malformed, or with a longer timestamp) goes
+    through the per-line rules of ``_parse_line``. On a 2-core x86-64 VM
+    that is about 0.3 µs per fast line and 2.5 µs per other line. Fast
+    labels are looked up by their 8-byte words in a hash table of the
+    distinct labels read so far, and only the block's new labels are
+    sorted; one sort of the table by its big-endian words at the end puts
+    the labels in byte order: code-point order, for UTF-8. Labels from the
+    per-line rules are merged in by a string sort. Besides one block,
+    ingest holds while it reads: for each distinct fast label, 8 to 16
+    bytes per 8-byte word of the longest one and 32 to 64 bytes of hash
+    slots; 24 bytes per fast record line (two 4-byte label ids, a line
+    number and a timestamp); and four Python objects per other record line.
     """
     opts = options or IngestOptions()
     fast = _FastLines(opts)
-    # per block: fast line numbers, label ids (sources, then targets) into
-    # the block's distinct label words, and timestamps
-    lines, label_ids, label_words, stamps = [], [], [], []
+    table = _LabelTable()
+    # per block: the line numbers, source and target label ids (in the
+    # table's order of insertion) and timestamps of the fast records that
+    # are no self-loops
+    lines, sources, targets, stamps = [], [], [], []
+    loops = 0
     # records from the per-line rules, kept as flat columns: a tuple per
     # record would be tracked by the garbage collector and rescanned
     slow_lines: list[int] = []
@@ -420,12 +582,13 @@ def ingest_edge_list(
             text = text[text.index("\n") + 1 :]
             base = 1
         buf = text.encode("utf-8", "surrogatepass")
-        b = np.frombuffer(buf, dtype=np.uint8)
-        starts, ends, rows, words, ts = fast.scan(b)
+        starts, ends, rows, words, ts = fast.scan(
+            np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), table.width)
         rest = np.ones(len(ends), dtype=bool)
         rest[rows] = False
+        rest = np.flatnonzero(rest)
         ascii_block = len(buf) == len(text)  # byte offsets are then text offsets
-        for i, lo, hi in zip(*(a[rest].tolist() for a in (np.arange(len(ends)), starts, ends))):
+        for i, lo, hi in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
             raw = text[lo:hi] if ascii_block else buf[lo:hi].decode("utf-8", "surrogatepass")
             record = _parse_line(raw, opts)
             if record is None:
@@ -442,26 +605,23 @@ def ingest_edge_list(
                 slow_src.append(source)
                 slow_tgt.append(target)
                 slow_ts.append(stamp)
-        ids, distinct = _distinct_rows(words)
+        ids = table.ids(words)
+        src, tgt = ids[: len(rows)], ids[len(rows) :]
+        kept = src != tgt
+        if not kept.all():
+            loops += len(kept) - int(np.count_nonzero(kept))
+            rows, src, tgt, ts = rows[kept], src[kept], tgt[kept], ts[kept]
         lines.append(base + 1 + rows)
-        label_ids.append(ids)
-        label_words.append(distinct)
+        sources.append(src)
+        targets.append(tgt)
         stamps.append(ts)
         base += len(ends)
 
-    # one id space over the blocks' distinct labels, in byte order
-    width = max((w.shape[1] for w in label_words), default=1)
-    merged, distinct = _distinct_rows(
-        np.concatenate([np.zeros((0, width), dtype=np.uint64)]
-                       + [np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in label_words])
-    )
-    # fast labels are ASCII without NUL bytes, so zero padding ends each one
-    names = np.ascontiguousarray(distinct, dtype=">u8").view(f"S{8 * width}").ravel().astype(str).tolist()
-    offsets = np.cumsum([0] + [len(w) for w in label_words])
-    ids = [merged[offset + block] for offset, block in zip(offsets.tolist(), label_ids)]
-    src = np.concatenate([np.zeros(0, dtype=_INT)] + [a[: len(a) // 2] for a in ids])
-    tgt = np.concatenate([np.zeros(0, dtype=_INT)] + [a[len(a) // 2 :] for a in ids])
-    ts = np.concatenate([np.zeros(0, dtype=_INT)] + stamps)
+    names, rank = table.in_byte_order()
+    none = [np.zeros(0, dtype=_INT)]
+    src = np.concatenate(none + [rank[a] for a in sources])
+    tgt = np.concatenate(none + [rank[a] for a in targets])
+    ts = np.concatenate(none + stamps)
     if slow_lines:
         names, remap, (src_ids, tgt_ids) = _merge_labels(names, slow_src, slow_tgt)
         line_no = np.concatenate(lines + [np.asarray(slow_lines, dtype=_INT)])
@@ -471,7 +631,7 @@ def ingest_edge_list(
         # back to line order
         order = np.argsort(line_no, kind="stable")
         src, tgt, ts = src[order], tgt[order], ts[order]
-    return _edge_set(names, src, tgt, ts, malformed)
+    return _edge_set(names, src, tgt, ts, malformed, loops)
 
 
 # Output bytes write_edge_list assembles at a time. Its largest temporaries

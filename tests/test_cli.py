@@ -210,6 +210,45 @@ def test_synth_refuses_days_past_the_int64_seconds_limit(tmp_path, capsys):
     assert 0 <= int(line.split(",")[2]) < MAX_DAYS * 86400
 
 
+@pytest.mark.parametrize("given, message", [
+    (["--delimiter", ";"], "--delimiter needs --input"),
+    (["--header"], "--header needs --input"),
+    (["--strict", "--delimiter", ";"], "--delimiter, --strict need --input"),
+], ids=["delimiter", "header", "two"])
+def test_synth_refuses_ingest_flags_without_input(tmp_path, capsys, given, message):
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", "star", "--leaves", "3", *given, "--out", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_synth_reads_its_input_with_the_ingest_flags(tmp_path, capsys):
+    # a 12-ring with chords, as a comma file and as a tab-separated one with
+    # a header and a malformed line; read as a comma file, the latter holds no arc
+    rows = [f"u{i},u{(i + step) % 12},{i}" for step in (1, 3, 5) for i in range(12)]
+    (tmp_path / "base.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    tab_rows = ["src\tdst\tts", "broken"] + [row.replace(",", "\t") for row in rows]
+    (tmp_path / "base.tsv").write_text("\n".join(tab_rows) + "\n", encoding="utf-8")
+    flags = ["--delimiter", "\t", "--header"]
+    assert run_cli("ingest-check", "--input", str(tmp_path / "base.tsv"), *flags) == 0
+    assert "arcs: 36" in capsys.readouterr().out
+
+    def synth(base, out, *extra):
+        return run_cli("synth", "--family", "configuration-model", "--input", str(tmp_path / base),
+                       "--seed", "5", "--out", str(tmp_path / out), *extra)
+
+    assert synth("base.tsv", "bare", "--swaps", "1") == 2
+    assert capsys.readouterr().err == "error: rewiring needs at least two edges\n"
+    assert synth("base.csv", "comma") == 0
+    comma = capsys.readouterr().out
+    assert synth("base.tsv", "tab", *flags) == 0
+    assert capsys.readouterr().out == comma.replace("comma", "tab")
+    assert (tmp_path / "tab" / "edges.csv").read_bytes() == (tmp_path / "comma" / "edges.csv").read_bytes()
+    assert synth("base.tsv", "strict", *flags, "--strict") == 3
+    assert "malformed record at line 2" in capsys.readouterr().err
+    assert not (tmp_path / "strict").exists()
+
+
 @pytest.mark.parametrize("family, given, flag, text", [
     ("planted-partition", ["--blocks", "3,x", "--p-in", "0.5", "--p-out", "0.1"], "--blocks", "3,x"),
     ("disjoint-cliques", ["--sizes", "4,,y"], "--sizes", "4,,y"),

@@ -17,7 +17,9 @@ so the aggregated levels are pinned too. The
 `polarization windows` cases run five hourly windows (one of them empty) over
 three groups, tracked by name and by index; their bytes were captured from the
 per-window series and the `json.dump` writer that preceded the all-window
-series and the direct report writer.
+series and the direct report writer. The two `synth configuration-model tab`
+cases read the same base as a tab-separated file with a header line, through
+`--delimiter` and `--header`, and must equal their comma twins byte for byte.
 
 ``PYTHONPATH=src python tests/test_cli_outputs.py`` captures the cases that
 `cli_outputs.json` does not hold yet and leaves every pinned case as it is. If
@@ -49,6 +51,9 @@ EDGES = "a,b,0\na,c,0\nd,e,0\ne,f,0\n"
 PARTITION = "#meta,0,left\na,0\nb,0\nc,1\nd,1\ne,1\nf,1\n"
 # base graph for configuration-model: a 12-ring with chords to i + 3 and i + 5
 BASE = "".join(f"u{i},u{(i + step) % 12},{i}\n" for step in (1, 3, 5) for i in range(12))
+# the same base as a tab-separated file with a header line: its synth cases
+# read it with --delimiter and --header and must equal their comma twins
+BASE_TAB = "source\ttarget\ttime\n" + BASE.replace(",", "\t")
 # communities graph: a ring of ten triangles, each joined to the next by one
 # edge, plus four chords; Louvain merges neighbouring triangles at level 1
 RING = "".join(
@@ -116,6 +121,10 @@ def _cases() -> dict[str, list[str]]:
         for days in ("0", "3"):
             cases[f"synth {family} days {days}"] = [
                 "synth", "--family", family, *args, "--days", days, "--out", "out"]
+    for days in ("0", "3"):
+        cases[f"synth configuration-model tab days {days}"] = [
+            "synth", "--family", "configuration-model", "--input", "base.tsv", "--delimiter", "\t",
+            "--header", *SYNTH_RUNS["configuration-model"][2:], "--days", days, "--out", "out"]
     for run, args in COMMUNITIES_RUNS.items():
         cases[f"communities {run}"] = [
             "communities", "--input", "ring.csv", "--out", "out/partition.csv", *args]
@@ -131,6 +140,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "edges.csv").write_text(EDGES, encoding="utf-8")
         (case_dir / "part.csv").write_text(PARTITION, encoding="utf-8")
         (case_dir / "base.csv").write_text(BASE, encoding="utf-8")
+        (case_dir / "base.tsv").write_text(BASE_TAB, encoding="utf-8")
         (case_dir / "ring.csv").write_text(RING, encoding="utf-8")
         (case_dir / "windows.csv").write_text(WINDOWS, encoding="utf-8")
         (case_dir / "part3.csv").write_text(PARTITION3, encoding="utf-8")
@@ -155,6 +165,14 @@ def test_output_matrix_is_byte_identical(tmp_path):
     assert sorted(actual) == sorted(expected)
     for name in expected:
         assert actual[name] == expected[name], name
+
+
+def test_tab_delimited_base_gives_its_comma_twins_bytes():
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    for days in ("0", "3"):
+        tab = expected[f"synth configuration-model tab days {days}"]
+        assert tab == expected[f"synth configuration-model days {days}"]
+        assert tab["exit"] == 0 and tab["files"]["edges.csv"]
 
 
 def test_synth_runs_pin_every_family():

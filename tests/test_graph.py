@@ -212,6 +212,56 @@ def test_ingest_ids_are_labels_in_byte_order(per_line, block):
     assert from_arcs.dropped_self_loops == 1
 
 
+def _assert_ingest_matches_reference(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("polarnet.graph._BLOCK_CHARS", block)
+        edges = _ingest(text)
+    want = oracles.ingest_reference(text)
+    for name in ("sources", "targets", "timestamps"):
+        assert getattr(edges, name).tolist() == want[name], name
+    for name in ("labels", "label_ids", "dropped_self_loops", "malformed_lines"):
+        assert getattr(edges, name) == want[name], name
+
+
+_STAMP_DIGITS = (1, 7, 8, 9, 15, 16, 17, 18, 19)
+# below "0", above "9", a letter, and three that int() treats specially
+_NON_DIGITS = "/:a_+-"
+
+
+@pytest.mark.parametrize("digits", _STAMP_DIGITS)
+@pytest.mark.parametrize("block", (1, 3, 16, 1 << 20))
+def test_ingest_timestamp_boundaries(digits, block):
+    # the first record's stamp ends 5 bytes into its block, and with blocks
+    # of a few characters every record starts a block of its own
+    stamps = ["7", "9" * digits, "1" + "0" * (digits - 1), "0" * (digits - 1) + "5", "0" * digits,
+              "1234567890123456789"[:digits]]
+    for position in range(digits):
+        for byte in _NON_DIGITS:
+            stamp = list("9876543210987654321"[:digits])
+            stamp[position] = byte
+            stamps.append("".join(stamp))
+    text = "".join(f"{'ab'[i % 2]},{'ba'[i % 2]},{stamp}\n" for i, stamp in enumerate(stamps))
+    _assert_ingest_matches_reference(text, block)
+
+
+@pytest.mark.parametrize("block", (1, 3, 16, 1 << 20))
+def test_ingest_label_table_growth(block):
+    # labels of 1 to 3 words, many tied in their first word or two, most of
+    # them first named late in the file; a few thousand short labels in all
+    rng = np.random.default_rng(5)
+    prefixes = ("", "abcdefgh", "abcdefghabcdefgh")
+    lines = []
+    for i in range(3000):
+        source = f"{prefixes[i % 3]}{i}"
+        target = f"{prefixes[rng.integers(3)]}{rng.integers(i + 1)}"
+        lines.append(f"{source},{target},{rng.integers(10**9)}")
+        if i % 97 == 0:
+            lines.append(f"{source},{source},{i}")
+        if i % 89 == 0:
+            lines.append(f"{source},{target}")
+    _assert_ingest_matches_reference("\n".join(lines) + "\n", block)
+
+
 def test_ingest_matches_reference_parser_on_synthetic_file():
     rng = np.random.default_rng(11)
     lines = []
