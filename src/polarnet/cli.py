@@ -26,7 +26,6 @@ from .domination import (
     domination_to_dict,
     greedy_pdds,
     group_spreaders,
-    in_group_curve,
     in_group_domination,
     network_domination_by_group,
     write_domination_csv,
@@ -210,11 +209,10 @@ def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
         if args.curve:
             if i is None:
                 curve = coverage_curve(g, max_spreaders=args.max_spreaders)
-            elif args.mode == "network-by-group":
-                cand = group_spreaders(g, part, i)
-                curve = coverage_curve(g, candidates=cand, max_spreaders=args.max_spreaders)
             else:
-                curve = in_group_curve(g, part, i, args.max_spreaders)
+                cand = group_spreaders(g, part, i)
+                targets = None if args.mode == "network-by-group" else part.members(i)
+                curve = coverage_curve(g, candidates=cand, cover_targets=targets, max_spreaders=args.max_spreaders)
             yield f"curve_{args.mode}_{slug}", curve
             continue
         for rho in args.rho:
@@ -420,10 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as err:
+    except (ParseError, FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
     except InfeasibleCoverageError as err:

@@ -1,10 +1,16 @@
 """Greedy partial dominating-set solving on directed graphs.
 
-A vertex v "spans" itself plus its out-neighbors, restricted to whatever
-target set needs covering. The greedy rule repeatedly picks the candidate
-with the largest uncovered span (ties to the lowest vertex id) until the
-requested fraction of targets is covered, which carries the standard
-H(delta+1) approximation guarantee for this objective.
+Every run solves one problem: candidates C cover a fraction rho of targets
+T. A vertex v "spans" itself plus its out-neighbors, restricted to T. The
+greedy rule repeatedly picks the candidate with the largest uncovered span
+(ties to the lowest vertex id) until the requested fraction of targets is
+covered, which carries the standard H(delta+1) approximation guarantee for
+this objective. The group modes differ only in C and T, always on the full
+graph: a group's spreaders covering every vertex, or covering only the
+group's members. The latter equals a greedy on the group's induced
+subgraph, since a member's span with the group as T is exactly its span
+there, and that subgraph's ids keep the full graph's order, so ties go to
+the same vertex.
 
 The loop is the accelerated (lazy) greedy of Minoux (1978), known as CELF
 (Leskovec et al., KDD 2007): a heap keeps one possibly stale span per
@@ -18,7 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, TextIO
 
@@ -26,7 +32,7 @@ import numpy as np
 
 from .community import Partition
 from .errors import InfeasibleCoverageError
-from .graph import DirectedGraph, _directed, induced_subgraph
+from .graph import DirectedGraph, _directed, _distinct_keys
 
 _INT = np.int64
 
@@ -81,7 +87,7 @@ def coverage_target(rho: float, n_target: int) -> int:
 
 
 def _resolve_ids(g: DirectedGraph, ids: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-    arr = np.unique(np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=_INT))
+    arr = _distinct_keys(np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=_INT))
     if len(arr) and (arr[0] < 0 or arr[-1] >= g.n):
         bad = int(arr[0]) if arr[0] < 0 else int(arr[-1])
         raise ValueError(f"{what} id {bad} out of range for graph with {g.n} vertices")
@@ -298,30 +304,17 @@ def group_spreaders(g: DirectedGraph, p: Partition, i: int) -> np.ndarray:
     return members[g.out_degrees[members] > 0]
 
 
-def _in_group(g: DirectedGraph, p: Partition, i: int) -> tuple[DirectedGraph, np.ndarray, np.ndarray]:
-    """Group i's induced subgraph, its local -> global ids, and its spreaders in local ids."""
-    cand = group_spreaders(g, p, i)
-    sub, gids = induced_subgraph(g, p.members(i))
-    return sub, gids, np.searchsorted(gids, cand)
-
-
 def in_group_domination(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:
     """Cover a fraction of group i using only its own spreader members.
 
-    Spreader status comes from the full graph, so a member whose arcs all
-    leave the group still qualifies but covers only itself here. Vertex ids
-    in the result, feasible or not, refer to the full graph.
+    The targets are group i's members, on the full graph. Spreader status
+    comes from the full graph too, so a member whose arcs all leave the
+    group still qualifies but covers only itself. The result equals a
+    greedy on the group's induced subgraph, with ids in the full graph.
     """
-    sub, gids, cand = _in_group(g, p, i)
+    cand = group_spreaders(g, p, i)
     desc = f"group {i} spreaders, in-group targets ({len(cand)} candidates)"
-    result = _solve(sub, rho, cand, _target_mask(sub, None), desc)
-    return _feasible(replace(result, selected=tuple(int(gids[v]) for v in result.selected)))
-
-
-def in_group_curve(g: DirectedGraph, p: Partition, i: int, max_spreaders: int) -> list[tuple[int, float]]:
-    """Fraction of group i covered after 1..max_spreaders picks of its own spreaders."""
-    sub, _, cand = _in_group(g, p, i)
-    return coverage_curve(sub, candidates=cand, max_spreaders=max_spreaders)
+    return _feasible(_solve(g, rho, cand, p.assignment == i, desc))
 
 
 def network_domination_by_group(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:

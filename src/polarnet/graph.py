@@ -815,25 +815,3 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
         start += granularity
     return windows
 
-
-def induced_subgraph(g: DirectedGraph, vertices: Iterable[int]) -> tuple[DirectedGraph, np.ndarray]:
-    """Subgraph on ``vertices`` with arcs whose endpoints both lie in the set.
-
-    Ids are re-indexed densely; the second return value maps local id ->
-    original id (sorted ascending), making the re-indexing recoverable.
-    """
-    ids = _distinct_keys(np.asarray(list(vertices), dtype=_INT))
-    if len(ids) and (ids[0] < 0 or ids[-1] >= g.n):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise ValueError(f"vertex id {bad} out of range for graph with n={g.n}")
-    lookup = np.full(g.n, -1, dtype=_INT)
-    lookup[ids] = np.arange(len(ids), dtype=_INT)
-    src = lookup[g.arc_sources()]
-    dst = lookup[g.indices]
-    keep = (src >= 0) & (dst >= 0)
-    k = len(ids)
-    # lookup is increasing, so the kept arcs stay in (source, target) order
-    # and their keys are already distinct: no sort, and multiplicities carry over
-    src, dst = src[keep], dst[keep]
-    sub = DirectedGraph(n=k, indptr=_indptr(k, src), indices=dst, multiplicity=g.multiplicity[keep])
-    return sub, ids

@@ -270,7 +270,7 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     or that would create a self-loop or a duplicate edge, are rejected;
     ``swaps`` counts accepted ones. The proposals come from a stream seeded
     by ``seed``, so a seed always gives the same graph. Zero swaps returns
-    the graph unchanged. Raises RuntimeError if ``max(1000, 200 * swaps)``
+    the graph unchanged. Raises ValueError if ``max(1000, 200 * swaps)``
     proposals leave the swaps unfinished (e.g. on a complete graph, where
     no legal swap exists).
 
@@ -301,7 +301,7 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     budget = max(1000, 200 * swaps)
     while accepted < swaps:
         if attempts == budget:
-            raise RuntimeError(
+            raise ValueError(
                 f"degree-preserving rewire stalled: {accepted}/{swaps} swaps "
                 f"accepted after {budget} attempts"
             )

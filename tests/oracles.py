@@ -470,7 +470,7 @@ def rewire_reference(und: UndirectedView, swaps, proposals):
     (a, d) and (c, b). It is rejected when i == j, when it would make a
     self-loop, or when a new edge equals the other or is already present.
     Every proposal counts against ``max(1000, 200 * swaps)``; exhausting it
-    before ``swaps`` acceptances raises RuntimeError. Returns the sorted
+    before ``swaps`` acceptances raises ValueError. Returns the sorted
     edge list.
     """
     edges = [tuple(e) for e in und.edge_pairs().tolist()]
@@ -480,7 +480,7 @@ def rewire_reference(und: UndirectedView, swaps, proposals):
     accepted = attempts = 0
     while accepted < swaps:
         if attempts == budget:
-            raise RuntimeError(
+            raise ValueError(
                 f"degree-preserving rewire stalled: {accepted}/{swaps} swaps "
                 f"accepted after {budget} attempts"
             )
@@ -586,6 +586,17 @@ def random_digraph(n, p, rng) -> DirectedGraph:
 
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
     return directed_from_arcs(n, arcs)
+
+
+def induced_reference(g: DirectedGraph, members):
+    """The subgraph on ``members`` (sorted ids) and its local -> global ids,
+    built from the arcs with both ends inside; test oracle for in-group runs."""
+    from polarnet.graph import directed_from_arcs
+
+    gids = sorted(int(v) for v in members)
+    local = {v: i for i, v in enumerate(gids)}
+    arcs = [(local[u], local[int(v)]) for u in gids for v in g.out_neighbors(u) if int(v) in local]
+    return directed_from_arcs(len(gids), arcs), gids
 
 
 def random_grouping(n, k, rng):

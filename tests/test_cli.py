@@ -249,6 +249,18 @@ def test_synth_reads_its_input_with_the_ingest_flags(tmp_path, capsys):
     assert not (tmp_path / "strict").exists()
 
 
+def test_synth_configuration_model_without_a_legal_swap_is_an_argument_error(tmp_path, capsys):
+    # a 4-cycle with one chord: every double-edge swap makes a duplicate edge
+    base = tmp_path / "base.csv"
+    base.write_text("a,b,1\nb,c,2\nc,d,3\nd,a,4\na,c,5\n", encoding="utf-8")
+    out_dir = tmp_path / "x"
+    assert run_cli("synth", "--family", "configuration-model", "--input", str(base), "--out", str(out_dir)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree-preserving rewire stalled: 0/50 swaps accepted after 10000 attempts\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("family, given, flag, text", [
     ("planted-partition", ["--blocks", "3,x", "--p-in", "0.5", "--p-out", "0.1"], "--blocks", "3,x"),
     ("disjoint-cliques", ["--sizes", "4,,y"], "--sizes", "4,,y"),

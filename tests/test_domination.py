@@ -15,13 +15,12 @@ from polarnet.domination import (
     coverage_target,
     greedy_pdds,
     group_spreaders,
-    in_group_curve,
     in_group_domination,
     network_domination_by_group,
     spreaders,
 )
 from polarnet.errors import InfeasibleCoverageError
-from polarnet.graph import directed_from_arcs, induced_subgraph
+from polarnet.graph import directed_from_arcs
 from polarnet.synth import directed_cycle, star
 
 
@@ -299,7 +298,7 @@ def test_in_group_equals_manual_induced_run():
         part = Partition.from_assignment(oracles.random_grouping(n, 3, rng))
         i = int(rng.integers(0, 3))
         members = part.members(i)
-        sub, gids = induced_subgraph(g, members)
+        sub, gids = oracles.induced_reference(g, members)
         cand_local = np.searchsorted(gids, members[g.out_degrees[members] > 0])
         rho = 0.6
         try:
@@ -310,7 +309,7 @@ def test_in_group_equals_manual_induced_run():
             assert manual.value.max_coverable == err.max_coverable
             continue
         manual = greedy_pdds(sub, rho, candidates=cand_local)
-        assert [int(gids[v]) for v in manual.selected] == list(via_api.selected)
+        assert [gids[v] for v in manual.selected] == list(via_api.selected)
         assert manual.covered_after_step == via_api.covered_after_step
 
 
@@ -331,18 +330,24 @@ def _outcome(solve):
     st.integers(1, 6),
 )
 def test_in_group_runs_equal_full_graph_runs_on_group_targets(seed, n, p, k, rho, max_spreaders):
+    # in-group runs and curves target the group on the full graph; a greedy
+    # on the group's induced subgraph, built here, must agree with both
     rng = np.random.default_rng(seed)
     g = oracles.random_digraph(n, p, rng)
     part = Partition.from_assignment(oracles.random_grouping(n, min(k, n), rng))
     for i in range(part.k):
         cand, members = group_spreaders(g, part, i), part.members(i)
-        sub = _outcome(lambda: in_group_domination(g, part, i, rho))
+        sub, gids = oracles.induced_reference(g, members)
+        cand_local = np.searchsorted(gids, cand)
+        in_group = _outcome(lambda: in_group_domination(g, part, i, rho))
         full = _outcome(lambda: greedy_pdds(g, rho, candidates=cand, cover_targets=members))
-        assert sub.selected == full.selected
-        assert sub.covered_after_step == full.covered_after_step
-        assert (sub.target, sub.n_target, sub.feasible) == (full.target, full.n_target, full.feasible)
-        assert in_group_curve(g, part, i, max_spreaders) == coverage_curve(
-            g, candidates=cand, cover_targets=members, max_spreaders=max_spreaders
+        alone = _outcome(lambda: greedy_pdds(sub, rho, candidates=cand_local))
+        for result in (in_group, full):
+            assert result.selected == tuple(gids[v] for v in alone.selected)
+            assert result.covered_after_step == alone.covered_after_step
+            assert (result.target, result.n_target, result.feasible) == (alone.target, alone.n_target, alone.feasible)
+        assert coverage_curve(g, candidates=cand, cover_targets=members, max_spreaders=max_spreaders) == (
+            coverage_curve(sub, candidates=cand_local, max_spreaders=max_spreaders)
         )
 
 

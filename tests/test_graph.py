@@ -1,4 +1,4 @@
-"""Ingestion, graph construction, windowing, and subgraph extraction."""
+"""Ingestion, graph construction, and windowing."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from polarnet.graph import (
     build_directed_graph,
     directed_from_arcs,
     exclude_interval,
-    induced_subgraph,
     ingest_edge_list,
     slice_windows,
     underlying_undirected,
@@ -459,48 +458,6 @@ def test_exclude_interval_drops_arcs_keeps_universe():
     assert 20 not in trimmed.timestamps.tolist()
 
 
-def test_induced_subgraph_triangle():
-    g = directed_from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    sub, ids = induced_subgraph(g, [0, 1])
-    assert ids.tolist() == [0, 1]
-    assert sub.m == 1
-    assert sub.out_neighbors(0).tolist() == [1]
-
-
-def test_induced_subgraph_empty_selection():
-    g = directed_from_arcs(3, [(0, 1)])
-    sub, ids = induced_subgraph(g, [])
-    assert sub.n == 0
-    assert sub.m == 0
-    assert ids.tolist() == []
-
-
-def test_induced_subgraph_rejects_out_of_range():
-    g = directed_from_arcs(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [0, 5])
-
-
-def test_induced_subgraph_matches_filter_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        g = oracles.random_digraph(25, 0.15, rng)
-        keep = sorted(rng.choice(25, size=10, replace=False).tolist())
-        sub, ids = induced_subgraph(g, keep)
-        assert ids.tolist() == keep
-        expected = set()
-        for u in range(g.n):
-            for v in g.out_neighbors(u):
-                if u in keep and int(v) in keep:
-                    expected.add((keep.index(u), keep.index(int(v))))
-        got = {
-            (int(u), int(v))
-            for u in range(sub.n)
-            for v in sub.out_neighbors(u)
-        }
-        assert got == expected
-
-
 def test_directed_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         directed_from_arcs(3, [(0, 0)])
@@ -541,8 +498,8 @@ def _same_csr(got, want):
         assert np.array_equal(x, y)
 
 
-@given(graph=small_arc_lists(), keep=st.sets(st.integers(0, 11)), data=st.data())
-def test_builders_match_lexsort_reference(graph, keep, data):
+@given(graph=small_arc_lists(), data=st.data())
+def test_builders_match_lexsort_reference(graph, data):
     n, arcs = graph
     g = directed_from_arcs(n, arcs)
     _same_csr((g.indptr, g.indices, g.multiplicity), oracles.csr_reference(n, arcs))
@@ -566,10 +523,3 @@ def test_builders_match_lexsort_reference(graph, keep, data):
     for und in (underlying_undirected(g), undirected_from_edges(n, arcs)):
         assert und.m == len(pairs)
         _same_csr((und.indptr, und.indices), (indptr, indices))
-
-    ids = sorted(v for v in keep if v < n)
-    local = {v: i for i, v in enumerate(ids)}
-    sub, sub_ids = induced_subgraph(g, ids[::-1])
-    assert sub_ids.tolist() == ids
-    want = [(local[u], local[v]) for u, v in arcs if u in local and v in local]
-    _same_csr((sub.indptr, sub.indices, sub.multiplicity), oracles.csr_reference(len(ids), want))

@@ -5,14 +5,18 @@ Vertex ids are the sorted labels, so the whole pipeline (ingest,
 `dominate`) gives the same bytes whatever the line order, and an
 order-preserving rename of the labels changes only the labels it prints.
 Reversing every arc leaves the undirected view, and so `communities` and
-`polarization`, unchanged.
+`polarization`, unchanged. Writing every line twice changes only the counts
+`ingest-check` prints, and shifting every timestamp and the window origin by
+whole windows moves only the times and window labels the pipeline prints.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -30,7 +34,9 @@ DOMINATE_RUNS = (
     ["--mode", "network-by-group", "--groups", "0", "--rho", "0.9"],
     ["--mode", "in-group", "--groups", "0", "--rho", "0.7"],
     ["--mode", "unrestricted", "--curve", "--max-spreaders", "4"],
+    ["--mode", "in-group", "--groups", "0", "--curve", "--max-spreaders", "4"],
 )
+_HOUR = 3600
 
 
 @st.composite
@@ -55,9 +61,10 @@ def _run(work: Path, argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def _pipeline(work: Path, text: str, dominate: bool = True) -> dict[str, object]:
+def _pipeline(work: Path, text: str, dominate: bool = True, origin: int = 0) -> dict[str, object]:
     """Every output of the pipeline over ``text``, run in ``work``: the same
-    paths every time, so the configuration the reports echo is the same."""
+    paths every time, so the configuration the reports echo is the same.
+    Windows are hours from ``origin``."""
     edges, partition = work / "edges.csv", work / "partition.csv"
     edges.write_text(text, encoding="utf-8")
     if partition.exists():
@@ -67,7 +74,8 @@ def _pipeline(work: Path, text: str, dominate: bool = True) -> dict[str, object]
                                       "--seed", "3"])}
     out["partition"] = partition.read_text(encoding="utf-8")
     out["polarization"] = _run(work, ["polarization", "--input", str(edges), "--partition", str(partition),
-                                      "--window-seconds", "3600", "--groups", "0", "--format", "json"])
+                                      "--window-seconds", str(_HOUR), "--window-origin", str(origin),
+                                      "--groups", "0", "--format", "json"])
     if dominate:
         for n, args in enumerate(DOMINATE_RUNS):
             out[f"dominate {n}"] = _run(work, ["dominate", "--input", str(edges),
@@ -84,10 +92,10 @@ def _groups(partition_text: str) -> set[frozenset[str]]:
     return {frozenset(members) for members in groups.values()}
 
 
-def _run_both(first: str, second: str, dominate: bool = True):
+def _run_both(first: str, second: str, dominate: bool = True, origins: tuple[int, int] = (0, 0)):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        return _pipeline(work, first, dominate), _pipeline(work, second, dominate)
+        return _pipeline(work, first, dominate, origins[0]), _pipeline(work, second, dominate, origins[1])
 
 
 @settings(max_examples=60)
@@ -137,3 +145,44 @@ def test_order_preserving_rename_changes_only_labels(graph, data):
             ",".join([row[0], rename[row[1]], *row[2:]] if len(row) == 4 and row[0].isdigit() else row) + "\n"
             for row in rows))
     assert after == expected
+
+
+@settings(max_examples=40)
+@given(edge_files(), st.lists(st.sampled_from(["broken\n", "p,q,soon\n", "a,b,c,d\n"]), max_size=3))
+def test_duplicated_lines_change_only_ingest_counts(graph, malformed):
+    labels, records = graph
+    text = _text(labels, records) + "".join(malformed)
+    doubled = "".join(line * 2 for line in text.splitlines(keepends=True))
+    before, after = _run_both(text, doubled)
+    # arcs are deduplicated before every analysis; ingest-check counts lines
+    code, report = before.pop("ingest")
+    counted = ("arcs", "self-loops dropped", "malformed lines")
+    assert after.pop("ingest") == (code, "".join(
+        f"{name}: {2 * int(value)}\n" if name in counted else f"{name}: {value}\n"
+        for name, value in (line.split(": ", 1) for line in report.splitlines())))
+    assert after == before
+
+
+@settings(max_examples=40)
+@given(edge_files(), st.integers(0, _HOUR - 1), st.integers(0, 2_000_000))
+def test_time_shift_by_whole_windows_moves_only_times_and_labels(graph, origin, hours):
+    # up to about 7.2e9 s, so stamps take one or two ten-digit words
+    labels, records = graph
+    shift = hours * _HOUR
+    shifted = [(s, t, stamp + shift) for s, t, stamp in records]
+    before, after = _run_both(_text(labels, records), _text(labels, shifted), origins=(origin, origin + shift))
+
+    code, report = before.pop("ingest")
+    first, _, last = report.splitlines()[-1].removeprefix("time span: ").partition(" .. ")
+    report = report.replace(f"time span: {first} .. {last}", f"time span: {int(first) + shift} .. {int(last) + shift}")
+    assert after.pop("ingest") == (code, report)
+
+    code, text = before.pop("polarization")
+    doc = json.loads(text)
+    doc["config"]["window_origin"] = origin + shift
+    for window in doc["windows"]:
+        start = datetime.fromisoformat(window["label"]) + timedelta(seconds=shift)
+        window["label"] = start.strftime("%Y-%m-%dT%H:%M:%S")
+    after_code, after_text = after.pop("polarization")
+    assert (after_code, json.loads(after_text)) == (code, doc)
+    assert after == before

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -107,6 +107,34 @@ def test_decomposition_identity_on_random_pairs():
         part = Partition.from_assignment(oracles.random_grouping(n, int(rng.integers(2, 6)), rng))
         contributions = group_contributions(und, part)
         assert abs(contributions.sum() - modularity(und, part)) <= 1e-9
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """(n, edges, assignment): edges may repeat either way round, vertices
+    may have none, and every group index in [0, k) is used."""
+    n = draw(st.integers(2, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), min_size=1, max_size=60))
+    k = draw(st.integers(1, n))
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    return n, edges, draw(st.permutations(list(range(k)) + rest))
+
+
+@settings(max_examples=200)
+@given(graphs_with_isolated_vertices())
+def test_modularity_and_group_sum_match_networkx(graph):
+    # networkx computes Q on its own graph type, independent of this code
+    nx = pytest.importorskip("networkx")
+    n, edges, assignment = graph
+    und = undirected_from_edges(n, edges)
+    part = Partition.from_assignment(assignment)
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    want = nx.community.modularity(reference, [set(part.members(i).tolist()) for i in range(part.k)])
+    assert abs(modularity(und, part) - want) <= 1e-12
+    assert abs(float(group_contributions(und, part).sum()) - want) <= 1e-12
 
 
 def test_aggregate_form_matches_double_sum_oracle():
