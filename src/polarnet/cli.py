@@ -42,6 +42,7 @@ from .graph import (
     IngestOptions,
     TemporalEdgeSet,
     build_directed_graph,
+    check_interval,
     exclude_interval,
     ingest_edge_list,
     slice_windows,
@@ -83,6 +84,12 @@ def _add_exclusion_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_edges(args: argparse.Namespace) -> TemporalEdgeSet:
+    # checked first, so that a bad pair fails before a long ingest
+    start, end = getattr(args, "exclude_from", None), getattr(args, "exclude_to", None)
+    if (start is None) != (end is None):
+        raise ValueError("--exclude-from and --exclude-to must be given together")
+    if start is not None:
+        check_interval(start, end)
     options = IngestOptions(
         delimiter=args.delimiter,
         skip_header=args.header,
@@ -90,11 +97,7 @@ def _load_edges(args: argparse.Namespace) -> TemporalEdgeSet:
     )
     with open(args.input, "r", encoding="utf-8") as fh:
         edges = ingest_edge_list(fh, options)
-    if getattr(args, "exclude_from", None) is not None or getattr(args, "exclude_to", None) is not None:
-        if args.exclude_from is None or args.exclude_to is None:
-            raise ValueError("--exclude-from and --exclude-to must be given together")
-        edges = exclude_interval(edges, args.exclude_from, args.exclude_to)
-    return edges
+    return edges if start is None else exclude_interval(edges, start, end)
 
 
 def _load_partition_file(path: str, edges: TemporalEdgeSet) -> Partition:

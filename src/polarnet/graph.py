@@ -701,10 +701,15 @@ def _copy_segments(out: np.ndarray, at: np.ndarray, source: np.ndarray,
     out[np.repeat(at - base, length) + flat] = source[np.repeat(start - base, length) + flat]
 
 
-def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEdgeSet:
-    """Drop arcs with timestamp in [start, end), keeping the vertex universe intact."""
+def check_interval(start: int, end: int) -> None:
+    """Raise ValueError unless ``start`` precedes ``end``."""
     if start >= end:
         raise ValueError(f"exclusion start {start} must precede end {end}")
+
+
+def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEdgeSet:
+    """Drop arcs with timestamp in [start, end), keeping the vertex universe intact."""
+    check_interval(start, end)
     keep = (edges.timestamps < start) | (edges.timestamps >= end)
     return TemporalEdgeSet(
         sources=edges.sources[keep].copy(),
@@ -787,6 +792,10 @@ def underlying_undirected(g: DirectedGraph) -> UndirectedView:
     return _undirected(g.n, g.arc_sources(), g.indices)
 
 
+# 9999-12-31T23:59:59 UTC, the last second a window label can name
+LAST_LABELLED_SECOND = 253402300799
+
+
 def window_label(start: int, granularity: int) -> str:
     """Human label for a window: UTC date for day-multiple granularities."""
     dt = datetime.fromtimestamp(start, tz=timezone.utc)
@@ -799,7 +808,9 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
     """Consecutive equal-length windows aligned to ``origin`` covering all arcs.
 
     Returns an empty list for an empty edge set. The origin lets "day"
-    boundaries match any timezone convention.
+    boundaries match any timezone convention. Raises ValueError when a
+    window would start past ``LAST_LABELLED_SECOND``, which no label can
+    name.
     """
     if granularity <= 0:
         raise ValueError("granularity must be positive")
@@ -808,6 +819,12 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
         return []
     tmin, tmax = span
     first = origin + ((tmin - origin) // granularity) * granularity
+    last = first + ((tmax - first) // granularity) * granularity
+    if last > LAST_LABELLED_SECOND:
+        raise ValueError(
+            f"the window starting at {last} holds the largest stamp {tmax}, but windows "
+            f"can start at most at {LAST_LABELLED_SECOND} (9999-12-31T23:59:59 UTC)"
+        )
     windows = []
     start = first
     while start <= tmax:

@@ -34,6 +34,9 @@ from .graph import (
 _INT = np.int64
 # ends each sorted key array the rewire searches, so a search never runs off the end
 _SENTINEL = np.iinfo(_INT).max
+# a key's fate before a slow swap of the rewire: present (_TAKEN), absent
+# (_FREE), or absent until the later fast swap whose row the fate is adds it
+_TAKEN, _FREE = -2, -1
 # the most days whose seconds an int64 timestamp still holds
 MAX_DAYS = np.iinfo(_INT).max // 86400
 
@@ -101,9 +104,13 @@ def planted_partition(
 def _batch_size(m: int) -> int:
     """Proposals per batch of the rewire, and per block of its stream.
 
-    Sized so that about one proposal in eight shares an edge with an earlier
-    one of its batch and is re-checked in Python. At least 256: below that,
-    a batch's fixed numpy cost outweighs the Python re-checks it saves.
+    Sized so that about one proposal in eight is slow, mostly because it
+    shares an edge with an earlier one of its batch: 11-13 % on graphs of
+    35k-254k edges. Of the slow ones, 90-92 % are decided from the batch's
+    one vectorised lookup; 6-9 % read an edge that an earlier slow swap
+    changed and are searched for again in Python. Batches twice or half
+    this size were slower on those graphs. At least 256: below that, a
+    batch's fixed numpy cost outweighs the Python re-checks it saves.
     """
     return max(256, m // 16)
 
@@ -120,8 +127,20 @@ def _proposals(m: int, seed: int) -> Iterator[np.ndarray]:
         yield np.stack([rng.integers(0, m, size), rng.integers(0, m, size), rng.integers(0, 2, size)])
 
 
+def _swapped(ke: np.ndarray, kf: np.ndarray, flip: np.ndarray,
+             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys that swapping edges ``ke``, ``kf`` makes, and whether its
+    shape allows it: no self-loop, and two distinct new edges."""
+    a, b = np.divmod(ke, n)
+    c, d = np.divmod(kf, n)
+    c, d = np.where(flip, d, c), np.where(flip, c, d)
+    x = np.minimum(a, d) * n + np.maximum(a, d)
+    y = np.minimum(c, b) * n + np.maximum(c, b)
+    return x, y, (a != d) & (c != b) & (x != y)
+
+
 def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
-                j: np.ndarray, flip: np.ndarray) -> tuple[int, np.ndarray]:
+                j: np.ndarray, flip: np.ndarray) -> int:
     """Run proposals ``(i, j, flip)`` of the swap chain in order.
 
     ``keys[e]`` is edge e as ``lo * n + hi`` and is updated in place;
@@ -134,16 +153,19 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     makes a key nobody foresaw; a later fast swap that adds the same key is
     made slow too.
 
-    Returns how many proposals were accepted, and the updated ``present``.
+    The fast swaps are applied first. Then the new keys of every slow
+    proposal, and their fates (present, absent, or added by a later fast
+    swap), are looked up in one pass. The in-order loop takes a fate as
+    given unless an earlier slow swap changed one of the proposal's edges or
+    that key, or demoted the fast swap the fate comes from; only then does
+    it search for the key again.
+
+    Returns how many proposals were accepted.
     """
     k = len(i)
     t = np.arange(k)
     ki, kj = keys[i], keys[j]
-    a, b = np.divmod(ki, n)
-    c, d = np.divmod(kj, n)
-    c, d = np.where(flip, d, c), np.where(flip, c, d)
-    p = np.minimum(a, d) * n + np.maximum(a, d)
-    q = np.minimum(c, b) * n + np.maximum(c, b)
+    p, q, shaped = _swapped(ki, kj, flip, n)
     live = i != j  # i == j is rejected whatever the state
 
     # new keys in sorted order: membership is one cache-friendly search,
@@ -158,7 +180,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     same = ordered[1:] == ordered[:-1]
     twice[order[1:][same]] = twice[order[:-1][same]] = True
     shares_key = twice[:k] | twice[k:]
-    ok = live & (a != d) & (c != b) & (p != q) & ~in_p & ~in_q
+    ok = live & shaped & ~in_p & ~in_q
 
     # the first live proposal touching each edge
     owner = np.full(len(keys), k)
@@ -189,28 +211,47 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     change_keys = np.append(changes[by_change], _SENTINEL)
     change_codes = np.concatenate([np.tile(2 * fast, 2), np.tile(2 * fast + 1, 2)])[by_change]
 
+    # every slow proposal from its edges after the fast swaps: its new keys
+    # x, y (x = -1 when its shape rejects it) and their fates, which hold
+    # unless the loop below changes one of its edges or keys, or demotes the
+    # fast swap a fate comes from
+    slow_rows = np.flatnonzero(slow)
+    ke, kf, flipped = keys[i[slow_rows]], keys[j[slow_rows]], flip[slow_rows]
+    x, y, shaped = _swapped(ke, kf, flipped, n)
+    x[~shaped] = -1
+    wanted = np.concatenate([x, y])
+    at = change_keys.searchsorted(wanted)
+    hit = change_keys[at] == wanted
+    fate = np.where(present[present.searchsorted(wanted)] == wanted, _TAKEN, _FREE)
+    when, added = np.divmod(change_codes[at[hit]], 2)
+    earlier = when < np.tile(slow_rows, 2)[hit]
+    # added earlier: taken; added later: claimed by that swap; removed
+    # earlier: free; removed later: still taken
+    fate[hit] = np.where(added == 1, np.where(earlier, _TAKEN, when), np.where(earlier, _FREE, _TAKEN))
+    by = np.full(len(wanted), -1)  # the fast swap a fate comes from
+    by[hit] = when
+
     state: dict[int, bool] = {}  # keys changed by slow swaps: present or not
     current: dict[int, int] = {}  # edges changed by slow swaps: their key
     demoted: set[int] = set()  # fast swaps made slow
     waiting: list[int] = []  # demoted rows not yet run, a heap
 
-    def lookup(x: int, row: int) -> tuple[bool, int | None]:
-        """Is key x present before proposal ``row``, and which later fast swap adds it."""
-        if x in state:
-            return state[x], None
-        at = change_keys.searchsorted(x)
-        if change_keys[at] == x:
+    def lookup(key: int, row: int) -> int:
+        """The fate of ``key`` before proposal ``row``."""
+        if key in state:
+            return _TAKEN if state[key] else _FREE
+        at = change_keys.searchsorted(key)
+        if change_keys[at] == key:
             when, added = divmod(int(change_codes[at]), 2)
             if when not in demoted:
                 if when < row:
-                    return bool(added), None
+                    return _TAKEN if added else _FREE
                 if added:
-                    return False, when
-        return bool(present[present.searchsorted(x)] == x), None
+                    return when
+        return _TAKEN if present[present.searchsorted(key)] == key else _FREE
 
     accepted = len(fast)
-    slow_rows = np.flatnonzero(slow)
-    columns = (slow_rows, i[slow_rows], j[slow_rows], flip[slow_rows], keys[i[slow_rows]], keys[j[slow_rows]])
+    columns = (slow_rows, i[slow_rows], j[slow_rows], flipped, ke, kf, x, y, *by.reshape(2, -1), *fate.reshape(2, -1))
     queue = list(zip(*(col.tolist() for col in columns)))
     queue.reverse()  # popped from the end, in row order
     while queue or waiting:
@@ -218,31 +259,36 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
             row = heapq.heappop(waiting)
             e, f, flipped = int(i[row]), int(j[row]), bool(flip[row])
             ke, kf = current[e], current[f]
+            stale = True
         else:
-            row, e, f, flipped, ke, kf = queue.pop()
-            ke = current.get(e, ke)
-            kf = current.get(f, kf)
-        a, b = divmod(ke, n)
-        c, d = divmod(kf, n)
-        if flipped:
-            c, d = d, c
-        if a == d or c == b:
+            row, e, f, flipped, ke, kf, x, y, by_x, by_y, fate_x, fate_y = queue.pop()
+            stale = e in current or f in current
+            if stale:
+                ke, kf = current.get(e, ke), current.get(f, kf)
+        if stale:
+            a, b = divmod(ke, n)
+            c, d = divmod(kf, n)
+            if flipped:
+                c, d = d, c
+            x = a * n + d if a < d else d * n + a
+            y = c * n + b if c < b else b * n + c
+            if a == d or c == b or x == y:
+                continue
+        elif x < 0:
             continue
-        x = a * n + d if a < d else d * n + a
-        y = c * n + b if c < b else b * n + c
-        if x == y:
+        if stale or x in state or by_x in demoted:
+            fate_x = lookup(x, row)
+        if fate_x == _TAKEN:
             continue
-        taken, x_later = lookup(x, row)
-        if taken:
-            continue
-        taken, y_later = lookup(y, row)
-        if taken:
+        if stale or y in state or by_y in demoted:
+            fate_y = lookup(y, row)
+        if fate_y == _TAKEN:
             continue
         state[ke] = state[kf] = False
         state[x] = state[y] = True
         current[e], current[f] = x, y
         accepted += 1
-        for later in {x_later, y_later} - {None}:
+        for later in {fate_x, fate_y} - {_FREE}:
             # it must run after this swap, from its batch-start edges
             demoted.add(later)
             heapq.heappush(waiting, later)
@@ -251,14 +297,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
 
     if current:
         keys[np.fromiter(current, dtype=_INT, count=len(current))] = list(current.values())
-    # every touched edge: drop its old key, add its new one
-    after = keys[touched]
-    moved = old != after
-    keep = np.ones(len(present), dtype=bool)
-    keep[np.searchsorted(present, np.sort(old[moved]))] = False
-    rest = present[keep]
-    added = np.sort(after[moved])
-    return accepted, np.insert(rest, np.searchsorted(rest, added), added)
+    return accepted
 
 
 def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> UndirectedView:
@@ -276,13 +315,16 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
 
     The proposals run in batches of ``max(256, m // 16)``, checked against
     the sorted edge keys all at once; only those that share an edge or a key
-    with an earlier one of their batch are re-checked, in order, in Python.
-    The result equals the sequential chain fed the same proposals (see
-    ``_proposals``). That stream is new with the batched chain, so a seed
-    gives a different graph than it did in earlier versions. Cost, on a
-    2-core x86-64 VM with a 254k-edge graph: about 0.08 s for 30k swaps
-    and 4-5 s for the 10·m swaps ``generate`` defaults to, about 1.6 µs per
-    proposal; memory is a few int64 arrays of m.
+    with an earlier one of their batch are decided in order, in Python, most
+    of them from one lookup made for all of them (see ``_swap_batch``). The
+    keys are sorted afresh before each batch after the first. The result
+    equals the sequential chain fed the same proposals (see ``_proposals``).
+    That stream is new with the batched chain, so a seed gives a different
+    graph than it did in earlier versions. Cost, on a shared 2-core x86-64
+    VM (AVX-512, numpy 2.4) with a 254k-edge graph: about 0.1 s for 30k
+    swaps and 4.5-5 s for the 10·m swaps ``generate`` defaults to, about
+    1.6-1.75 µs per proposal, of which the per-batch sort is about an
+    eighth; memory is a few int64 arrays of m.
     """
     if swaps < 0:
         raise ValueError("swaps must be non-negative")
@@ -308,10 +350,14 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
         size = min(_batch_size(g.m), swaps - accepted, budget - attempts)
         while pending.shape[1] < size:
             pending = np.concatenate([pending, next(stream)], axis=1)
-        gained, present = _swap_batch(keys, present, n, *pending[:, :size])
+        if attempts:
+            # a fresh sort costs less than merging the last batch's changes
+            # into present: fewer passes over m, and no searches
+            present[:-1] = keys
+            present[:-1].sort()
+        accepted += _swap_batch(keys, present, n, *pending[:, :size])
         pending = pending[:, size:]
         attempts += size
-        accepted += gained
     lo, hi = np.divmod(keys, n)
     return _undirected(n, lo, hi)
 

@@ -122,6 +122,17 @@ def test_communities_exclusion_flags_must_pair(tmp_path, capsys):
     assert run_cli("communities", "--input", str(src), "--exclude-from", "0") == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--exclude-from", "5"), "--exclude-from and --exclude-to must be given together"),
+    (("--exclude-to", "5"), "--exclude-from and --exclude-to must be given together"),
+    (("--exclude-from", "5", "--exclude-to", "3"), "exclusion start 5 must precede end 3"),
+])
+def test_exclusion_flags_are_checked_before_the_input_is_read(tmp_path, capsys, flags, message):
+    # a missing file would exit 3 if it were opened first
+    assert run_cli("communities", "--input", str(tmp_path / "missing.csv"), *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # synth
 
 
@@ -323,6 +334,31 @@ def test_polarization_tracked_group_columns(tmp_path, capsys):
     assert lines[0] == "label,m,q,q_0,d_0"
     d_black = float(lines[1].split(",")[4])
     assert abs(d_black - 0.448276) < 2e-3
+
+
+@pytest.mark.parametrize("stamp, start", [
+    (1_000_000_000_000, 999_999_993_600),
+    (9_200_000_000_000_000_000, 9_199_999_999_999_958_400),
+])
+def test_polarization_refuses_windows_past_year_9999(tmp_path, capsys, stamp, start):
+    src = tmp_path / "edges.csv"
+    src.write_text(f"a,b,{stamp}\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 0})
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part)) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the window starting at {start} holds the largest stamp {stamp}, but windows "
+                   "can start at most at 253402300799 (9999-12-31T23:59:59 UTC)\n")
+
+
+def test_polarization_labels_the_last_second_of_year_9999(tmp_path, capsys):
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,253402300799\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 0})
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part),
+                   "--window-seconds", "1") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("9999-12-31T23:59:59,1,")
 
 
 def test_polarization_unknown_group_lists_known_names(tmp_path, capsys):

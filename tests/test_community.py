@@ -126,6 +126,38 @@ def test_level_modularity_history_is_non_decreasing():
             assert later >= earlier - 1e-12
 
 
+def _block_graph_corpus(count, rng):
+    """(n, edges) of ``count`` graphs of 5-60 vertices in 1-5 random blocks,
+    from sparse to dense and from sharply split to no split at all."""
+    corpus = []
+    while len(corpus) < count:
+        n = int(rng.integers(5, 61))
+        block = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        p_in = rng.choice([0.1, 0.3, 0.6])
+        p_out = p_in * rng.choice([0.05, 0.2, 0.6, 1.0])
+        u, v = np.triu_indices(n, 1)
+        keep = rng.random(len(u)) < np.where(block[u] == block[v], p_in, p_out)
+        if keep.any():
+            corpus.append((n, list(zip(u[keep].tolist(), v[keep].tolist()))))
+    return corpus
+
+
+def test_mean_modularity_reaches_networkx_louvain():
+    # networkx's Louvain is an independent implementation of the same method
+    nx = pytest.importorskip("networkx")
+    ours, theirs = [], []
+    for n, edges in _block_graph_corpus(150, np.random.default_rng(2024)):
+        und = undirected_from_edges(n, edges)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(edges)
+        for seed in range(4):
+            ours.append(modularity(und, detect_communities(und, seed=seed)))
+            found = nx.community.louvain_communities(reference, seed=seed)
+            theirs.append(nx.community.modularity(reference, found))
+    assert np.mean(ours) >= np.mean(theirs) - 0.005
+
+
 @st.composite
 def _clique_ring(draw):
     """A ring of small cliques, consecutive ones joined by one to three

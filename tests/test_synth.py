@@ -216,6 +216,17 @@ def test_rewire_equals_sequential_chain_on_a_larger_graph():
     assert configuration_rewire(g, 5000, seed=9).edge_pairs().tolist() == [list(e) for e in expected]
 
 
+def test_rewire_equals_sequential_chain_when_a_batch_mixes_every_kind_of_slow_row():
+    # 397 edges on 40 vertices: batch 10 of these 1000 swaps decides slow
+    # proposals from fates computed before its in-order loop, re-reads others
+    # whose edge an earlier slow swap changed, demotes a fast swap, and so
+    # overturns one precomputed fate that came from that swap
+    rng = np.random.default_rng(1)
+    g = undirected_from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
+    expected = oracles.rewire_reference(g, 1000, _proposal_stream(g.m, 0))
+    assert configuration_rewire(g, 1000, seed=0).edge_pairs().tolist() == [list(e) for e in expected]
+
+
 def test_star_shape():
     g = star(4)
     assert g.n == 5
