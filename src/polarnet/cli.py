@@ -176,6 +176,8 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 
 def cmd_polarization(args: argparse.Namespace) -> int:
+    if args.window_seconds <= 0:
+        raise ValueError(f"--window-seconds must be positive, got {args.window_seconds}")
     edges = _load_edges(args)
     part = _load_partition_file(args.partition, edges)
     windows = slice_windows(edges, args.window_seconds, origin=args.window_origin)
@@ -201,10 +203,6 @@ def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
     if args.mode == "unrestricted":
         group_list: list[int | None] = [None]
     else:
-        if part is None:
-            raise ValueError(f"--mode {args.mode} requires --partition")
-        if not args.groups:
-            raise ValueError(f"--mode {args.mode} requires --groups")
         group_list = list(_resolve_groups(args.groups, part))
 
     for i in group_list:
@@ -268,6 +266,12 @@ def cmd_dominate(args: argparse.Namespace) -> int:
         if not (0.0 < rho <= 1.0):
             raise ValueError(f"rho must be in (0, 1], got {rho}")
     args.rho = rhos
+    if args.curve and args.max_spreaders < 1:
+        raise ValueError(f"--max-spreaders must be at least 1, got {args.max_spreaders}")
+    if args.mode != "unrestricted":
+        for flag, given in (("--partition", args.partition), ("--groups", args.groups)):
+            if not given:
+                raise ValueError(f"--mode {args.mode} requires {flag}")
     edges = _load_edges(args)
     g = build_directed_graph(edges)
     part = _load_partition_file(args.partition, edges) if args.partition else None

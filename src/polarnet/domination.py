@@ -12,16 +12,18 @@ subgraph, since a member's span with the group as T is exactly its span
 there, and that subgraph's ids keep the full graph's order, so ties go to
 the same vertex.
 
-The loop is the accelerated (lazy) greedy of Minoux (1978), known as CELF
-(Leskovec et al., KDD 2007): a heap keeps one possibly stale span per
-candidate and only the candidate on top is re-evaluated. Spans only fall,
-so a stored span is an upper bound, and a top whose stored span is current
-is exactly the pick a full rescan would make (see ``_greedy_run``).
+The loop is eager: every live candidate's current span sits in one array,
+and each pick takes the largest directly, found through per-block maxima
+(see ``_greedy_run``). A pick then lowers the spans its newly covered
+targets took away, through the in-neighbor lists of those targets. The
+reversed graph holding them is built once per graph and shared by every
+run on it. On the benchmark's dense-daily graph (3,000 vertices, 264k
+arcs, 81 picks) a solve takes about 15 ms, 5-6 of them for the reversed
+graph; a 100k-vertex sparse graph with 18k picks takes about 0.45 s.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -32,12 +34,17 @@ import numpy as np
 
 from .community import Partition
 from .errors import InfeasibleCoverageError
-from .graph import DirectedGraph, _directed, _distinct_keys
+from .graph import DirectedGraph, _distinct_keys
 
 _INT = np.int64
 
 # candidate pools beyond this are too large to enumerate exactly
 BRUTE_FORCE_LIMIT = 25
+
+# slots per block of the greedy's span array: a pick scans the n / _BLOCK
+# block maxima, then one block. 32, 64, 128 and 256 were within noise of
+# each other on the benchmark graphs; on a 100k-vertex one 256 was slowest.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -110,37 +117,48 @@ def _greedy_run(
     stop_covered: int | None,
     max_picks: int | None,
 ) -> tuple[list[int], list[int], bool]:
-    """Core greedy loop shared by the solver and the curve, evaluated lazily.
+    """Core greedy loop shared by the solver and the curve, evaluated eagerly.
 
-    The heap holds at most one ``(-stored_span, id)`` entry per live
-    candidate. Spans only fall as targets get covered, so a stored span is an
-    upper bound on the current one. When the top entry's stored span is
-    current, no other candidate can beat it, and any candidate tying it
-    stores the same key with a larger id, so it is exactly the eager pick:
-    largest span, lowest id. A stale top is re-inserted with its current
-    span, or dropped once that is 0. Per pick this costs one heap operation
-    per stale top plus one vectorised span update over the in-neighbors of
-    the newly covered targets.
+    ``gain`` holds every live candidate's current span and 0 for every other
+    vertex, picked ones included, padded with zeros to whole blocks of
+    ``_BLOCK`` slots; ``top`` holds each block's maximum. The first block
+    whose maximum is the largest holds the largest span, and no block before
+    it does. The first slot inside it holding that maximum is therefore the
+    largest span with the lowest id: exactly the pick of a full rescan. A
+    largest span of 0 means no candidate adds coverage.
+
+    A pick zeroes its slot, and each newly covered target lowers by one the
+    span of every live candidate reaching it: its in-neighbors, plus itself.
+    ``np.subtract.at`` applies these, since a candidate reaching several of
+    the targets appears once per target. Spans only fall, so a block's
+    maximum goes stale only when one of its slots changed: the touched
+    blocks and the picked vertex's own, whose zeroed slot is no longer
+    touched. Those are recomputed, or every block is when the touched
+    slots could fill them all anyway. A pick costs a scan of the
+    ``n / _BLOCK`` maxima and of one block, plus numpy work over the arcs
+    into its newly covered targets. On a shared 2-core VM that is about
+    100 us per pick when picks cover hundreds of targets (dense-daily) and
+    25-40 us when they cover a few (sparse-blocks, a 100k-vertex graph).
 
     Returns (selected, covered_after_step, exhausted). ``exhausted`` means the
     candidate pool ran out of useful picks before any stop condition was met.
     """
     n = g.n
-    sources = g.arc_sources()
-    # the reversed graph's CSR: row w lists the vertices pointing at w
-    rev = _directed(n, g.indices, sources)
-    rev_ptr, rev_indices = rev.indptr, rev.indices
+    rev_ptr, rev_indices = g.in_csr
+    # each vertex's span: its out-arcs into T, counted per CSR row through
+    # a running count over all arcs, plus itself when it is a target
+    arcs_into_t = np.zeros(g.m + 1, dtype=_INT)
+    np.cumsum(target_mask[g.indices], out=arcs_into_t[1:])
+    spans = arcs_into_t[g.indptr[1:]] - arcs_into_t[g.indptr[:-1]] + target_mask
 
-    hits = target_mask[g.indices]
-    spans = np.bincount(sources[hits], minlength=n).astype(_INT)
-    spans += target_mask.astype(_INT)
-    is_cand = np.zeros(n, dtype=bool)
-    is_cand[candidate_ids] = True
+    # at least one block, so an empty graph needs no special case
+    n_blocks = n // _BLOCK + 1
+    gain = np.zeros(n_blocks * _BLOCK, dtype=_INT)
+    gain[candidate_ids] = spans[candidate_ids]
+    blocks = gain.reshape(n_blocks, _BLOCK)
+    top = blocks.max(axis=1)
 
-    heap = [(-s, v) for v, s in zip(candidate_ids.tolist(), spans[candidate_ids].tolist()) if s > 0]
-    heapq.heapify(heap)
-
-    covered = np.zeros(n, dtype=bool)
+    uncovered = target_mask.copy()
     selected: list[int] = []
     covered_after: list[int] = []
     f = 0
@@ -150,32 +168,32 @@ def _greedy_run(
             return selected, covered_after, False
         if max_picks is not None and len(selected) >= max_picks:
             return selected, covered_after, False
-        while heap:
-            neg_span, v = heap[0]
-            span = int(spans[v])
-            if span == -neg_span:
-                heapq.heappop(heap)
-                break
-            if span > 0:
-                heapq.heapreplace(heap, (-span, v))
-            else:
-                heapq.heappop(heap)
-        else:
+        b = int(top.argmax())
+        if top[b] <= 0:
             return selected, covered_after, True
+        v = b * _BLOCK + int(blocks[b].argmax())
 
-        is_cand[v] = False
-        closed = np.append(g.indices[g.indptr[v]: g.indptr[v + 1]], v)
-        newly = closed[target_mask[closed] & ~covered[closed]]
-        covered[newly] = True
-        f += int(newly.size)
+        gain[v] = 0
+        closed = np.concatenate((g.indices[g.indptr[v]: g.indptr[v + 1]], (v,)))
+        newly = closed[uncovered[closed]]
+        uncovered[newly] = False
+        f += len(newly)
         selected.append(v)
         covered_after.append(f)
 
-        if newly.size:
-            chunks = [rev_indices[rev_ptr[w]: rev_ptr[w + 1]] for w in newly.tolist()]
-            chunks.append(newly)
-            touch = np.concatenate(chunks)
-            np.subtract.at(spans, touch[is_cand[touch]], 1)
+        chunks = [rev_indices[rev_ptr[w]: rev_ptr[w + 1]] for w in newly.tolist()]
+        chunks.append(newly)
+        touch = np.concatenate(chunks)
+        # a live candidate reaching a newly covered target still counts it,
+        # so the positive slots here are exactly the live candidates
+        touch = touch[gain[touch] > 0]
+        np.subtract.at(gain, touch, 1)
+        if len(touch) * _BLOCK >= n:
+            top = blocks.max(axis=1)
+        else:
+            # v left touch with its zeroed slot, but its block changed too
+            stale = np.concatenate((touch // _BLOCK, (b,)))
+            top[stale] = blocks[stale].max(axis=1)
 
 
 def _solve(

@@ -11,6 +11,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -140,6 +141,18 @@ class DirectedGraph:
     def arc_sources(self) -> np.ndarray:
         """Source id of every arc, aligned with ``indices``."""
         return np.repeat(np.arange(self.n, dtype=_INT), self.out_degrees)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR ``(indptr, indices)`` of the reversed arcs, built once.
+
+        Row w lists the sources of the arcs into w in ascending order. The
+        arcs are already distinct, so one sort of the keys ``w * n + u``
+        orders them and no dedup or count pass is needed.
+        """
+        n = np.int64(self.n)
+        keys = np.sort(self.indices * n + self.arc_sources())
+        return _readonly(_indptr(self.n, self.indices)), _readonly(keys % n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -795,6 +808,9 @@ def underlying_undirected(g: DirectedGraph) -> UndirectedView:
 # 9999-12-31T23:59:59 UTC, the last second a window label can name
 LAST_LABELLED_SECOND = 253402300799
 
+# the most windows slice_windows builds; one TimeWindow and its label each
+MAX_WINDOWS = 1_000_000
+
 
 def window_label(start: int, granularity: int) -> str:
     """Human label for a window: UTC date for day-multiple granularities."""
@@ -810,7 +826,8 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
     Returns an empty list for an empty edge set. The origin lets "day"
     boundaries match any timezone convention. Raises ValueError when a
     window would start past ``LAST_LABELLED_SECOND``, which no label can
-    name.
+    name, or when the stamps span more than ``MAX_WINDOWS`` windows; both
+    are checked before any window is built.
     """
     if granularity <= 0:
         raise ValueError("granularity must be positive")
@@ -824,6 +841,12 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
         raise ValueError(
             f"the window starting at {last} holds the largest stamp {tmax}, but windows "
             f"can start at most at {LAST_LABELLED_SECOND} (9999-12-31T23:59:59 UTC)"
+        )
+    count = (last - first) // granularity + 1
+    if count > MAX_WINDOWS:
+        raise ValueError(
+            f"stamps {tmin} .. {tmax} span {count} windows of {granularity} s, more than "
+            f"{MAX_WINDOWS}; use a larger window length (--window-seconds)"
         )
     windows = []
     start = first

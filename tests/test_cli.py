@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from polarnet import graph
 from polarnet.cli import main
 from polarnet.community import load_partition
 from polarnet.synth import MAX_DAYS
@@ -351,6 +352,24 @@ def test_polarization_refuses_windows_past_year_9999(tmp_path, capsys, stamp, st
                    "can start at most at 253402300799 (9999-12-31T23:59:59 UTC)\n")
 
 
+def test_polarization_refuses_more_windows_than_the_bound(tmp_path, capsys, monkeypatch):
+    # 2.5e11 one-second windows would exhaust memory: the count is checked
+    # before a single window (or its label) is built
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(graph, "window_label", no_window)
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,0\nb,a,253402300799\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 0})
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part),
+                   "--window-seconds", "1") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: stamps 0 .. 253402300799 span 253402300800 windows of 1 s, more than "
+                   "1000000; use a larger window length (--window-seconds)\n")
+
+
 def test_polarization_labels_the_last_second_of_year_9999(tmp_path, capsys):
     src = tmp_path / "edges.csv"
     src.write_text("a,b,253402300799\n", encoding="utf-8")
@@ -551,6 +570,20 @@ def test_dominate_json_embeds_config(tmp_path, capsys):
     assert doc["config"]["mode"] == "unrestricted"
     assert doc["tasks"][0]["feasible"] is True
     assert doc["tasks"][0]["fraction"] >= 0.5
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("dominate", ("--curve", "--max-spreaders", "0"), "--max-spreaders must be at least 1, got 0"),
+    ("dominate", ("--mode", "in-group"), "--mode in-group requires --partition"),
+    ("dominate", ("--mode", "network-by-group", "--partition", "p.csv"),
+     "--mode network-by-group requires --groups"),
+    ("polarization", ("--partition", "p.csv", "--window-seconds", "0"),
+     "--window-seconds must be positive, got 0"),
+])
+def test_cheap_flags_are_checked_before_the_input_is_read(tmp_path, capsys, command, flags, message):
+    # a missing file would exit 3 if it were opened first
+    assert run_cli(command, "--input", str(tmp_path / "missing.csv"), *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dominate_rejects_bad_rho(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from polarnet.community import Partition
 from polarnet.domination import (
+    _BLOCK,
     brute_force_pdds,
     coverage_curve,
     coverage_target,
@@ -141,18 +142,109 @@ def _greedy_instance(draw):
 def test_greedy_and_curve_match_full_rescan_reference(instance):
     # restricted pools and targets, infeasible runs and curve prefixes,
     # against the recompute-everything oracle
-    g, candidates, cover_targets, rho, max_spreaders = instance
+    _assert_matches_reference(*instance)
+
+
+def _assert_matches_reference(g, candidates, cover_targets, rho, max_spreaders):
+    """The curve and the solver reproduce the full-rescan oracle exactly.
+
+    The curve goes first: its pick count is bounded, so a solver that keeps
+    picking useless vertices shows up as a wrong curve rather than a hang.
+    """
     pool = spreaders(g).tolist() if candidates is None else candidates
+    n_target = g.n if cover_targets is None else len(cover_targets)
+    _, full_run, _ = oracles.greedy_reference(g, 1.0, pool, cover_targets)
+    expected_curve = [(j + 1, c / n_target) for j, c in enumerate(full_run[:max_spreaders])]
+    assert coverage_curve(g, candidates, cover_targets, max_spreaders) == expected_curve
+
     selected, covered_after, feasible = oracles.greedy_reference(g, rho, pool, cover_targets)
     result = _outcome(lambda: greedy_pdds(g, rho, candidates=candidates, cover_targets=cover_targets))
     assert list(result.selected) == selected
     assert list(result.covered_after_step) == covered_after
     assert result.feasible == feasible
 
-    n_target = g.n if cover_targets is None else len(cover_targets)
-    _, full_run, _ = oracles.greedy_reference(g, 1.0, pool, cover_targets)
-    expected_curve = [(j + 1, c / n_target) for j, c in enumerate(full_run[:max_spreaders])]
-    assert coverage_curve(g, candidates, cover_targets, max_spreaders) == expected_curve
+
+def _star_graph(n: int, hubs: dict[int, list[int]]):
+    return directed_from_arcs(n, [(h, leaf) for h, leaves in hubs.items() for leaf in leaves])
+
+
+# Instances over several blocks of the solver's span array, each with a
+# partial last block; (graph, candidates, cover targets, rho, picks expected
+# or None when only the oracle says).
+_B = _BLOCK
+_N = 3 * _B + _B // 2
+_MULTI_BLOCK_CASES = {
+    # equal spans on both sides of a block boundary: the lower id goes first
+    "tie_across_boundary": (
+        _star_graph(_N, {_B: [3 * _B + 1, 3 * _B + 2, 3 * _B + 3], _B - 1: [2 * _B, 2 * _B + 1, 2 * _B + 2]}),
+        None, None, 1.0, None),
+    # equal spans inside one block, after a larger hub elsewhere
+    "tie_inside_block": (
+        _star_graph(_N, {2 * _B + 9: [1, 2, 3, 4], _B + 7: [5, 6], _B + 3: [8, 9]}),
+        None, None, 1.0, None),
+    # the picked hub leaves its block with a smaller, untouched candidate,
+    # while a larger one waits in another block
+    "picked_block_refreshed": (
+        _star_graph(_N, {2: list(range(3 * _B, 3 * _B + 8)), 5: [10, 11], _B + 4: [20, 21, 22, 23]}),
+        None, None, 1.0, [2, _B + 4, 5]),
+    # only the partial last block holds candidates
+    "candidates_in_last_block": (
+        _star_graph(_N, {_N - 9: [0, 1, 2], _N - 5: [_B, _B + 1, _B + 2, _B + 3], _N - 2: [_N - 1], 7: [8, 9, 10]}),
+        list(range(3 * _B, _N)), None, 1.0, None),
+    "winner_at_id_0": (
+        _star_graph(_N, {0: list(range(_N - 6, _N)), 3: [4, 5], _N - 1: [1]}),
+        None, None, 0.5, None),
+    "winner_at_last_id": (
+        _star_graph(_N, {_N - 1: list(range(1, 9)), 0: [_B, _B + 1], _B: [2 * _B]}),
+        None, None, 0.5, None),
+    # the pool runs dry before rho: an infeasible run over every block
+    "exhausted_pool": (
+        _star_graph(_N, {1: [_B, 2 * _B], _B + 1: [2 * _B + 1], 3 * _B + 1: [_N - 1]}),
+        None, None, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MULTI_BLOCK_CASES))
+def test_multi_block_greedy_matches_reference(case):
+    g, candidates, cover_targets, rho, expected = _MULTI_BLOCK_CASES[case]
+    assert g.n > 3 * _BLOCK and g.n % _BLOCK
+    _assert_matches_reference(g, candidates, cover_targets, rho, g.n)
+    if expected is not None:
+        assert list(_outcome(lambda: greedy_pdds(g, rho, candidates, cover_targets)).selected) == expected
+
+
+@st.composite
+def _multi_block_instance(draw):
+    """A sparse or star-heavy graph over several blocks, with pool and targets.
+
+    Stars of one size put many equal spans in different blocks and in the
+    same block; candidate pools may be confined to the last block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(_BLOCK + 1, 4 * _BLOCK + _BLOCK // 2))
+    if draw(st.booleans()):
+        hubs = rng.choice(n, size=draw(st.integers(1, 12)), replace=False)
+        leaves = draw(st.integers(1, 5))
+        arcs = [(int(h), int(w)) for h in hubs for w in rng.choice(n, size=leaves, replace=False) if w != h]
+    else:
+        arcs = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(1.5 * n), 2)) if a != b]
+    g = directed_from_arcs(n, arcs)
+    pool = draw(st.sampled_from(["spreaders", "all", "subset", "last_block"]))
+    if pool == "spreaders":
+        candidates = None
+    elif pool == "last_block":
+        candidates = list(range((n - 1) // _BLOCK * _BLOCK, n))
+    else:
+        candidates = [v for v in range(n) if pool == "all" or rng.random() < 0.5]
+    cover_targets = [v for v in range(n) if rng.random() < 0.6] if draw(st.booleans()) else None
+    rho = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    return g, candidates, cover_targets, rho, draw(st.integers(1, n))
+
+
+@settings(max_examples=40)
+@given(_multi_block_instance())
+def test_multi_block_greedy_and_curve_match_reference(instance):
+    _assert_matches_reference(*instance)
 
 
 def test_greedy_tie_breaks_to_lowest_vertex_id():

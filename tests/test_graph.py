@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from polarnet import graph
 from polarnet.errors import ParseError
 from polarnet.graph import (
     IngestOptions,
@@ -370,6 +371,19 @@ def test_build_directed_graph_matches_distinct_pair_count():
     assert int(g.multiplicity.sum()) == in_window
 
 
+def test_in_csr_is_the_reversed_graph_built_once():
+    rng = np.random.default_rng(17)
+    for n in (1, 5, 40):
+        g = oracles.random_digraph(n, 0.2, rng)
+        sources = g.arc_sources().tolist()
+        reversed_g = directed_from_arcs(n, zip(g.indices.tolist(), sources))
+        indptr, indices = g.in_csr
+        assert indptr.tolist() == reversed_g.indptr.tolist()
+        assert indices.tolist() == reversed_g.indices.tolist()
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        assert g.in_csr is g.in_csr
+
+
 def test_underlying_undirected_collapses_reciprocal_arcs():
     g = directed_from_arcs(2, [(0, 1), (1, 0)])
     und = underlying_undirected(g)
@@ -427,6 +441,16 @@ def test_slice_windows_rejects_bad_granularity():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 50)])
     with pytest.raises(ValueError):
         slice_windows(edges, 0)
+
+
+def test_slice_windows_bound_counts_windows_from_first_to_last_start(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_WINDOWS", 3)
+    # stamps 5 and 33 at length 10 with origin 0: windows start at 0, 10, 20, 30
+    edges = TemporalEdgeSet.from_arcs([("a", "b", 5), ("b", "a", 33)])
+    with pytest.raises(ValueError, match="span 4 windows of 10 s, more than 3"):
+        slice_windows(edges, 10)
+    # origin 4 aligns them to 4, 14, 24: three windows, at the bound
+    assert [w.start for w in slice_windows(edges, 10, origin=4)] == [4, 14, 24]
 
 
 def test_slice_windows_partition_all_arcs():
