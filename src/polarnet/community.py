@@ -299,8 +299,9 @@ def save_partition(p: Partition, stream: TextIO, labels: Sequence[str]) -> None:
     whitespace, no line break) round-trips through load_partition: the group
     index follows the last comma, and a label matching ``\\*#`` is written
     with one extra leading backslash. A label or group name holding ``\\n``
-    or ``\\r``, either of which ends a line under universal newlines, raises
-    ValueError before anything is written.
+    or ``\\r``, either of which ends a line under universal newlines, or a
+    group name ending in whitespace, which loading strips, raises ValueError
+    before anything is written.
     """
     if len(labels) != p.n:
         raise ValueError(f"expected {p.n} labels, got {len(labels)}")
@@ -308,6 +309,8 @@ def save_partition(p: Partition, stream: TextIO, labels: Sequence[str]) -> None:
     for _, name in names:
         if "," in name or "\n" in name or "\r" in name:
             raise ValueError(f"group name {name!r} contains reserved characters")
+        if name != name.rstrip():
+            raise ValueError(f"group name {name!r} ends in whitespace, which loading strips")
     for label in labels:
         if "\n" in label or "\r" in label:
             raise ValueError(f"vertex label {label!r} contains a line break")

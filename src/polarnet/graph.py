@@ -7,7 +7,6 @@ marked read-only), so they can be shared freely across threads.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -28,12 +27,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Knobs for :func:`ingest_edge_list`."""
+    """How :func:`ingest_edge_list` reads a file: the CLI's ``--delimiter``,
+    ``--header`` and ``--strict`` flags."""
 
     delimiter: str = ","
     skip_header: bool = False
     strict: bool = False
-    comment_prefix: str = "#"
 
 
 @dataclass(frozen=True)
@@ -51,18 +50,19 @@ class TimeWindow:
 
 @dataclass(frozen=True, eq=False)
 class TemporalEdgeSet:
-    """Raw timestamped arcs plus a dense label <-> id index.
+    """Raw timestamped arcs over dense vertex ids.
 
-    ``sources``/``targets`` hold dense vertex ids; ``labels[i]`` is the
-    external label of vertex ``i`` and ``label_ids`` is the inverse map.
-    ``dropped_self_loops`` and ``malformed_lines`` carry ingestion counters.
+    ``sources``/``targets`` hold dense vertex ids and ``labels[i]`` is the
+    distinct external label of vertex ``i``. Ingest and :meth:`from_arcs`
+    sort the labels by code point, so there a label's id is its place in
+    ``labels``. ``dropped_self_loops`` and ``malformed_lines`` carry
+    ingestion counters.
     """
 
     sources: np.ndarray
     targets: np.ndarray
     timestamps: np.ndarray
     labels: tuple[str, ...]
-    label_ids: dict[str, int]
     dropped_self_loops: int = 0
     malformed_lines: int = 0
 
@@ -70,8 +70,8 @@ class TemporalEdgeSet:
         n = len(self.labels)
         if not (len(self.sources) == len(self.targets) == len(self.timestamps)):
             raise ValueError("sources, targets and timestamps must have equal length")
-        if len(self.label_ids) != n:
-            raise ValueError("label index is not a bijection")
+        if len(set(self.labels)) != n:
+            raise ValueError("vertex labels must be distinct")
         if len(self.sources) > 0:
             lowest = min(self.sources.min(), self.targets.min())
             if lowest < 0 or max(self.sources.max(), self.targets.max()) >= n:
@@ -110,20 +110,18 @@ class TemporalEdgeSet:
 class DirectedGraph:
     """Simple directed graph in CSR form (sorted, deduplicated out-neighbor rows).
 
-    ``multiplicity[j]`` counts how many raw interactions collapsed into arc j.
+    Repeated interactions of one ordered pair are one arc: no measure here
+    weights arcs.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    multiplicity: np.ndarray
 
     def __post_init__(self):
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr length must be n + 1")
-        if len(self.indices) != len(self.multiplicity):
-            raise ValueError("indices and multiplicity must have equal length")
-        for a in (self.indptr, self.indices, self.multiplicity):
+        for a in (self.indptr, self.indices):
             _readonly(a)
 
     @property
@@ -203,6 +201,8 @@ _INT64_MAX = int(np.iinfo(_INT).max)
 _WORD_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 _TOP_MASKS = ~_WORD_MASKS[::-1]
 _NEWLINE = ord("\n")
+# a line whose stripped text starts with this is a comment
+_COMMENT = "#"
 # The zero bytes around a block's text in its padded copy: a timestamp's
 # two words start up to 16 bytes before its newline, and a label word may
 # start at any byte of the text.
@@ -222,7 +222,7 @@ def _parse_line(raw: str, opts: IngestOptions) -> tuple[str, str, int] | tuple[(
     line, else the record's (source, target, timestamp).
     """
     line = raw.strip()
-    if not line or line.startswith(opts.comment_prefix):
+    if not line or line.startswith(_COMMENT):
         return ()
     parts = line.split(opts.delimiter)
     if len(parts) != 3:
@@ -238,14 +238,11 @@ def _parse_line(raw: str, opts: IngestOptions) -> tuple[str, str, int] | tuple[(
     return (source, target, stamp) if 0 <= stamp <= _INT64_MAX else None
 
 
-def _blocks(stream: TextIO | Iterable[str]) -> Iterator[str]:
+def _blocks(stream: TextIO) -> Iterator[str]:
     """The stream's text in blocks of whole ``\\n``-terminated lines.
 
     A missing final newline is supplied, so every block ends with one.
     """
-    if not hasattr(stream, "read"):
-        # an iterable of lines, as iterating a text file yields them
-        stream = io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in stream))
     pending: list[str] = []
     while chunk := stream.read(_BLOCK_CHARS):
         cut = chunk.rfind("\n") + 1
@@ -289,8 +286,8 @@ class _FastLines:
     A line is fast when its only bytes that are a delimiter, ASCII
     whitespace or control (<= 0x20, 0x7F) or non-ASCII (>= 0x80) are
     delimiter, delimiter, newline; both labels are non-empty; it does not
-    start with the comment prefix; and its timestamp is 1 to 16 ASCII
-    digits. Such a line is a valid record as it stands, with no stripping.
+    start with ``#``; and its timestamp is 1 to 16 ASCII digits. Such a
+    line is a valid record as it stands, with no stripping.
     """
 
     def __init__(self, opts: IngestOptions):
@@ -299,9 +296,7 @@ class _FastLines:
         # whitespace one is not a single special byte: per-line path only
         single = len(d) == 1 and 0x21 <= ord(d) <= 0x7E and not d.isdigit()
         self.delimiter = ord(d) if single else -1
-        self.prefix = opts.comment_prefix.encode("utf-8")
-        # an empty prefix makes every line a comment
-        self.enabled = single and bool(self.prefix)
+        self.enabled = single
 
     def scan(self, padded: np.ndarray, width: int):
         """Split a block of whole lines and parse its fast lines.
@@ -343,11 +338,7 @@ class _FastLines:
             (kinds[k - 2] == self.delimiter) & (kinds[k - 1] == self.delimiter)
             & (n1 > 0) & (n2 > 0) & (digits > 0) & (digits <= _FAST_DIGITS) & (bad == 0)
         )
-        # s < e on every line, so only the prefix's later bytes need a bound
-        comment = b[s] == self.prefix[0]
-        for j, byte in enumerate(self.prefix[1:], start=1):
-            comment &= (s + j < e) & (b[np.minimum(s + j, e)] == byte)
-        ok &= ~comment
+        ok &= b[s] != ord(_COMMENT)
         rows, s, d1, n1, n2, stamps = rows[ok], s[ok], d1[ok], n1[ok], n2[ok], stamps[ok]
         words = _label_words(view, np.concatenate([s + front, d1 + (front + 1)]),
                              np.concatenate([n1, n2]), width)
@@ -532,23 +523,19 @@ def _edge_set(names: list[str], src: np.ndarray, tgt: np.ndarray, ts: np.ndarray
         targets=tgt,
         timestamps=ts,
         labels=labels,
-        label_ids=dict(zip(labels, range(len(labels)))),
         dropped_self_loops=loops,
         malformed_lines=malformed,
     )
 
 
-def ingest_edge_list(
-    stream: TextIO | Iterable[str], options: IngestOptions | None = None
-) -> TemporalEdgeSet:
+def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> TemporalEdgeSet:
     """Parse a delimited ``source,target,timestamp`` stream into a TemporalEdgeSet.
 
     ``stream`` is a text stream with ``.read()``, such as an open file or
-    ``io.StringIO``; a line ends at each ``\\n`` in the text it returns. An
-    iterable of lines without ``.read()`` is joined into one text first.
+    ``io.StringIO``; a line ends at each ``\\n`` in the text it returns.
     Each line is stripped of surrounding whitespace. Blank lines, lines
-    starting with the comment prefix and, with ``skip_header``, the first
-    line are ignored. A record is three fields split at the delimiter and
+    starting with ``#`` and, with ``skip_header``, the first line are
+    ignored. A record is three fields split at the delimiter and
     stripped: two non-empty labels and a timestamp that ``int()`` accepts,
     from 0 to 2**63 - 1. Other lines are malformed and counted, or raise
     :class:`ParseError` naming the first one when ``strict``. Self-loop
@@ -653,24 +640,23 @@ def ingest_edge_list(
 _WRITE_CHUNK = 1 << 18
 # 10**1 .. 10**18: a timestamp has one digit more than the powers it reaches
 _POW10 = 10 ** np.arange(1, 19, dtype=_INT)
+_COMMA = ord(",")
 
 
-def write_edge_list(stream: TextIO, edges: TemporalEdgeSet, delimiter: str = ",") -> None:
+def write_edge_list(stream: TextIO, edges: TemporalEdgeSet) -> None:
     """Serialize arcs as ``source,target,timestamp`` lines (inverse of ingest).
 
-    The text is exactly ``f"{source}{delimiter}{target}{delimiter}{stamp}\\n"``
-    per arc, in arc order. It is assembled as UTF-8 bytes in numpy about
-    256 KiB at a time (label bytes copied from a per-id table, decimal
-    digits from the timestamps) and written as text, so any label or
-    delimiter, lone surrogates included, comes out as that f-string would
-    give it.
+    The text is exactly ``f"{source},{target},{stamp}\\n"`` per arc, in arc
+    order. It is assembled as UTF-8 bytes in numpy about 256 KiB at a time
+    (label bytes copied from a per-id table, decimal digits from the
+    timestamps) and written as text, so any label, lone surrogates
+    included, comes out as that f-string would give it.
     """
     encoded = [label.encode("utf-8", "surrogatepass") for label in edges.labels]
     lengths = np.fromiter(map(len, encoded), dtype=_INT, count=len(encoded))
     table = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     offsets = np.cumsum(lengths) - lengths
-    delim = delimiter.encode("utf-8", "surrogatepass")
-    fixed = 2 * len(delim) + 1  # two delimiters and the newline
+    fixed = 3  # two commas and the newline
     # rows per chunk: as many as fit if labels are of average length and
     # stamps have all 19 digits; a chunk of longer rows is cut to fit
     rows = max(1, _WRITE_CHUNK // (2 * len(table) // max(1, len(lengths)) + fixed + 19))
@@ -689,12 +675,11 @@ def write_edge_list(stream: TextIO, edges: TemporalEdgeSet, delimiter: str = ","
 
         out = np.empty(int(ends[-1]), dtype=np.uint8)
         first = ends - (ls + lt + digits + fixed)
-        second = first + ls + len(delim)
+        second = first + ls + 1
         _copy_segments(out, np.concatenate([first, second]), table,
                        np.concatenate([offsets[s], offsets[t]]), np.concatenate([ls, lt]))
-        for k, byte in enumerate(delim):
-            out[second - len(delim) + k] = byte
-            out[second + lt + k] = byte
+        out[second - 1] = _COMMA
+        out[second + lt] = _COMMA
         last = ends - 2  # the timestamp's last digit
         rest = stamps.copy()
         for power in range(int(digits.max())):
@@ -729,26 +714,22 @@ def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEd
         targets=edges.targets[keep].copy(),
         timestamps=edges.timestamps[keep].copy(),
         labels=edges.labels,
-        label_ids=edges.label_ids,
         dropped_self_loops=edges.dropped_self_loops,
         malformed_lines=edges.malformed_lines,
     )
 
 
-def _distinct_keys(keys: np.ndarray, return_counts: bool = False):
+def _distinct_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an int64 array, like ``np.unique``.
 
     For edge keys ``u * n + v`` the sorted order is CSR row order. ``np.sort``
     plus a ``not_equal`` pass is used because plain ``np.unique`` on int64
-    takes a hash-based path that is tens of times slower. With
-    ``return_counts`` it also returns how often each distinct key occurs.
+    takes a hash-based path that is tens of times slower.
     """
     keys = np.sort(keys)
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    if not return_counts:
-        return keys[first]
-    return keys[first], np.diff(np.flatnonzero(first), append=len(keys))
+    return keys[first]
 
 
 def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
@@ -758,8 +739,8 @@ def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _directed(n: int, src: np.ndarray, dst: np.ndarray) -> DirectedGraph:
-    uniq, counts = _distinct_keys(src * np.int64(n) + dst, return_counts=True)
-    return DirectedGraph(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n, multiplicity=counts)
+    uniq = _distinct_keys(src * np.int64(n) + dst)
+    return DirectedGraph(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n)
 
 
 def _undirected(n: int, u: np.ndarray, v: np.ndarray) -> UndirectedView:
@@ -805,7 +786,9 @@ def underlying_undirected(g: DirectedGraph) -> UndirectedView:
     return _undirected(g.n, g.arc_sources(), g.indices)
 
 
-# 9999-12-31T23:59:59 UTC, the last second a window label can name
+# 0001-01-01T00:00:00 UTC and 9999-12-31T23:59:59 UTC, the first and the
+# last second a window label can name
+FIRST_LABELLED_SECOND = -62135596800
 LAST_LABELLED_SECOND = 253402300799
 
 # the most windows slice_windows builds; one TimeWindow and its label each
@@ -825,9 +808,10 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
 
     Returns an empty list for an empty edge set. The origin lets "day"
     boundaries match any timezone convention. Raises ValueError when a
-    window would start past ``LAST_LABELLED_SECOND``, which no label can
-    name, or when the stamps span more than ``MAX_WINDOWS`` windows; both
-    are checked before any window is built.
+    window would start before ``FIRST_LABELLED_SECOND`` or past
+    ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
+    span more than ``MAX_WINDOWS`` windows; all three are checked before
+    any window is built.
     """
     if granularity <= 0:
         raise ValueError("granularity must be positive")
@@ -837,6 +821,11 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
     tmin, tmax = span
     first = origin + ((tmin - origin) // granularity) * granularity
     last = first + ((tmax - first) // granularity) * granularity
+    if first < FIRST_LABELLED_SECOND:
+        raise ValueError(
+            f"the window starting at {first} holds the smallest stamp {tmin}, but windows "
+            f"can start at the earliest at {FIRST_LABELLED_SECOND} (0001-01-01T00:00:00 UTC)"
+        )
     if last > LAST_LABELLED_SECOND:
         raise ValueError(
             f"the window starting at {last} holds the largest stamp {tmax}, but windows "

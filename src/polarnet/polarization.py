@@ -56,21 +56,19 @@ def group_contributions(g: UndirectedView, p: Partition) -> np.ndarray:
     return _contributions(p.assignment[pairs[:, 0]], p.assignment[pairs[:, 1]], np.array([g.m]), p.k)[0]
 
 
-def d_modularity(
-    g: UndirectedView, p: Partition, i: int, tolerance: float = DEFAULT_D_TOLERANCE
-) -> float:
+def d_modularity(g: UndirectedView, p: Partition, i: int) -> float:
     """Share d_i = Q_i/Q of group i in the overall modularity.
 
-    Raises DegenerateModularityError when |Q| <= tolerance, where the ratio
-    would be noise rather than a signal.
+    Raises DegenerateModularityError when |Q| <= ``DEFAULT_D_TOLERANCE``,
+    where the ratio would be noise rather than a signal.
     """
     if not (0 <= i < p.k):
         raise ValueError(f"group index {i} out of range (k={p.k})")
     contributions = group_contributions(g, p)
     q = float(contributions.sum())
-    if abs(q) <= tolerance:
+    if abs(q) <= DEFAULT_D_TOLERANCE:
         raise DegenerateModularityError(
-            f"total modularity {q:.3e} is within tolerance {tolerance:.1e} of zero"
+            f"total modularity {q:.3e} is within tolerance {DEFAULT_D_TOLERANCE:.1e} of zero"
         )
     return float(contributions[i]) / q
 
@@ -127,14 +125,13 @@ def window_series(
     p: Partition,
     windows: Sequence[TimeWindow],
     tracked_groups: Sequence[int] = (),
-    d_tolerance: float = DEFAULT_D_TOLERANCE,
 ) -> PolarizationReport:
     """Per-window Q, Q_i, and tracked d_i, plus least-squares trends.
 
     Windows may come in any order and may overlap or lie outside the arcs'
     time span; each row is computed from the arcs inside its own window.
     Windows with no arcs produce a row of None values and are excluded from
-    trend fits; a tracked d_i is None wherever |Q| falls inside d_tolerance.
+    trend fits; a tracked d_i is None wherever |Q| <= ``DEFAULT_D_TOLERANCE``.
     Trend x coordinates are window ordinals (0, 1, ...), so slopes read as
     change per window.
 
@@ -202,7 +199,7 @@ def window_series(
         cv += row
         group_q[lo:hi] = _contributions(cu, cv, m[lo:hi], k)
     qs = group_q.sum(axis=1)
-    shared = np.abs(qs) > d_tolerance  # rows whose d_i are defined
+    shared = np.abs(qs) > DEFAULT_D_TOLERANCE  # rows whose d_i are defined
     shares = np.divide(group_q[:, list(tracked)], qs[:, None], where=shared[:, None],
                        out=np.zeros((rows, len(tracked))))
 

@@ -95,8 +95,7 @@ def planted_partition(
     indices = np.concatenate(parts) if parts else np.zeros(0, dtype=_INT)
     indptr = np.zeros(n + 1, dtype=_INT)
     np.cumsum(counts, out=indptr[1:])
-    g = DirectedGraph(n=n, indptr=indptr, indices=indices,
-                      multiplicity=np.ones(len(indices), dtype=_INT))
+    g = DirectedGraph(n=n, indptr=indptr, indices=indices)
     meta = {i: f"block{i}" for i in range(len(sizes))}
     return g, Partition.from_assignment(assignment, meta)
 
@@ -490,13 +489,11 @@ class SynthOutput:
             stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=n_arcs)
         else:
             stamps = np.zeros(n_arcs, dtype=_INT)
-        labels = tuple(f"v{i}" for i in range(self.n))
         return TemporalEdgeSet(
             sources=self.arc_pairs[:, 0],
             targets=self.arc_pairs[:, 1],
             timestamps=stamps,
-            labels=labels,
-            label_ids={label: i for i, label in enumerate(labels)},
+            labels=tuple(f"v{i}" for i in range(self.n)),
         )
 
 

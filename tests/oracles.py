@@ -8,7 +8,7 @@ from the library's internals beyond the public graph containers.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -49,7 +49,7 @@ def parse_edge_lines(lines, delimiter=","):
     return arcs, malformed, self_loops
 
 
-def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comment_prefix="#"):
+def ingest_reference(text, delimiter=",", skip_header=False, strict=False):
     """Per-line reader of the documented edge-list rules, over a whole text.
 
     Lines end at "\\n". Each line and each of its fields is stripped; blank
@@ -66,7 +66,7 @@ def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comme
     loops = bad = 0
     for number, raw in enumerate(pieces, start=1):
         line = raw.strip()
-        if (skip_header and number == 1) or not line or line.startswith(comment_prefix):
+        if (skip_header and number == 1) or not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(delimiter)]
         stamp = None
@@ -92,26 +92,24 @@ def ingest_reference(text, delimiter=",", skip_header=False, strict=False, comme
         "targets": [ids[t] for _, t, _ in arcs],
         "timestamps": [stamp for _, _, stamp in arcs],
         "labels": labels,
-        "label_ids": ids,
         "dropped_self_loops": loops,
         "malformed_lines": bad,
     }
 
 
 def csr_reference(n, arcs):
-    """(indptr, indices, multiplicity) of (source, target) id pairs.
+    """(indptr, indices) of the distinct (source, target) id pairs.
 
-    Duplicates are counted with a Counter and rows are ordered with
+    Duplicates collapse in a Python set and rows are ordered with
     np.lexsort, independently of the library's key sort.
     """
-    counts = Counter((int(u), int(v)) for u, v in arcs)
-    rows = np.asarray([u for u, _ in counts], dtype=np.int64)
-    cols = np.asarray([v for _, v in counts], dtype=np.int64)
-    mult = np.asarray(list(counts.values()), dtype=np.int64)
+    pairs = {(int(u), int(v)) for u, v in arcs}
+    rows = np.asarray([u for u, _ in pairs], dtype=np.int64)
+    cols = np.asarray([v for _, v in pairs], dtype=np.int64)
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order], mult[order]
+    return indptr, cols[order]
 
 
 def window_reference(arcs, assignment, k, start, end):
@@ -152,7 +150,7 @@ def _trend_reference(points):
     return TrendFit(slope=slope, intercept=float(ybar - slope * xbar))
 
 
-def window_series_reference(edges, p, windows, tracked_groups=(), d_tolerance=DEFAULT_D_TOLERANCE):
+def window_series_reference(edges, p, windows, tracked_groups=()):
     """The per-window series as it was computed one window at a time.
 
     A stable time sort, then for each window the distinct pairs of its
@@ -185,7 +183,7 @@ def window_series_reference(edges, p, windows, tracked_groups=(), d_tolerance=DE
         q = float(contributions.sum())
         group_d = {}
         for i in tracked:
-            group_d[i] = None if abs(q) <= d_tolerance else float(contributions[i]) / q
+            group_d[i] = None if abs(q) <= DEFAULT_D_TOLERANCE else float(contributions[i]) / q
         stats.append(
             WindowStats(
                 label=w.label,
@@ -503,10 +501,10 @@ def rewire_reference(und: UndirectedView, swaps, proposals):
     return sorted(edges)
 
 
-def edge_list_text(labels, arcs, delimiter=","):
+def edge_list_text(labels, arcs):
     """The edge-list file text of (source id, target id, stamp) triples,
     one f-string per arc."""
-    return "".join(f"{labels[s]}{delimiter}{labels[t]}{delimiter}{stamp}\n" for s, t, stamp in arcs)
+    return "".join(f"{labels[s]},{labels[t]},{stamp}\n" for s, t, stamp in arcs)
 
 
 def closed_out_neighborhood(g: DirectedGraph, v) -> set:

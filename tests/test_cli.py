@@ -380,6 +380,33 @@ def test_polarization_labels_the_last_second_of_year_9999(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("9999-12-31T23:59:59,1,")
 
 
+def test_polarization_refuses_a_first_window_before_year_1(tmp_path, capsys, monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(graph, "window_label", no_window)
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,0\nb,a,5\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 1})
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part),
+                   "--window-seconds", "100000000000", "--window-origin", "-99999999999") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the window starting at -99999999999 holds the smallest stamp 0, but windows "
+                   "can start at the earliest at -62135596800 (0001-01-01T00:00:00 UTC)\n")
+
+
+def test_polarization_labels_the_first_second_of_year_1(tmp_path, capsys):
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,0\nb,a,5\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 1})
+    # the first window starts at -62135596800, the bound itself
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part),
+                   "--window-seconds", "62135596801", "--window-origin", "1") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1-01-01T00:00:00,1,")
+
+
 def test_polarization_unknown_group_lists_known_names(tmp_path, capsys):
     out_dir = tmp_path / "fig2"
     run_cli("synth", "--family", "figure2", "--out", str(out_dir))

@@ -300,6 +300,17 @@ def test_partition_file_refuses_line_breaks_before_writing(labels, bad):
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("name", ["left ", "left\t", "left\u00a0", " "])
+def test_partition_file_refuses_group_names_ending_in_whitespace(name):
+    # loading strips each line, so such a name would not come back as written
+    part = Partition.from_assignment([0, 1, 1], {0: name})
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="ends in whitespace") as info:
+        save_partition(part, buf, ["a", "b", "c"])
+    assert repr(name) in str(info.value)
+    assert buf.getvalue() == ""
+
+
 def test_partition_file_missing_vertex_is_named():
     with pytest.raises(FormatError) as info:
         load_partition(io.StringIO("a,0\nb,1\n"), ["a", "b", "c"])

@@ -41,7 +41,6 @@ def _in_window(edges, window):
         targets=edges.targets[keep],
         timestamps=edges.timestamps[keep],
         labels=edges.labels,
-        label_ids=edges.label_ids,
     )
 
 
@@ -146,15 +145,13 @@ def edge_list_texts(draw):
     case=edge_list_texts(),
     skip_header=st.booleans(),
     strict=st.sampled_from((False, False, True)),
-    comment_prefix=st.sampled_from(("#", "#", "//", "a")),
     block=st.sampled_from((1, 2, 3, 5, 16, 1 << 20)),
 )
-@example(case=("a,b,1\nb,c,2", ","), skip_header=True, strict=False, comment_prefix="#", block=3)
-@example(case=("a,,5\n,b,6\na,b,\n b,c,7\nc,a,8\n", ","), skip_header=False, strict=False, comment_prefix="#",
-         block=1 << 20)
-def test_ingest_matches_per_line_reference(case, skip_header, strict, comment_prefix, block):
+@example(case=("a,b,1\nb,c,2", ","), skip_header=True, strict=False, block=3)
+@example(case=("a,,5\n,b,6\na,b,\n b,c,7\nc,a,8\n", ","), skip_header=False, strict=False, block=1 << 20)
+def test_ingest_matches_per_line_reference(case, skip_header, strict, block):
     text, delimiter = case
-    opts = dict(delimiter=delimiter, skip_header=skip_header, strict=strict, comment_prefix=comment_prefix)
+    opts = dict(delimiter=delimiter, skip_header=skip_header, strict=strict)
     want = oracles.ingest_reference(text, **opts)
     with pytest.MonkeyPatch.context() as mp:
         # blocks of a few characters split records across block boundaries
@@ -165,16 +162,12 @@ def test_ingest_matches_per_line_reference(case, skip_header, strict, comment_pr
             assert info.value.line_number == want["error_line"]
             return
         edges = _ingest(text, **opts)
-        # an iterable of lines reads the same as the stream it came from
-        from_lines = ingest_edge_list(list(io.StringIO(text)), IngestOptions(**opts))
     for name in ("sources", "targets", "timestamps"):
         got = getattr(edges, name)
         assert got.dtype == np.int64
         assert got.tolist() == want[name]
-        assert getattr(from_lines, name).tolist() == want[name]
-    for name in ("labels", "label_ids", "dropped_self_loops", "malformed_lines"):
+    for name in ("labels", "dropped_self_loops", "malformed_lines"):
         assert getattr(edges, name) == want[name]
-        assert getattr(from_lines, name) == want[name]
 
 
 # "ba" sorts after "ab" though its little-endian word is the smaller; the
@@ -198,7 +191,6 @@ def test_ingest_ids_are_labels_in_byte_order(per_line, block):
     kept = [(s.strip(), t.strip(), ts) for s, t, ts in records if s != t]
     assert edges.labels == tuple(sorted({label for s, t, _ in kept for label in (s, t)}))
     assert edges.labels[:4] == ("ab", "abcdefgh", "abcdefgh1", "abcdefgh2")
-    assert edges.label_ids == {label: i for i, label in enumerate(edges.labels)}
     arcs = [(edges.labels[s], edges.labels[t], ts)
             for s, t, ts in zip(edges.sources.tolist(), edges.targets.tolist(), edges.timestamps.tolist())]
     assert arcs == kept
@@ -210,6 +202,9 @@ def test_ingest_ids_are_labels_in_byte_order(per_line, block):
     assert from_arcs.labels == edges.labels
     assert from_arcs.sources.tolist() == edges.sources.tolist()
     assert from_arcs.dropped_self_loops == 1
+    for built in (edges, from_arcs):
+        # an id is the label's place in the sorted, distinct labels
+        assert built.labels == tuple(sorted(set(built.labels)))
 
 
 def _assert_ingest_matches_reference(text, block):
@@ -219,7 +214,7 @@ def _assert_ingest_matches_reference(text, block):
     want = oracles.ingest_reference(text)
     for name in ("sources", "targets", "timestamps"):
         assert getattr(edges, name).tolist() == want[name], name
-    for name in ("labels", "label_ids", "dropped_self_loops", "malformed_lines"):
+    for name in ("labels", "dropped_self_loops", "malformed_lines"):
         assert getattr(edges, name) == want[name], name
 
 
@@ -306,24 +301,28 @@ def test_edge_list_round_trip():
 def _edge_set(labels, arcs):
     """A TemporalEdgeSet of (source id, target id, stamp) triples as given."""
     src, tgt, stamps = (np.array([arc[k] for arc in arcs], dtype=np.int64) for k in range(3))
-    return TemporalEdgeSet(sources=src, targets=tgt, timestamps=stamps, labels=tuple(labels),
-                           label_ids={label: i for i, label in enumerate(labels)})
+    return TemporalEdgeSet(sources=src, targets=tgt, timestamps=stamps, labels=tuple(labels))
+
+
+def test_edge_set_refuses_duplicate_labels():
+    arcs = np.array([0], dtype=np.int64)
+    with pytest.raises(ValueError, match="vertex labels must be distinct"):
+        TemporalEdgeSet(sources=arcs, targets=arcs + 1, timestamps=arcs, labels=("a", "b", "a"))
 
 
 @given(
     st.lists(st.text(st.characters() | st.sampled_from(["\ud800", ",", "\n", "é"]), max_size=6),
              min_size=1, max_size=8, unique=True),
     st.data(),
-    st.sampled_from([",", ";", "\t", "::", "é", "\udc80"]),
 )
-def test_edge_list_writer_equals_per_arc_text(labels, data, delimiter):
+def test_edge_list_writer_equals_per_arc_text(labels, data):
     arc = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
                     st.integers(0, 2**63 - 1) | st.integers(0, 1000))
     arcs = data.draw(st.lists(arc, max_size=40))
     edges = _edge_set(labels, arcs)
     buf = io.StringIO()
-    write_edge_list(buf, edges, delimiter)
-    assert buf.getvalue() == oracles.edge_list_text(labels, arcs, delimiter)
+    write_edge_list(buf, edges)
+    assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
 
 
 def test_edge_list_writer_cuts_chunks_of_long_rows():
@@ -340,17 +339,16 @@ def test_build_directed_graph_collapses_duplicates():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 100), ("a", "b", 120), ("b", "c", 130)])
     g = build_directed_graph(edges)
     assert g.m == 2
-    a, b = edges.label_ids["a"], edges.label_ids["b"]
-    row = g.out_neighbors(a)
-    assert row.tolist() == [b]
-    assert g.multiplicity[g.indptr[a]] == 2
+    a, b = edges.labels.index("a"), edges.labels.index("b")
+    assert g.out_neighbors(a).tolist() == [b]
 
 
 def test_build_directed_graph_window_filter():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 100), ("a", "b", 120), ("b", "c", 130)])
-    g = build_directed_graph(_in_window(edges, TimeWindow(110, 125)))
+    inside = _in_window(edges, TimeWindow(110, 125))
+    assert inside.n_arcs == 1
+    g = build_directed_graph(inside)
     assert g.m == 1
-    assert g.multiplicity.tolist() == [1]
     # vertex universe is preserved even when vertices fall silent
     assert g.n == 3
 
@@ -364,11 +362,11 @@ def test_build_directed_graph_matches_distinct_pair_count():
     arcs = [(s, t, ts) for s, t, ts in arcs if s != t]
     edges = TemporalEdgeSet.from_arcs(arcs)
     window = TimeWindow(100, 400)
-    g = build_directed_graph(_in_window(edges, window))
+    inside = _in_window(edges, window)
     distinct = {(s, t) for s, t, ts in arcs if window.start <= ts < window.end}
     in_window = sum(1 for _, _, ts in arcs if window.start <= ts < window.end)
-    assert g.m == len(distinct)
-    assert int(g.multiplicity.sum()) == in_window
+    assert build_directed_graph(inside).m == len(distinct)
+    assert inside.n_arcs == in_window
 
 
 def test_in_csr_is_the_reversed_graph_built_once():
@@ -464,10 +462,7 @@ def test_slice_windows_partition_all_arcs():
     assert len(windows) == 44
     membership = [sum(1 for w in windows if w.start <= ts < w.end) for ts in edges.timestamps]
     assert all(count == 1 for count in membership)
-    total = sum(
-        build_directed_graph(_in_window(edges, w)).multiplicity.sum() for w in windows
-    )
-    assert int(total) == edges.n_arcs
+    assert sum(_in_window(edges, w).n_arcs for w in windows) == edges.n_arcs
 
 
 def test_window_label_sub_day_granularity():
@@ -496,12 +491,9 @@ def test_directed_graph_rejects_self_loops():
 @example(keys=[3, 3, 3, 3])
 def test_distinct_keys_matches_np_unique(keys):
     a = np.asarray(keys, dtype=np.int64)
-    want, want_counts = np.unique(a, return_counts=True)
-    got = _distinct_keys(a)
-    got_keys, got_counts = _distinct_keys(a, return_counts=True)
-    for x, y in ((got, want), (got_keys, want), (got_counts, want_counts)):
-        assert x.dtype == y.dtype
-        assert np.array_equal(x, y)
+    want, got = np.unique(a), _distinct_keys(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 @st.composite
@@ -526,7 +518,7 @@ def _same_csr(got, want):
 def test_builders_match_lexsort_reference(graph, data):
     n, arcs = graph
     g = directed_from_arcs(n, arcs)
-    _same_csr((g.indptr, g.indices, g.multiplicity), oracles.csr_reference(n, arcs))
+    _same_csr((g.indptr, g.indices), oracles.csr_reference(n, arcs))
 
     times = data.draw(st.lists(st.integers(0, 9), min_size=len(arcs), max_size=len(arcs)))
     edges = TemporalEdgeSet(
@@ -534,16 +526,15 @@ def test_builders_match_lexsort_reference(graph, data):
         targets=np.asarray([v for _, v in arcs], dtype=np.int64),
         timestamps=np.asarray(times, dtype=np.int64),
         labels=tuple(str(v) for v in range(n)),
-        label_ids={str(v): v for v in range(n)},
     )
     window = TimeWindow(3, 7)
     inside = [a for a, t in zip(arcs, times) if window.start <= t < window.end]
     built_inside = build_directed_graph(_in_window(edges, window))
     for built, want in ((build_directed_graph(edges), arcs), (built_inside, inside)):
-        _same_csr((built.indptr, built.indices, built.multiplicity), oracles.csr_reference(n, want))
+        _same_csr((built.indptr, built.indices), oracles.csr_reference(n, want))
 
     pairs = {(min(u, v), max(u, v)) for u, v in arcs}
-    indptr, indices, _ = oracles.csr_reference(n, [*pairs, *((v, u) for u, v in pairs)])
+    indptr, indices = oracles.csr_reference(n, [*pairs, *((v, u) for u, v in pairs)])
     for und in (underlying_undirected(g), undirected_from_edges(n, arcs)):
         assert und.m == len(pairs)
         _same_csr((und.indptr, und.indices), (indptr, indices))

@@ -104,8 +104,7 @@ def test_line_order_changes_no_result(graph, data):
     labels, records = graph
     shuffled = data.draw(st.permutations(records))
     edges, again = (ingest_edge_list(io.StringIO(_text(labels, r))) for r in (records, shuffled))
-    assert (again.labels, again.label_ids, again.dropped_self_loops) == (
-        edges.labels, edges.label_ids, edges.dropped_self_loops)
+    assert (again.labels, again.dropped_self_loops) == (edges.labels, edges.dropped_self_loops)
     assert sorted(zip(again.sources.tolist(), again.targets.tolist(), again.timestamps.tolist())) == sorted(
         zip(edges.sources.tolist(), edges.targets.tolist(), edges.timestamps.tolist()))
     before, after = _run_both(_text(labels, records), _text(labels, shuffled))

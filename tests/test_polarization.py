@@ -366,7 +366,6 @@ def _edge_set(n, arcs):
         targets=np.asarray([a[1] for a in arcs], dtype=np.int64),
         timestamps=np.asarray([a[2] for a in arcs], dtype=np.int64),
         labels=tuple(str(v) for v in range(n)),
-        label_ids={str(v): v for v in range(n)},
     )
 
 

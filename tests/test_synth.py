@@ -321,7 +321,6 @@ def test_temporal_edges_stamps_and_labels():
     out = generate(GeneratorSpec("directed-cycle", {"n": 50}))
     flat = out.temporal_edges()
     assert flat.labels == tuple(f"v{i}" for i in range(50))
-    assert flat.label_ids == {f"v{i}": i for i in range(50)}
     assert flat.timestamps.tolist() == [0] * 50
     spread = out.temporal_edges(days=2, seed=3)
     expected = np.random.default_rng([3, 1]).integers(0, 2 * 86400, size=50)
