@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
@@ -146,11 +145,13 @@ class DirectedGraph:
 
         Row w lists the sources of the arcs into w in ascending order. The
         arcs are already distinct, so one sort of the keys ``w * n + u``
-        orders them and no dedup or count pass is needed.
+        (int32 when they fit, see ``_pair_keys``) orders them and no dedup
+        or count pass is needed.
         """
-        n = np.int64(self.n)
-        keys = np.sort(self.indices * n + self.arc_sources())
-        return _readonly(_indptr(self.n, self.indices)), _readonly(keys % n)
+        keys = _pair_keys(self.n, self.indices, self.arc_sources())
+        keys.sort()
+        indptr, indices = _key_csr(self.n, keys)
+        return _readonly(indptr), _readonly(indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -719,8 +720,37 @@ def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEd
     )
 
 
+def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Keys ``u * n + v`` of vertex-id pairs, as int32 when every key of n
+    vertices fits (n² < 2³¹ − 1), else as int64.
+
+    Sorted keys are the pairs in (u, v) order. int32 keys halve the memory
+    each pass over them touches: ``np.sort`` of int32 took half the time of
+    int64 at 0.26M–1M keys.
+    """
+    keys = u.astype(np.int32 if n * n < 2**31 - 1 else _INT)
+    keys *= n
+    keys += v
+    return keys
+
+
+def _key_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)``, both int64, of sorted distinct keys
+    ``u * n + v``: row u lists its v in ascending order.
+
+    One binary search per row finds the row bounds, so no row id is
+    materialised per key. The bounds ``0, n, ..., n * n`` are searched in
+    the keys' own dtype, where ``n * n`` still fits, so the keys are not
+    copied to a wider one.
+    """
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+    rows = keys // n
+    rows *= n
+    return indptr.astype(_INT, copy=False), np.subtract(keys, rows, dtype=_INT)
+
+
 def _distinct_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array, like ``np.unique``.
+    """Sorted distinct values of an integer array, like ``np.unique``.
 
     For edge keys ``u * n + v`` the sorted order is CSR row order. ``np.sort``
     plus a ``not_equal`` pass is used because plain ``np.unique`` on int64
@@ -732,23 +762,17 @@ def _distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(n + 1, dtype=_INT)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
-
-
 def _directed(n: int, src: np.ndarray, dst: np.ndarray) -> DirectedGraph:
-    uniq = _distinct_keys(src * np.int64(n) + dst)
-    return DirectedGraph(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n)
+    indptr, indices = _key_csr(n, _distinct_keys(_pair_keys(n, src, dst)))
+    return DirectedGraph(n=n, indptr=indptr, indices=indices)
 
 
 def _undirected(n: int, u: np.ndarray, v: np.ndarray) -> UndirectedView:
     # both orientations of every pair: once deduplicated, each edge is one
     # key per CSR row it belongs to, so the view needs no second sort
-    n64 = np.int64(n)
-    uniq = _distinct_keys(np.concatenate([u * n64 + v, v * n64 + u]))
-    return UndirectedView(n=n, indptr=_indptr(n, uniq // n), indices=uniq % n, m=len(uniq) // 2)
+    uniq = _distinct_keys(np.concatenate([_pair_keys(n, u, v), _pair_keys(n, v, u)]))
+    indptr, indices = _key_csr(n, uniq)
+    return UndirectedView(n=n, indptr=indptr, indices=indices, m=len(uniq) // 2)
 
 
 def _checked_pairs(n: int, pairs: Iterable[tuple[int, int]], what: str) -> np.ndarray:
@@ -790,17 +814,34 @@ def underlying_undirected(g: DirectedGraph) -> UndirectedView:
 # last second a window label can name
 FIRST_LABELLED_SECOND = -62135596800
 LAST_LABELLED_SECOND = 253402300799
+# 1000-01-01T00:00:00 UTC: labels of earlier seconds have years of 1-3 digits
+_FIRST_FOUR_DIGIT_SECOND = -30610224000
 
 # the most windows slice_windows builds; one TimeWindow and its label each
 MAX_WINDOWS = 1_000_000
 
 
+def _window_labels(starts: np.ndarray, granularity: int) -> list[str]:
+    """Labels of windows starting at the ascending int64 ``starts``, all in
+    one ``np.datetime_as_string`` call.
+
+    Years keep no leading zeros, as glibc's ``strftime("%Y")`` writes them:
+    numpy pads year 276 to ``0276``, so labels before year 1000 lose those
+    zeros again. Labels therefore do not depend on the platform's
+    ``strftime``, which pads such years on some platforms.
+    """
+    unit = "D" if granularity % 86400 == 0 else "s"
+    labels = np.datetime_as_string(starts.astype("datetime64[s]"), unit=unit).tolist()
+    early = int(np.searchsorted(starts, _FIRST_FOUR_DIGIT_SECOND))
+    labels[:early] = [label.lstrip("0") for label in labels[:early]]
+    return labels
+
+
 def window_label(start: int, granularity: int) -> str:
-    """Human label for a window: UTC date for day-multiple granularities."""
-    dt = datetime.fromtimestamp(start, tz=timezone.utc)
-    if granularity % 86400 == 0:
-        return dt.strftime("%Y-%m-%d")
-    return dt.strftime("%Y-%m-%dT%H:%M:%S")
+    """Human label for a window: its UTC start as ``YYYY-MM-DD`` for
+    day-multiple granularities, else as ``YYYY-MM-DDTHH:MM:SS``, with years
+    before 1000 unpadded (``1-01-01``)."""
+    return _window_labels(np.array([start], dtype=_INT), granularity)[0]
 
 
 def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> list[TimeWindow]:
@@ -811,7 +852,8 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
     window would start before ``FIRST_LABELLED_SECOND`` or past
     ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
     span more than ``MAX_WINDOWS`` windows; all three are checked before
-    any window is built.
+    any window or label is built. Every label comes from one vectorised
+    call (see ``window_label`` for the format).
     """
     if granularity <= 0:
         raise ValueError("granularity must be positive")
@@ -837,10 +879,7 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
             f"stamps {tmin} .. {tmax} span {count} windows of {granularity} s, more than "
             f"{MAX_WINDOWS}; use a larger window length (--window-seconds)"
         )
-    windows = []
-    start = first
-    while start <= tmax:
-        windows.append(TimeWindow(start=start, end=start + granularity, label=window_label(start, granularity)))
-        start += granularity
-    return windows
-
+    # a range of Python ints: with one window, granularity may exceed int64
+    starts = np.fromiter(range(first, last + 1, granularity), dtype=_INT, count=count)
+    labels = _window_labels(starts, granularity)
+    return [TimeWindow(start, start + granularity, label) for start, label in zip(starts.tolist(), labels)]

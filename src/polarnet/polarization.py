@@ -10,15 +10,16 @@ meaningful when Q is safely away from zero.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .community import Partition
 from .errors import DegenerateModularityError, UndefinedModularityError
-from .graph import TemporalEdgeSet, TimeWindow, UndirectedView
+from .graph import TemporalEdgeSet, TimeWindow, UndirectedView, _pair_keys
 
 DEFAULT_D_TOLERANCE = 1e-12
 
@@ -103,7 +104,10 @@ def _ols_fit(xs: np.ndarray, ys: np.ndarray) -> TrendFit:
 
 @dataclass(frozen=True)
 class WindowStats:
-    """Per-window modularity figures; all None when the window has no edges."""
+    """One window's row of a :class:`PolarizationReport`, built when it is
+    read; ``q``, ``group_q`` and every ``group_d`` value are None when the
+    window has no edges, and the ``group_d`` values also where |Q| is
+    within ``DEFAULT_D_TOLERANCE`` of zero."""
 
     label: str
     m: int
@@ -112,12 +116,77 @@ class WindowStats:
     group_d: dict[int, float | None] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationReport:
-    windows: tuple[WindowStats, ...]
+    """A window series stored as read-only columns, plus its trends.
+
+    One entry per window, in the order the windows were given: ``labels``,
+    and ``rows``, the window's row in the columns or -1 when the window
+    holds no arcs. One row per window that holds arcs, in window order:
+    ``m`` (distinct pairs), ``q``, ``group_q`` (rows × k, Q_i), ``defined``
+    (|q| > ``DEFAULT_D_TOLERANCE``) and ``group_d`` (rows × tracked, d_i in
+    the order of ``tracked_groups``, 0 where not ``defined``). An empty
+    window costs no row, so memory grows with the windows that hold arcs
+    times k, not with all windows times k.
+
+    ``windows[j]`` is window j as a :class:`WindowStats`, built on access.
+    """
+
+    labels: tuple[str, ...]
+    rows: np.ndarray
+    m: np.ndarray
+    q: np.ndarray
+    group_q: np.ndarray
+    defined: np.ndarray
+    group_d: np.ndarray
     k: int
     tracked_groups: tuple[int, ...]
     trends: dict[str, TrendFit]
+
+    def __post_init__(self):
+        for a in self._columns():
+            a.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.rows, self.m, self.q, self.group_q, self.defined, self.group_d
+
+    def __eq__(self, other) -> bool:
+        """Equal labels, groups and trends, and equal columns value for value."""
+        if not isinstance(other, PolarizationReport):
+            return NotImplemented
+        return (
+            (self.labels, self.k, self.tracked_groups, self.trends)
+            == (other.labels, other.k, other.tracked_groups, other.trends)
+            and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+        )
+
+    @property
+    def windows(self) -> "_WindowRows":
+        return _WindowRows(self)
+
+
+class _WindowRows(Sequence):
+    """The windows of a report as a sequence of :class:`WindowStats`."""
+
+    def __init__(self, report: PolarizationReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.labels)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        r = self._report
+        label, row = r.labels[j], int(r.rows[j])
+        if row < 0:
+            return WindowStats(label=label, m=0, q=None, group_q=None, group_d=dict.fromkeys(r.tracked_groups))
+        if r.defined[row]:
+            group_d = dict(zip(r.tracked_groups, r.group_d[row].tolist()))
+        else:
+            group_d = dict.fromkeys(r.tracked_groups)
+        return WindowStats(label=label, m=int(r.m[row]), q=float(r.q[row]),
+                           group_q=tuple(r.group_q[row].tolist()), group_d=group_d)
 
 
 def window_series(
@@ -130,22 +199,25 @@ def window_series(
 
     Windows may come in any order and may overlap or lie outside the arcs'
     time span; each row is computed from the arcs inside its own window.
-    Windows with no arcs produce a row of None values and are excluded from
-    trend fits; a tracked d_i is None wherever |Q| <= ``DEFAULT_D_TOLERANCE``.
-    Trend x coordinates are window ordinals (0, 1, ...), so slopes read as
-    change per window.
+    Windows with no arcs get no row (their ``windows[j]`` reads as None
+    values) and are excluded from trend fits; a tracked d_i is undefined
+    wherever |Q| <= ``DEFAULT_D_TOLERANCE``. Trend x coordinates are window
+    ordinals (0, 1, ...), so slopes read as change per window.
 
-    Arcs are sorted by time once with an argsort. A window's edges are the
-    *set* of distinct unordered pairs in its slice, so the order of arcs with
-    equal timestamps cannot matter and the sort need not be stable. A
-    window's own work is one in-place sort of its slice's pair keys; the
-    dedup, group lookups, e_i and D_i (bincounts over row·k + group), every
-    Q_i and q as the row sums of a rows×k array are whole-array passes over
-    all windows that hold arcs. With A arcs, F windows holding arcs and k
-    groups, that is O(A log A) plus the slice sorts and O(F·k) for the rows,
-    with no graph built per window; a window without arcs costs only its
-    row of None values. Windows are taken in runs whose slices hold at most
-    2A arcs, so temporaries stay O(A + F·k) even when windows overlap.
+    Arcs are put in time order once: by an argsort, skipped when the stamps
+    are already nondecreasing, as in a log-like file. A window's edges are
+    the *set* of distinct unordered pairs in its slice, so the order of arcs
+    with equal timestamps cannot matter and the sort need not be stable.
+    Pairs are int32 keys ``min·n + max`` when they fit (see
+    ``graph._pair_keys``). A window's own work is one in-place sort of its
+    slice's keys; the dedup, group lookups, e_i and D_i (bincounts over
+    row·k + group), every Q_i and q as the row sums of a rows×k array are
+    whole-array passes over all windows that hold arcs, written straight
+    into the report's columns. With A arcs, F windows holding arcs and k
+    groups, that is O(A log A) plus the slice sorts and O(F·k) for the
+    rows, with no graph and no object built per window. Windows are taken
+    in runs whose slices hold at most 2A arcs, so temporaries stay
+    O(A + F·k) even when windows overlap.
     """
     if p.n != edges.n_vertices:
         raise ValueError(f"partition covers {p.n} vertices, edge set has {edges.n_vertices}")
@@ -154,15 +226,14 @@ def window_series(
         if not (0 <= i < p.k):
             raise ValueError(f"group index {i} out of range (k={p.k})")
 
-    n, k = np.int64(edges.n_vertices), p.k
-    s, t, stamps = edges.sources, edges.targets, edges.timestamps
-    # fresh arrays cost page faults comparable to the arithmetic, so the
-    # arc-length temporaries below are updated in place where they can be
-    keys = np.minimum(s, t)
-    keys *= n
-    keys += np.maximum(s, t)
-    order = np.argsort(stamps)
-    times, keys = stamps[order], keys[order]
+    n, k = edges.n_vertices, p.k
+    s, t, times = edges.sources, edges.targets, edges.timestamps
+    # of the keys of (s, t) and (t, s), the smaller one is min(s, t)·n + max(s, t)
+    keys = _pair_keys(n, s, t)
+    np.minimum(keys, _pair_keys(n, t, s), out=keys)
+    if len(times) > 1 and (times[1:] < times[:-1]).any():
+        order = np.argsort(times)
+        times, keys = times[order], keys[order]
     begins = np.searchsorted(times, [w.start for w in windows])
     ends = np.searchsorted(times, [w.end for w in windows])
     filled = np.flatnonzero(ends > begins)  # the windows that get a row
@@ -188,33 +259,23 @@ def window_series(
         first = np.ones(len(cat), dtype=bool)
         np.not_equal(cat[1:], cat[:-1], out=first[1:])
         first[at[:-1]] = True
-        keep = np.flatnonzero(first)
-        m[lo:hi] = np.diff(np.searchsorted(keep, at))
-        pairs = cat[keep]
+        # no slice is empty, so reduceat counts each one's new pairs
+        m[lo:hi] = np.add.reduceat(first, at[:-1], dtype=np.int64)
+        # split the pairs in the keys' dtype: numpy gathers by int32 as fast
+        pairs = cat[first]
         u = pairs // n
         row = np.repeat(np.arange(0, (hi - lo) * k, k, dtype=np.int64), m[lo:hi])
         cu = a[u]
         cu += row
-        cv = a[pairs - u * n]
+        u *= n
+        pairs -= u
+        cv = a[pairs]
         cv += row
         group_q[lo:hi] = _contributions(cu, cv, m[lo:hi], k)
     qs = group_q.sum(axis=1)
-    shared = np.abs(qs) > DEFAULT_D_TOLERANCE  # rows whose d_i are defined
-    shares = np.divide(group_q[:, list(tracked)], qs[:, None], where=shared[:, None],
+    defined = np.abs(qs) > DEFAULT_D_TOLERANCE
+    shares = np.divide(group_q[:, list(tracked)], qs[:, None], where=defined[:, None],
                        out=np.zeros((rows, len(tracked))))
-
-    stats: list[WindowStats] = []
-    empty = dict.fromkeys(tracked)
-    values = iter(zip(m.tolist(), qs.tolist(), group_q.tolist(), shares.tolist(), shared.tolist()))
-    has_row = np.zeros(len(windows), dtype=bool)
-    has_row[filled] = True
-    for w, has in zip(windows, has_row.tolist()):
-        if not has:
-            stats.append(WindowStats(label=w.label, m=0, q=None, group_q=None, group_d=dict(empty)))
-            continue
-        size, q, row_q, row_d, has_d = next(values)
-        group_d = dict(zip(tracked, row_d)) if has_d else dict(empty)
-        stats.append(WindowStats(label=w.label, m=size, q=q, group_q=tuple(row_q), group_d=group_d))
 
     trends: dict[str, TrendFit] = {}
     every = np.ones(rows, dtype=bool)
@@ -226,33 +287,42 @@ def window_series(
     fit("q", every, qs)
     for j, i in enumerate(tracked):
         fit(f"group_q_{i}", every, group_q[:, i])
-        fit(f"group_d_{i}", shared, shares[:, j])
+        fit(f"group_d_{i}", defined, shares[:, j])
 
+    row_of = np.full(len(windows), -1, dtype=np.int64)
+    row_of[filled] = np.arange(rows)
     return PolarizationReport(
-        windows=tuple(stats), k=p.k, tracked_groups=tracked, trends=trends
+        labels=tuple(w.label for w in windows), rows=row_of, m=m, q=qs, group_q=group_q,
+        defined=defined, group_d=shares, k=k, tracked_groups=tracked, trends=trends,
     )
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
 def write_report_csv(report: PolarizationReport, stream: TextIO) -> None:
-    """One row per window. With tracked groups the Q_i and d_i columns are
-    restricted to those groups; otherwise every group's Q_i is emitted and
-    the d_i columns are omitted."""
-    q_cols = list(report.tracked_groups) if report.tracked_groups else list(range(report.k))
+    """One row per window, rendered from the report's columns. With tracked
+    groups the Q_i and d_i columns are restricted to those groups;
+    otherwise every group's Q_i is emitted and the d_i columns are omitted.
+    Values are written with six decimals; None values as empty fields."""
+    tracked = list(report.tracked_groups)
+    q_cols = tracked or list(range(report.k))
     header = ["label", "m", "q"]
     header += [f"q_{i}" for i in q_cols]
-    header += [f"d_{i}" for i in report.tracked_groups]
-    stream.write(",".join(header) + "\n")
-    for s in report.windows:
-        row = [s.label, str(s.m), _fmt(s.q)]
-        for i in q_cols:
-            row.append(_fmt(None if s.group_q is None else s.group_q[i]))
-        for i in report.tracked_groups:
-            row.append(_fmt(s.group_d.get(i)))
-        stream.write(",".join(row) + "\n")
+    header += [f"d_{i}" for i in tracked]
+    # one template per row shape: shares defined, shares undefined, no arcs
+    numbers = 1 + len(q_cols)
+    full = "%s,%d" + ",%.6f" * (numbers + len(tracked)) + "\n"
+    no_d = "%s,%d" + ",%.6f" * numbers + "," * len(tracked) + "\n"
+    empty = "%s,0" + "," * (numbers + len(tracked)) + "\n"
+    values = np.column_stack([report.q, report.group_q[:, q_cols], report.group_d]).tolist()
+    m, defined = report.m.tolist(), report.defined.tolist()
+    lines = [",".join(header) + "\n"]
+    for label, row in zip(report.labels, report.rows.tolist()):
+        if row < 0:
+            lines.append(empty % label)
+        elif defined[row]:
+            lines.append(full % (label, m[row], *values[row]))
+        else:
+            lines.append(no_d % (label, m[row], *values[row][:numbers]))
+    stream.write("".join(lines))
 
 
 # json spells the non-finite floats that float.__repr__ writes as nan and inf
@@ -260,28 +330,57 @@ _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_ITEM = ",\n        "
 
 
-def _json_number(x: float | None) -> str:
-    if x is None:
-        return "null"
-    text = float.__repr__(x)
-    return _JSON_FLOAT.get(text, text)
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of every value, as json spells it: one ``repr``
+    of the whole list renders them all."""
+    if values.size == 0:
+        return []
+    text = repr(values.ravel().tolist())[1:-1].split(", ")
+    if not np.isfinite(values).all():
+        text = [_JSON_FLOAT.get(x, x) for x in text]
+    return text
 
 
-def _json_windows(windows: Sequence[WindowStats]) -> str:
+def _json_window(keys: Sequence[int], group_d: Sequence[str], group_q: Sequence[str] | None,
+                 label: str, m: str, q: str) -> str:
+    """One object of the ``windows`` array, from its rendered values."""
+    items = _JSON_ITEM.join([f'"{i}": {x}' for i, x in zip(keys, group_d)])
+    d_text = f"{{\n        {items}\n      }}" if keys else "{}"
+    if group_q is None:
+        q_text = "null"
+    else:
+        q_text = f"[\n        {_JSON_ITEM.join(group_q)}\n      ]" if group_q else "[]"
+    return (f'    {{\n      "group_d": {d_text},\n      "group_q": {q_text},'
+            f'\n      "label": {label},\n      "m": {m},\n      "q": {q}\n    }}')
+
+
+def _json_windows(report: PolarizationReport) -> str:
     """The ``windows`` array as ``json.dumps(..., indent=2, sort_keys=True)``
-    writes it one level down, from its opening bracket to its closing one."""
+    writes it one level down, from its opening bracket to its closing one.
+
+    Rows with arcs fill one ``%`` template, empty rows another. Their
+    numbers are rendered in bulk, one ``repr`` for all, and rows whose
+    shares are undefined get ``null`` in their share slots."""
+    # group_d keys are the distinct tracked groups, in the order json sorts them
+    last = {i: j for j, i in enumerate(report.tracked_groups)}
+    keys = sorted(last, key=str)
+    nd, k = len(keys), report.k
+    empty = _json_window(keys, ["null"] * nd, None, "%s", "0", "null")
+    filled = _json_window(keys, ["%s"] * nd, ["%s"] * k, "%s", "%s", "%s")
+    width = nd + k + 1
+    text = _json_numbers(np.column_stack([report.group_d[:, [last[i] for i in keys]],
+                                          report.group_q, report.q]))
+    for row in np.flatnonzero(~report.defined).tolist():
+        text[row * width:row * width + nd] = ["null"] * nd
+    m = report.m.tolist()
     items = []
-    for s in windows:
-        d, q = s.group_d, s.group_q
-        group_d = _JSON_ITEM.join([f'"{i}": {_json_number(d[i])}' for i in sorted(d, key=str)])
-        group_d = f"{{\n        {group_d}\n      }}" if d else "{}"
-        if q is None:
-            group_q = "null"
+    for label, row in zip(report.labels, report.rows.tolist()):
+        label = encode_basestring_ascii(label)
+        if row < 0:
+            items.append(empty % label)
         else:
-            group_q = f"[\n        {_JSON_ITEM.join(map(_json_number, q))}\n      ]" if q else "[]"
-        items.append(f'    {{\n      "group_d": {group_d},\n      "group_q": {group_q},'
-                     f'\n      "label": {encode_basestring_ascii(s.label)},'
-                     f'\n      "m": {int.__repr__(s.m)},\n      "q": {_json_number(s.q)}\n    }}')
+            b = row * width
+            items.append(filled % (*text[b:b + width - 1], label, m[row], text[b + width - 1]))
     return ("[\n" + ",\n".join(items) + "\n  ]") if items else "[]"
 
 
@@ -294,9 +393,9 @@ def write_report_json(report: PolarizationReport, stream: TextIO, extra: dict | 
     ``windows`` (one object per window with ``label``, ``m``, ``q``,
     ``group_q`` and ``group_d`` keyed by the group index as a string) and
     ``trends`` (``slope`` and ``intercept`` by name). The windows array,
-    most of the report, is rendered directly: ``json.dumps`` with an indent
-    runs the pure-Python encoder, which took about 2.5 times as long over
-    a report of 1440 windows.
+    most of the report, is rendered from the columns directly:
+    ``json.dumps`` with an indent runs the pure-Python encoder, which took
+    about 2.5 times as long over a report of 1440 windows.
     """
     windows: list = []
     payload = {
@@ -311,9 +410,9 @@ def write_report_json(report: PolarizationReport, stream: TextIO, extra: dict | 
     if extra:
         payload.update(extra)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if payload["windows"] is windows and report.windows:
+    if payload["windows"] is windows and report.labels:
         # top-level keys alone sit two spaces in, and no JSON string holds a
         # raw line break, so this text is the placeholder's and nothing else's
         head, _, tail = text.partition('\n  "windows": []')
-        text = f'{head}\n  "windows": {_json_windows(report.windows)}{tail}'
+        text = f'{head}\n  "windows": {_json_windows(report)}{tail}'
     stream.write(text + "\n")

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from polarnet.graph import DirectedGraph, UndirectedView
-from polarnet.polarization import DEFAULT_D_TOLERANCE, PolarizationReport, TrendFit, WindowStats
+from polarnet.polarization import DEFAULT_D_TOLERANCE, PolarizationReport, TrendFit
 
 
 def parse_edge_lines(lines, delimiter=","):
@@ -158,7 +158,9 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
     fitted from Python lists of points. ``np.unique`` stands in for the
     library's sort-based dedup (the same sorted values) and the two helpers
     above are the library's modularity and least-squares arithmetic of the
-    time, so the result can be compared with ``==``, float for float.
+    time. The rows are then packed into a report's columns, as its
+    docstring lays them out, so the result can be compared with ``==``,
+    float for float.
     """
     tracked = tuple(int(i) for i in tracked_groups)
     n = np.int64(edges.n_vertices)
@@ -170,29 +172,21 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
     ends = np.searchsorted(times, [w.end for w in windows])
     a = p.assignment
 
-    stats = []
-    for w, begin, end in zip(windows, begins, ends):
+    rows, ms, qs, group_qs, defined, group_ds = [], [], [], [], [], []
+    for begin, end in zip(begins, ends):
         pairs = np.unique(keys[begin:end])
         if len(pairs) == 0:
-            stats.append(
-                WindowStats(label=w.label, m=0, q=None, group_q=None,
-                            group_d={i: None for i in tracked})
-            )
+            rows.append(-1)
             continue
+        rows.append(len(ms))
         contributions = _contributions_reference(a[pairs // n], a[pairs % n], p.k, float(len(pairs)))
         q = float(contributions.sum())
-        group_d = {}
-        for i in tracked:
-            group_d[i] = None if abs(q) <= DEFAULT_D_TOLERANCE else float(contributions[i]) / q
-        stats.append(
-            WindowStats(
-                label=w.label,
-                m=len(pairs),
-                q=q,
-                group_q=tuple(float(x) for x in contributions),
-                group_d=group_d,
-            )
-        )
+        shared = abs(q) > DEFAULT_D_TOLERANCE
+        ms.append(len(pairs))
+        qs.append(q)
+        group_qs.append([float(x) for x in contributions])
+        defined.append(shared)
+        group_ds.append([float(contributions[i]) / q if shared else 0.0 for i in tracked])
 
     trends = {}
 
@@ -200,16 +194,23 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
         if len(pts) >= 2:
             trends[name] = _trend_reference(pts)
 
-    fit("q", [(t, s.q) for t, s in enumerate(stats) if s.q is not None])
-    for i in tracked:
-        fit(f"group_q_{i}", [(t, s.group_q[i]) for t, s in enumerate(stats) if s.group_q is not None])
-        fit(
-            f"group_d_{i}",
-            [(t, s.group_d[i]) for t, s in enumerate(stats) if s.group_d.get(i) is not None],
-        )
+    filled = [(j, r) for j, r in enumerate(rows) if r >= 0]
+    fit("q", [(j, qs[r]) for j, r in filled])
+    for c, i in enumerate(tracked):
+        fit(f"group_q_{i}", [(j, group_qs[r][i]) for j, r in filled])
+        fit(f"group_d_{i}", [(j, group_ds[r][c]) for j, r in filled if defined[r]])
 
     return PolarizationReport(
-        windows=tuple(stats), k=p.k, tracked_groups=tracked, trends=trends
+        labels=tuple(w.label for w in windows),
+        rows=np.asarray(rows, dtype=np.int64),
+        m=np.asarray(ms, dtype=np.int64),
+        q=np.asarray(qs, dtype=np.float64),
+        group_q=np.asarray(group_qs, dtype=np.float64).reshape(len(ms), p.k),
+        defined=np.asarray(defined, dtype=bool),
+        group_d=np.asarray(group_ds, dtype=np.float64).reshape(len(ms), len(tracked)),
+        k=p.k,
+        tracked_groups=tracked,
+        trends=trends,
     )
 
 
@@ -233,6 +234,24 @@ def report_payload(report):
             for name, t in report.trends.items()
         },
     }
+
+
+def report_csv(report):
+    """The CSV text of a report, one window row at a time: f-strings of six
+    decimals, empty fields for None values."""
+
+    def fmt(x):
+        return "" if x is None else f"{x:.6f}"
+
+    q_cols = list(report.tracked_groups) if report.tracked_groups else list(range(report.k))
+    header = ["label", "m", "q"] + [f"q_{i}" for i in q_cols] + [f"d_{i}" for i in report.tracked_groups]
+    lines = [",".join(header)]
+    for s in report.windows:
+        row = [s.label, str(s.m), fmt(s.q)]
+        row += [fmt(None if s.group_q is None else s.group_q[i]) for i in q_cols]
+        row += [fmt(s.group_d.get(i)) for i in report.tracked_groups]
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines)
 
 
 def adjacency_matrix(und: UndirectedView) -> np.ndarray:

@@ -358,7 +358,7 @@ def test_polarization_refuses_more_windows_than_the_bound(tmp_path, capsys, monk
     def no_window(*args):
         raise AssertionError("a window was built")
 
-    monkeypatch.setattr(graph, "window_label", no_window)
+    monkeypatch.setattr(graph, "_window_labels", no_window)
     src = tmp_path / "edges.csv"
     src.write_text("a,b,0\nb,a,253402300799\n", encoding="utf-8")
     part = tmp_path / "partition.csv"
@@ -384,7 +384,7 @@ def test_polarization_refuses_a_first_window_before_year_1(tmp_path, capsys, mon
     def no_window(*args):
         raise AssertionError("a window was built")
 
-    monkeypatch.setattr(graph, "window_label", no_window)
+    monkeypatch.setattr(graph, "_window_labels", no_window)
     src = tmp_path / "edges.csv"
     src.write_text("a,b,0\nb,a,5\n", encoding="utf-8")
     part = tmp_path / "partition.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -469,6 +470,52 @@ def test_window_label_sub_day_granularity():
     assert window_label(3600, 3600) == "1970-01-01T01:00:00"
 
 
+def test_window_label_first_labelled_day_has_an_unpadded_year():
+    assert window_label(graph.FIRST_LABELLED_SECOND, 86400) == "1-01-01"
+
+
+def _strftime_label(start, granularity):
+    """The label ``strftime`` writes, but with the year as ``str(year)``:
+    glibc writes years below 1000 unpadded, some platforms pad them."""
+    dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=start)
+    return str(dt.year) + dt.strftime("-%m-%d" if granularity % 86400 == 0 else "-%m-%dT%H:%M:%S")
+
+
+_BOUNDS = [graph.FIRST_LABELLED_SECOND, graph.LAST_LABELLED_SECOND]
+# the first second of years 10, 100 and 1000 and the last second before each
+_YEAR_DIGITS = [-59926608000, -59926608001, -59042995200, -59042995201, -30610224000, -30610224001]
+
+
+@given(
+    st.lists(st.integers(*_BOUNDS) | st.integers(_BOUNDS[0], _YEAR_DIGITS[4]), max_size=40),
+    st.sampled_from([7, 3600, 86400, 604800]),
+)
+@example(_BOUNDS + _YEAR_DIGITS, 7)
+@example(_BOUNDS + _YEAR_DIGITS, 86400)
+def test_window_labels_match_strftime_over_the_labelled_range(starts, granularity):
+    # one vectorised call for many starts, and window_label for each, from
+    # year 1 (unpadded, as glibc writes it) to the last second of year 9999
+    starts = sorted(starts)
+    want = [_strftime_label(start, granularity) for start in starts]
+    assert graph._window_labels(np.asarray(starts, dtype=np.int64), granularity) == want
+    assert [window_label(start, granularity) for start in starts] == want
+
+
+@pytest.mark.parametrize("granularity, origin, stamps, message", [
+    (10**11, -99999999999, [0, 5], "can start at the earliest at -62135596800"),
+    (1, 0, [253402300800], "can start at most at 253402300799"),
+    (1, 0, [0, 2_000_000], "span 2000001 windows of 1 s, more than 1000000"),
+])
+def test_slice_windows_checks_its_bounds_before_any_label(monkeypatch, granularity, origin, stamps, message):
+    def no_labels(*args):
+        raise AssertionError("labels were built")
+
+    monkeypatch.setattr(graph, "_window_labels", no_labels)
+    edges = TemporalEdgeSet.from_arcs([("a", "b", t) for t in stamps])
+    with pytest.raises(ValueError, match=message):
+        slice_windows(edges, granularity, origin=origin)
+
+
 def test_exclude_interval_drops_arcs_keeps_universe():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 10), ("b", "c", 20), ("c", "a", 30)])
     trimmed = exclude_interval(edges, 15, 25)
@@ -538,3 +585,25 @@ def test_builders_match_lexsort_reference(graph, data):
     for und in (underlying_undirected(g), undirected_from_edges(n, arcs)):
         assert und.m == len(pairs)
         _same_csr((und.indptr, und.indices), (indptr, indices))
+
+
+@pytest.mark.parametrize("n, key_dtype", [(46340, np.int32), (46341, np.int64)])
+def test_builders_match_reference_on_either_side_of_int32_keys(n, key_dtype):
+    # n = 46,340 is the largest n with n² < 2³¹ − 1, so keys are int32 up to
+    # it and int64 above; arcs at n − 1 build keys up to n² − 2
+    rng = np.random.default_rng(n)
+    top = n - 1
+    pairs = np.vstack([rng.integers(0, n, size=(300, 2)),
+                       [(top, top - 1), (top - 1, top), (0, top), (top, 0), (top, 5), (top, 5)]])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    assert graph._pair_keys(n, pairs[:, 0], pairs[:, 1]).dtype == key_dtype
+    arcs = [tuple(p) for p in pairs.tolist()]
+    edges = TemporalEdgeSet(
+        sources=pairs[:, 0].copy(), targets=pairs[:, 1].copy(),
+        timestamps=rng.integers(0, 100, len(pairs)), labels=tuple(str(v) for v in range(n)),
+    )
+    g = build_directed_graph(edges)
+    _same_csr((g.indptr, g.indices), oracles.csr_reference(n, arcs))
+    _same_csr(g.in_csr, oracles.csr_reference(n, [(v, u) for u, v in arcs]))
+    und = underlying_undirected(g)
+    _same_csr((und.indptr, und.indices), oracles.csr_reference(n, arcs + [(v, u) for u, v in arcs]))

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -398,6 +398,35 @@ def test_window_series_equals_per_window_reference(inputs):
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=tracked)
 
 
+@given(windowed_inputs())
+@example((3, [(0, 1, 5)], [0, 1, 1], [TimeWindow(0, 10, "0"), TimeWindow(5, 6, "1"), TimeWindow(0, 3, "2")], [1]))
+def test_time_ordered_arcs_give_the_report_of_shuffled_ones(inputs):
+    # stamps already in order skip the time sort; ties, overlapping and
+    # out-of-order windows must not notice
+    n, arcs, assignment, windows, tracked = inputs
+    part = Partition.from_assignment(assignment)
+    in_order = _edge_set(n, sorted(arcs, key=lambda arc: arc[2]))
+    report = window_series(in_order, part, windows, tracked_groups=tracked)
+    assert report == window_series(_edge_set(n, arcs), part, windows, tracked_groups=tracked)
+    assert report == oracles.window_series_reference(in_order, part, windows, tracked_groups=tracked)
+
+
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_window_series_equals_reference_on_either_side_of_int32_keys(n):
+    # keys are int32 up to n = 46,340 and int64 above; pairs at n − 1 make
+    # the largest keys
+    rng = np.random.default_rng(n)
+    top = n - 1
+    pairs = np.vstack([rng.integers(0, n, size=(300, 2)), [(top, top - 1), (top - 1, top), (0, top), (top, 0)]])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    stamps = rng.integers(0, 50, len(pairs))
+    edges = _edge_set(n, [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, stamps)])
+    part = Partition.from_assignment(rng.permutation(np.arange(n) % 4))
+    windows = slice_windows(edges, 10) + [TimeWindow(5, 35, label="overlap")]
+    report = window_series(edges, part, windows, tracked_groups=[3, 0])
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[3, 0])
+
+
 def test_window_series_equals_reference_with_many_groups():
     # 200 groups: numpy's pairwise summation splits a row of more than 128
     # values, and q, a row sum of the all-window array, must still equal the
@@ -446,22 +475,46 @@ _labels = st.one_of(
 )
 
 
+def _column_report(labels, rows, m, q, group_q, defined, group_d, k, tracked, trends=None):
+    """A report from plain per-window and per-row lists."""
+    count = len(m)
+    return PolarizationReport(
+        labels=tuple(labels), rows=np.asarray(rows, dtype=np.int64), m=np.asarray(m, dtype=np.int64),
+        q=np.asarray(q, dtype=np.float64), group_q=np.asarray(group_q, dtype=np.float64).reshape(count, k),
+        defined=np.asarray(defined, dtype=bool),
+        group_d=np.asarray(group_d, dtype=np.float64).reshape(count, len(tracked)),
+        k=k, tracked_groups=tuple(tracked), trends=trends or {},
+    )
+
+
 @st.composite
 def reports(draw):
-    """Random reports: no windows or many, empty rows, up to 13 groups and
-    up to 13 tracked keys, non-finite and signed-zero floats, any labels."""
-    window = st.builds(
-        WindowStats,
-        label=_labels,
-        m=st.integers(0, 10**6),
-        q=st.none() | _floats,
-        group_q=st.none() | st.lists(_floats, max_size=13).map(tuple),
-        group_d=st.dictionaries(st.integers(0, 15), st.none() | _floats, max_size=13),
-    )
-    return PolarizationReport(
-        windows=tuple(draw(st.lists(window, max_size=6))),
-        k=draw(st.integers(0, 20)),
-        tracked_groups=tuple(draw(st.lists(st.integers(0, 15), max_size=13))),
+    """Random column-shaped reports: no windows or many, empty rows, rows
+    whose shares are undefined, up to 16 groups and up to 13 tracked ones,
+    repeats allowed, non-finite and signed-zero floats, any labels."""
+    k = draw(st.integers(0, 16))
+    tracked = draw(st.lists(st.integers(0, k - 1), max_size=13)) if k else []
+    has_row = draw(st.lists(st.booleans(), max_size=6))
+    count = sum(has_row)
+
+    def values(size, element):
+        return draw(st.lists(element, min_size=size, max_size=size))
+
+    rows = np.cumsum(has_row, dtype=np.int64) - 1
+    rows[~np.asarray(has_row, dtype=bool)] = -1
+    # a group tracked twice has one share column, as window_series fills it
+    distinct = sorted(set(tracked))
+    shares = np.asarray(values(count * len(distinct), _floats)).reshape(count, len(distinct))
+    return _column_report(
+        labels=values(len(has_row), _labels),
+        rows=rows,
+        m=values(count, st.integers(0, 10**6)),
+        q=values(count, _floats),
+        group_q=values(count * k, _floats),
+        defined=values(count, st.booleans()),
+        group_d=shares[:, [distinct.index(i) for i in tracked]],
+        k=k,
+        tracked=tracked,
         trends=draw(st.dictionaries(
             st.sampled_from(["q", "group_q_0", "group_d_10", "group_d_2"]),
             st.builds(TrendFit, slope=_floats, intercept=_floats),
@@ -491,12 +544,37 @@ def test_report_json_bytes_equal_json_dumps(report, extra):
 
 def test_report_json_special_floats_and_wide_shares():
     # eleven tracked keys put "10" before "2"; NaN and infinities are spelled as json spells them
-    row = WindowStats(label="nan\u00e9", m=3, q=float("nan"), group_q=(-0.0, float("inf")),
-                      group_d={i: (float("-inf") if i == 2 else i / 3) for i in range(11)})
-    report = PolarizationReport(windows=(row,), k=2, tracked_groups=tuple(range(11)), trends={})
+    report = _column_report(labels=["nan\u00e9"], rows=[0], m=[3], q=[float("nan")],
+                            group_q=[-0.0, float("inf")], defined=[True],
+                            group_d=[float("-inf") if i == 2 else i / 3 for i in range(11)],
+                            k=2, tracked=range(11))
     buf = io.StringIO()
     write_report_json(report, buf)
     text = buf.getvalue()
     assert text == json.dumps(oracles.report_payload(report), indent=2, sort_keys=True) + "\n"
     assert text.index('"10":') < text.index('"2":')
     assert '"q": NaN' in text and "-Infinity" in text and "-0.0" in text
+
+
+@given(reports())
+def test_report_csv_renders_every_row_shape_as_row_by_row(report):
+    # empty rows, rows without defined shares and non-finite values, in
+    # the six-decimal f-string format of a row-at-a-time writer
+    buf = io.StringIO()
+    write_report_csv(report, buf)
+    assert buf.getvalue() == oracles.report_csv(report)
+
+
+def test_report_windows_view_reads_each_row_shape():
+    report = _column_report(labels=["a", "b", "c"], rows=[0, -1, 1], m=[4, 2], q=[0.5, 1e-13],
+                            group_q=[[0.25, 0.25], [1e-13, 0.0]], defined=[True, False],
+                            group_d=[[0.5], [0.0]], k=2, tracked=[1])
+    assert list(report.windows) == [
+        WindowStats(label="a", m=4, q=0.5, group_q=(0.25, 0.25), group_d={1: 0.5}),
+        WindowStats(label="b", m=0, q=None, group_q=None, group_d={1: None}),
+        WindowStats(label="c", m=2, q=1e-13, group_q=(1e-13, 0.0), group_d={1: None}),
+    ]
+    assert report.windows[-1] == report.windows[2] and report.windows[1:] == list(report.windows)[1:]
+    assert len(report.windows) == 3
+    with pytest.raises(ValueError):
+        report.q[0] = 1.0
