@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import FormatError
-from .graph import UndirectedView, _distinct_keys
+from .graph import UndirectedView, _csr_rows, _distinct_keys, _key_csr, _pair_keys
 
 _INT = np.int64
 
@@ -77,7 +77,7 @@ class Partition:
         a = np.asarray(list(assignment) if not isinstance(assignment, np.ndarray) else assignment, dtype=_INT).copy()
         if len(a) == 0:
             raise ValueError("partition must cover at least one vertex")
-        k = int(a.max()) + 1 if len(a) else 0
+        k = int(a.max()) + 1
         sizes = np.bincount(a, minlength=k)
         return cls(assignment=a, k=k, group_sizes=sizes, group_meta=dict(group_meta or {}))
 
@@ -164,24 +164,6 @@ def _neighbour_lists(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarra
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _level_modularity(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    self_w: np.ndarray,
-    strength: np.ndarray,
-    comm: np.ndarray,
-    two_m: float,
-    resolution: float,
-) -> float:
-    rows = np.repeat(np.arange(len(self_w)), np.diff(indptr))
-    same = comm[rows] == comm[indices]
-    w_in = float(weights[same].sum()) + 2.0 * float(self_w.sum())
-    k_groups = int(comm.max()) + 1
-    tot = np.bincount(comm, weights=strength, minlength=k_groups)
-    return w_in / two_m - resolution * float(np.sum((tot / two_m) ** 2))
-
-
 def _louvain(
     g: UndirectedView, resolution: float, seed: int, min_improvement: float
 ) -> tuple[np.ndarray, list[float]]:
@@ -217,32 +199,27 @@ def _louvain(
         used = _distinct_keys(comm_arr)
         dense = np.searchsorted(used, comm_arr)
         assignment = dense[assignment]
-        q_history.append(
-            _level_modularity(indptr, indices, weights, self_w, strength, dense, two_m, resolution)
-        )
+        # the level's modularity: CSR entry e joins groups cu[e] and cv[e]
+        cu, cv = dense[_csr_rows(indptr)], dense[indices]
+        w_in = float(weights[cu == cv].sum()) + 2.0 * float(self_w.sum())
+        tot = np.bincount(dense, weights=strength)
+        q_history.append(w_in / two_m - resolution * float(np.sum((tot / two_m) ** 2)))
         k_new = len(used)
         if n_moves == 0 or k_new == n_l:
             break
 
-        # aggregate groups into supervertices
-        rows = dense[np.repeat(np.arange(n_l, dtype=_INT), np.diff(indptr))]
-        cols = dense[indices]
-        keys = rows * _INT(k_new) + cols
+        # aggregate groups into supervertices; group u's own edges are the
+        # keys u * (k_new + 1)
+        keys = _pair_keys(k_new, cu, cv)
         uk = _distinct_keys(keys)
         wsum = np.bincount(np.searchsorted(uk, keys), weights=weights)
-        ru, cu = uk // k_new, uk % k_new
-        diag = ru == cu
-        new_self = np.zeros(k_new, dtype=np.float64)
-        new_self[ru[diag]] = wsum[diag] / 2.0
-        new_self += np.bincount(dense, weights=self_w, minlength=k_new)
-        off = ~diag
-        ru_o, cu_o, w_o = ru[off], cu[off], wsum[off]
-        indptr = np.zeros(k_new + 1, dtype=_INT)
-        np.cumsum(np.bincount(ru_o, minlength=k_new), out=indptr[1:])
-        indices = cu_o.astype(_INT)
-        weights = w_o
-        self_w = new_self
-        strength = np.bincount(ru_o, weights=w_o, minlength=k_new) + 2.0 * self_w
+        group, rest = np.divmod(uk, k_new + 1)
+        diag = rest == 0
+        self_w = np.bincount(dense, weights=self_w, minlength=k_new)
+        self_w[group[diag]] += wsum[diag] / 2.0
+        indptr, indices = _key_csr(k_new, uk[~diag])
+        weights = wsum[~diag]
+        strength = np.bincount(_csr_rows(indptr), weights=weights, minlength=k_new) + 2.0 * self_w
 
     return assignment, q_history
 
@@ -338,8 +315,11 @@ def load_partition(stream: Iterable[str], labels: Sequence[str]) -> Partition:
     Every vertex in ``labels`` must be assigned exactly once; unknown or
     missing vertices raise :class:`FormatError` naming the offender. A group
     or meta index that is not ASCII decimal digits, or a group index of
-    ``len(labels)`` or more, raises it naming the line.
+    ``len(labels)`` or more, raises it naming the line. An empty ``labels``
+    raises it too, since a partition covers at least one vertex.
     """
+    if not labels:
+        raise FormatError("the edge list has no vertices to assign to groups")
     ids = {label: v for v, label in enumerate(labels)}
     assignment = [-1] * len(labels)
     meta: dict[int, str] = {}

@@ -137,7 +137,7 @@ class DirectedGraph:
 
     def arc_sources(self) -> np.ndarray:
         """Source id of every arc, aligned with ``indices``."""
-        return np.repeat(np.arange(self.n, dtype=_INT), self.out_degrees)
+        return _csr_rows(self.indptr)
 
     @cached_property
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +184,7 @@ class UndirectedView:
 
     def edge_pairs(self) -> np.ndarray:
         """(m, 2) array of edges as (u, v) with u < v, sorted."""
-        rows = np.repeat(np.arange(self.n, dtype=_INT), self.degrees)
+        rows = _csr_rows(self.indptr)
         keep = rows < self.indices
         return np.column_stack([rows[keep], self.indices[keep]])
 
@@ -720,13 +720,22 @@ def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEd
     )
 
 
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row id (int64) of every entry of a CSR with row pointers ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=_INT), np.diff(indptr))
+
+
 def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Keys ``u * n + v`` of vertex-id pairs, as int32 when every key of n
     vertices fits (n² < 2³¹ − 1), else as int64.
 
     Sorted keys are the pairs in (u, v) order. int32 keys halve the memory
     each pass over them touches: ``np.sort`` of int32 took half the time of
-    int64 at 0.26M–1M keys.
+    int64 at 0.26M–1M keys. Every pair key is made here: the arc and edge
+    keys of ``_directed`` and ``_undirected``, ``DirectedGraph.in_csr``,
+    ``polarization.window_series``, the supervertex keys of
+    ``community._louvain`` (n is the level's group count) and the edge keys
+    of ``synth.configuration_rewire`` and ``synth._swapped``.
     """
     keys = u.astype(np.int32 if n * n < 2**31 - 1 else _INT)
     keys *= n

@@ -26,14 +26,14 @@ from .graph import (
     DirectedGraph,
     TemporalEdgeSet,
     UndirectedView,
+    _csr_rows,
+    _pair_keys,
     _undirected,
     directed_from_arcs,
     undirected_from_edges,
 )
 
 _INT = np.int64
-# ends each sorted key array the rewire searches, so a search never runs off the end
-_SENTINEL = np.iinfo(_INT).max
 # a key's fate before a slow swap of the rewire: present (_TAKEN), absent
 # (_FREE), or absent until the later fast swap whose row the fate is adds it
 _TAKEN, _FREE = -2, -1
@@ -126,6 +126,13 @@ def _proposals(m: int, seed: int) -> Iterator[np.ndarray]:
         yield np.stack([rng.integers(0, m, size), rng.integers(0, m, size), rng.integers(0, 2, size)])
 
 
+def _ended(keys: np.ndarray) -> np.ndarray:
+    """Sorted ``keys``, then their dtype's largest value: no search runs off the end."""
+    ended = np.resize(keys, len(keys) + 1)
+    ended[-1] = np.iinfo(keys.dtype).max
+    return ended
+
+
 def _swapped(ke: np.ndarray, kf: np.ndarray, flip: np.ndarray,
              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The keys that swapping edges ``ke``, ``kf`` makes, and whether its
@@ -133,8 +140,8 @@ def _swapped(ke: np.ndarray, kf: np.ndarray, flip: np.ndarray,
     a, b = np.divmod(ke, n)
     c, d = np.divmod(kf, n)
     c, d = np.where(flip, d, c), np.where(flip, c, d)
-    x = np.minimum(a, d) * n + np.maximum(a, d)
-    y = np.minimum(c, b) * n + np.maximum(c, b)
+    x = _pair_keys(n, np.minimum(a, d), np.maximum(a, d))
+    y = _pair_keys(n, np.minimum(c, b), np.maximum(c, b))
     return x, y, (a != d) & (c != b) & (x != y)
 
 
@@ -143,12 +150,12 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     """Run proposals ``(i, j, flip)`` of the swap chain in order.
 
     ``keys[e]`` is edge e as ``lo * n + hi`` and is updated in place;
-    ``present`` holds the same keys sorted, plus a sentinel. A proposal is
-    "slow" when its outcome may depend on an earlier one of the batch: it
-    shares an edge with an earlier one, a new key with another one, or its
-    new key is the old key of an edge an earlier one touched. Slow proposals
-    are decided in Python, in order, and every other one from the
-    batch-start state. A slow swap whose edge changed earlier in the batch
+    ``present`` holds the same keys sorted, then their dtype's largest value
+    (see ``_ended``). A proposal is "slow" when its outcome may depend on an
+    earlier one of the batch: it shares an edge with an earlier one, a new
+    key with another one, or its new key is the old key of an edge an
+    earlier one touched. Slow proposals are decided in Python, in order, and
+    every other one from the batch-start state. A slow swap whose edge changed earlier in the batch
     makes a key nobody foresaw; a later fast swap that adds the same key is
     made slow too.
 
@@ -191,7 +198,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     # a new key that is the batch-start key of an edge touched earlier
     old = keys[touched]
     by_old = np.argsort(old)
-    old_sorted = np.append(old[by_old], _SENTINEL)
+    old_sorted = _ended(old[by_old])
     old_first = np.append(first[by_old], k)
     freed = np.zeros(k, dtype=bool)
     for new_key, hit in ((p, in_p), (q, in_q)):
@@ -207,7 +214,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     # each key changes at most once through fast swaps; code = 2 * row + added
     changes = np.concatenate([ki[fast], kj[fast], p[fast], q[fast]])
     by_change = np.argsort(changes)
-    change_keys = np.append(changes[by_change], _SENTINEL)
+    change_keys = _ended(changes[by_change])
     change_codes = np.concatenate([np.tile(2 * fast, 2), np.tile(2 * fast + 1, 2)])[by_change]
 
     # every slow proposal from its edges after the fast swaps: its new keys
@@ -235,11 +242,14 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     demoted: set[int] = set()  # fast swaps made slow
     waiting: list[int] = []  # demoted rows not yet run, a heap
 
+    # a Python int needle would make searchsorted copy int32 keys to int64
+    needle = keys.dtype.type
+
     def lookup(key: int, row: int) -> int:
         """The fate of ``key`` before proposal ``row``."""
         if key in state:
             return _TAKEN if state[key] else _FREE
-        at = change_keys.searchsorted(key)
+        at = change_keys.searchsorted(needle(key))
         if change_keys[at] == key:
             when, added = divmod(int(change_codes[at]), 2)
             if when not in demoted:
@@ -247,7 +257,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
                     return _TAKEN if added else _FREE
                 if added:
                     return when
-        return _TAKEN if present[present.searchsorted(key)] == key else _FREE
+        return _TAKEN if present[present.searchsorted(needle(key))] == key else _FREE
 
     accepted = len(fast)
     columns = (slow_rows, i[slow_rows], j[slow_rows], flipped, ke, kf, x, y, *by.reshape(2, -1), *fate.reshape(2, -1))
@@ -320,10 +330,10 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     equals the sequential chain fed the same proposals (see ``_proposals``).
     That stream is new with the batched chain, so a seed gives a different
     graph than it did in earlier versions. Cost, on a shared 2-core x86-64
-    VM (AVX-512, numpy 2.4) with a 254k-edge graph: about 0.1 s for 30k
-    swaps and 4.5-5 s for the 10·m swaps ``generate`` defaults to, about
-    1.6-1.75 µs per proposal, of which the per-batch sort is about an
-    eighth; memory is a few int64 arrays of m.
+    VM (AVX-512, numpy 2.4) with a 254k-edge graph on 3,000 vertices: about
+    0.1 s for 30k swaps and 3.2-3.5 s for the 10·m swaps ``generate``
+    defaults to, about 1.2 µs per proposal. Memory is a few arrays of m
+    keys, int32 whenever n² < 2³¹ − 1 (the dtype ``graph._pair_keys`` chooses).
     """
     if swaps < 0:
         raise ValueError("swaps must be non-negative")
@@ -333,8 +343,8 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
         raise ValueError("rewiring needs at least two edges")
     n = g.n
     pairs = g.edge_pairs()
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    present = np.append(keys, _SENTINEL)  # edge_pairs are sorted
+    keys = _pair_keys(n, pairs[:, 0], pairs[:, 1])
+    present = _ended(keys)  # edge_pairs are sorted
     stream = _proposals(g.m, seed)
     pending = np.zeros((3, 0), dtype=_INT)
     accepted = 0
@@ -506,5 +516,5 @@ def generate(spec: GeneratorSpec, base: UndirectedView | None = None) -> SynthOu
     check_parameters(spec.family, spec.parameters, base is not None)
     g, part = FAMILIES[spec.family].build(spec.parameters, spec.seed, base)
     # a CSR row per vertex: an undirected view holds each edge in both rows
-    sources = np.repeat(np.arange(g.n, dtype=_INT), np.diff(g.indptr))
+    sources = _csr_rows(g.indptr)
     return SynthOutput(n=g.n, arc_pairs=np.column_stack([sources, g.indices]), partition=part)

@@ -500,6 +500,19 @@ def test_partition_bad_group_index_is_a_format_error(tmp_path, capsys, command, 
     assert f"line {lineno}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["polarization"], ["dominate", "--mode", "in-group", "--groups", "0"]])
+def test_partition_of_an_edge_list_without_vertices_is_a_format_error(tmp_path, capsys, command):
+    # every line is malformed, so ingest keeps no vertex for a partition to cover
+    src = tmp_path / "edges.csv"
+    src.write_text("not a record\na,b\n", encoding="utf-8")
+    part_file = tmp_path / "part.csv"
+    part_file.write_text("", encoding="utf-8")
+    assert run_cli(command[0], "--input", str(src), "--partition", str(part_file), *command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "no vertices to assign" in err
+
+
 # dominate
 
 

@@ -191,6 +191,30 @@ def test_louvain_equals_float_weight_reference(und, resolution, min_improvement,
     assert q_history == expected_q
 
 
+def _top_clique_ring(n: int) -> list[tuple[int, int]]:
+    """40 five-cliques in a ring, consecutive ones joined by two edges, on
+    the top 200 vertices (480 edges); the other vertices are isolated."""
+    k, size = 40, 5
+    edges = [(c * size + i, c * size + j) for c in range(k) for i in range(size) for j in range(i + 1, size)]
+    edges += [(c * size + a, (c + 1) % k * size + b) for c in range(k) for a, b in ((0, 1), (2, 3))]
+    return [(n - k * size + u, n - k * size + v) for u, v in edges]
+
+
+@pytest.mark.parametrize("n", [46340, 46341 + 480])
+def test_louvain_equals_reference_on_either_side_of_int32_keys(n):
+    # a level's supervertex keys are int32 while its group count is at most
+    # 46,340. Level 0 merges at most one vertex per edge, so with
+    # n = 46,341 + m every level keeps at least 46,341 groups and int64
+    # keys; the cliques hold the highest groups, whose keys pass 2³¹ − 1
+    und = undirected_from_edges(n, _top_clique_ring(n))
+    expected, expected_q = oracles.louvain_reference(und, 1.0, 7, 1e-7)
+    assert len(expected_q) == 3
+    assert (int(expected.max()) + 1 > 46340) == (n > 46340)
+    assignment, q_history = _louvain(und, 1.0, 7, 1e-7)
+    assert assignment.tolist() == expected.tolist()
+    assert q_history == expected_q
+
+
 def test_empty_graph_is_rejected():
     with pytest.raises(ValueError):
         detect_communities(undirected_from_edges(4, []))

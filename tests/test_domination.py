@@ -101,6 +101,23 @@ def test_greedy_matches_full_rescan_reference():
         assert list(result.covered_after_step) == expected[1]
 
 
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_greedy_matches_reference_on_either_side_of_int32_keys(n):
+    # the reversed arcs' keys w * n + u are int32 up to n = 46,340 and int64
+    # above; arcs into n − 1 from the top vertices make keys past 2³¹ − 1.
+    # Candidates and targets are the vertices the arcs touch: the oracle
+    # rescans every candidate per pick
+    rng = np.random.default_rng(n)
+    top = n - 1
+    pairs = np.vstack([rng.integers(n - 300, n, size=(600, 2)),
+                       [(top - 1, top), (top, top - 1), (0, top), (top, 0), (top - 7, top)]])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = directed_from_arcs(n, pairs.tolist())
+    touched = np.unique(pairs).tolist()
+    _assert_matches_reference(g, touched, touched, 0.6, 20)
+    _assert_matches_reference(g, touched[::2], touched[1::2], 0.3, 20)
+
+
 @st.composite
 def _greedy_instance(draw):
     """A graph, candidate pool, targets, rho and curve length for the greedy.

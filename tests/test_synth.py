@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from polarnet import graph
 from polarnet.graph import underlying_undirected, undirected_from_edges
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
@@ -225,6 +226,23 @@ def test_rewire_equals_sequential_chain_when_a_batch_mixes_every_kind_of_slow_ro
     g = undirected_from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
     expected = oracles.rewire_reference(g, 1000, _proposal_stream(g.m, 0))
     assert configuration_rewire(g, 1000, seed=0).edge_pairs().tolist() == [list(e) for e in expected]
+
+
+@pytest.mark.parametrize("n, key_dtype", [(46340, np.int32), (46342, np.int64)])
+def test_rewire_equals_sequential_chain_on_either_side_of_int32_keys(n, key_dtype):
+    # edge keys lo * n + hi are int64 from n = 46,341, but with lo < hi they
+    # reach at most n² − n − 1, which passes 2³¹ − 1 only from n = 46,342,
+    # at the edge (n − 2, n − 1). Edges among the top 40 vertices make that
+    # edge, and the keys near it, over and over
+    rng = np.random.default_rng(n)
+    top = range(n - 40, n)
+    pairs = [(u, v) for u in top for v in top if u < v and rng.random() < 0.3]
+    pairs += [(u, v) for u, v in rng.integers(0, n, size=(100, 2)).tolist() if u != v]
+    g = undirected_from_edges(n, pairs + [(n - 2, n - 1)])
+    lo, hi = g.edge_pairs().T
+    assert graph._pair_keys(n, lo, hi).dtype == key_dtype
+    expected = oracles.rewire_reference(g, 2000, _proposal_stream(g.m, 3))
+    assert configuration_rewire(g, 2000, seed=3).edge_pairs().tolist() == [list(e) for e in expected]
 
 
 def test_star_shape():
