@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from polarnet import graph
+from polarnet import community, graph
 from polarnet.cli import main
 from polarnet.community import load_partition
 from polarnet.synth import MAX_DAYS
@@ -106,6 +106,21 @@ def test_communities_two_triangles(tmp_path, capsys):
         {labels[v] for v in part.members(1)},
     ]
     assert groups == found or groups == found[::-1]
+
+
+def test_communities_file_loads_without_the_per_line_read(tmp_path, monkeypatch):
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    part_file = tmp_path / "part.csv"
+    assert run_cli("communities", "--input", str(src), "--out", str(part_file)) == 0
+
+    def per_line_read(*args):
+        raise AssertionError("partition file read line by line")
+
+    monkeypatch.setattr(community, "_line_rows", per_line_read)
+    common = ["--input", str(src), "--partition", str(part_file)]
+    assert run_cli("polarization", *common) == 0
+    assert run_cli("dominate", *common, "--mode", "in-group", "--groups", "0") == 0
 
 
 def test_communities_excluding_everything_fails_cleanly(tmp_path, capsys):
