@@ -124,9 +124,7 @@ def _resolve_groups(tokens: list[str], part: Partition) -> list[int]:
                 raise ValueError(
                     f"unknown group {piece!r}; known names: {known}; indices run 0..{part.k - 1}"
                 ) from None
-            if not (0 <= i < part.k):
-                raise ValueError(f"group index {i} out of range (k={part.k})")
-            picked.append(i)
+            picked.append(part.check_group(i))
     seen: set[int] = set()
     result = [i for i in picked if not (i in seen or seen.add(i))]
     if not result:
@@ -262,9 +260,14 @@ def _task_summary(name: str, payload) -> str:
 
 def cmd_dominate(args: argparse.Namespace) -> int:
     rhos = args.rho if args.rho else [1.0]
+    slugs: dict[str, float] = {}
     for rho in rhos:
         if not (0.0 < rho <= 1.0):
             raise ValueError(f"rho must be in (0, 1], got {rho}")
+        slug = f"{rho:g}"
+        if slug in slugs:
+            raise ValueError(f"--rho {slugs[slug]} and --rho {rho} both name their task rho{slug}")
+        slugs[slug] = rho
     args.rho = rhos
     if args.curve and args.max_spreaders < 1:
         raise ValueError(f"--max-spreaders must be at least 1, got {args.max_spreaders}")
@@ -428,9 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
-    except InfeasibleCoverageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, UndefinedModularityError, DegenerateModularityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARGUMENT

@@ -40,52 +40,56 @@ _INT = np.int64
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Assignment of every vertex to exactly one group, with optional labels."""
+    """Assignment of every vertex to exactly one group, with optional names.
+
+    Group indices run 0..k-1 and each is used; ``group_meta`` names existing
+    groups. The constructor alone judges these rules, raising ValueError that
+    names the group, and counts each group's members once into the read-only
+    ``group_sizes``. ``check_group`` is the one range check of an index.
+    """
 
     assignment: np.ndarray
-    k: int
-    group_sizes: np.ndarray
     group_meta: dict[int, str] = field(default_factory=dict)
+    group_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("partition must have at least one group")
-        if len(self.group_sizes) != self.k:
-            raise ValueError("group_sizes length must equal k")
         if len(self.assignment) == 0:
             raise ValueError("partition must cover at least one vertex")
-        counts = np.bincount(self.assignment, minlength=self.k)
-        if len(counts) != self.k:
-            raise ValueError("group index out of range")
-        if self.assignment.min() < 0:
-            raise ValueError("group index out of range")
-        if np.any(counts == 0):
-            raise ValueError("every group index in [0, k) must be used")
-        if not np.array_equal(counts, self.group_sizes):
-            raise ValueError("group_sizes inconsistent with assignment")
+        lowest = int(self.assignment.min())
+        if lowest < 0:
+            raise ValueError(f"group index {lowest} is negative")
+        sizes = np.bincount(self.assignment)
+        if not sizes.all():
+            raise ValueError(f"group index {sizes.argmin()} has no members")
         for i in self.group_meta:
-            if not (0 <= i < self.k):
-                raise ValueError(f"meta refers to unknown group {i}")
-        for a in (self.assignment, self.group_sizes):
+            if not (0 <= i < len(sizes)):
+                raise ValueError(f"meta names unknown group {i}")
+        for a in (self.assignment, sizes):
             a.setflags(write=False)
+        object.__setattr__(self, "group_sizes", sizes)
 
     @property
     def n(self) -> int:
         return len(self.assignment)
 
+    @property
+    def k(self) -> int:
+        return len(self.group_sizes)
+
     @classmethod
     def from_assignment(cls, assignment: Iterable[int], group_meta: dict[int, str] | None = None) -> "Partition":
         a = np.asarray(list(assignment) if not isinstance(assignment, np.ndarray) else assignment, dtype=_INT).copy()
-        if len(a) == 0:
-            raise ValueError("partition must cover at least one vertex")
-        k = int(a.max()) + 1
-        sizes = np.bincount(a, minlength=k)
-        return cls(assignment=a, k=k, group_sizes=sizes, group_meta=dict(group_meta or {}))
+        return cls(assignment=a, group_meta=dict(group_meta or {}))
 
-    def members(self, i: int) -> np.ndarray:
+    def check_group(self, i: int) -> int:
+        """``i`` as an int, or ValueError when no group has that index."""
+        i = int(i)
         if not (0 <= i < self.k):
             raise ValueError(f"group index {i} out of range (k={self.k})")
-        return np.flatnonzero(self.assignment == i)
+        return i
+
+    def members(self, i: int) -> np.ndarray:
+        return np.flatnonzero(self.assignment == self.check_group(i))
 
 
 def relabel_by_size(p: Partition) -> Partition:
@@ -94,12 +98,7 @@ def relabel_by_size(p: Partition) -> Partition:
     perm = np.empty(p.k, dtype=_INT)
     perm[order] = np.arange(p.k, dtype=_INT)
     meta = {int(perm[i]): name for i, name in p.group_meta.items()}
-    return Partition(
-        assignment=perm[p.assignment],
-        k=p.k,
-        group_sizes=p.group_sizes[order].copy(),
-        group_meta=meta,
-    )
+    return Partition(assignment=perm[p.assignment], group_meta=meta)
 
 
 def _local_move(
@@ -401,10 +400,10 @@ def load_partition(stream: TextIO, labels: Sequence[str]) -> Partition:
     """Read a partition file back against a known vertex universe.
 
     Every vertex in ``labels`` must be assigned exactly once; unknown or
-    missing vertices raise :class:`FormatError` naming the offender. A group
-    or meta index that is not ASCII decimal digits, or a group index of
-    ``len(labels)`` or more, raises it naming the line. An empty ``labels``
-    raises it too, since a partition covers at least one vertex.
+    missing vertices raise :class:`FormatError` naming the offender, as does
+    an empty ``labels``. A group or meta index that is not ASCII decimal
+    digits, or a group index of ``len(labels)`` or more, raises it naming the
+    line; a grouping that :class:`Partition` refuses, naming the group.
 
     The stream is read once and split into lines at ``\\n``. A file of
     leading ``#meta`` lines followed by rows ``label,digits``, each label
@@ -427,12 +426,7 @@ def load_partition(stream: TextIO, labels: Sequence[str]) -> Partition:
     if rows is None:
         rows = _line_rows(text.split("\n"), ids, labels)
     assigned, meta = rows
-    k = int(assigned.max()) + 1
-    sizes = np.bincount(assigned, minlength=k)
-    empty = np.flatnonzero(sizes == 0)
-    if len(empty):
-        raise FormatError(f"group index {int(empty[0])} has no members")
-    for i in meta:
-        if i >= k:
-            raise FormatError(f"meta names unknown group {i}")
-    return Partition(assignment=assigned, k=k, group_sizes=sizes, group_meta=meta)
+    try:
+        return Partition(assignment=assigned, group_meta=meta)
+    except ValueError as err:
+        raise FormatError(str(err)) from None

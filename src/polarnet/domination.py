@@ -342,14 +342,8 @@ def network_domination_by_group(g: DirectedGraph, p: Partition, i: int, rho: flo
     return _feasible(_solve(g, rho, cand, _target_mask(g, None), desc))
 
 
-def _name(v: int, labels: Sequence[str] | None) -> str:
-    return labels[v] if labels is not None else str(v)
-
-
 def write_domination_csv(
-    payload: DominationResult | Sequence[tuple[int, float]],
-    stream: TextIO,
-    labels: Sequence[str] | None = None,
+    payload: DominationResult | Sequence[tuple[int, float]], stream: TextIO, labels: Sequence[str]
 ) -> None:
     """CSV of a result, one row per pick, or of a coverage curve.
 
@@ -362,13 +356,13 @@ def write_domination_csv(
         return
     stream.write("step,vertex,covered,fraction\n")
     for j, (v, c) in enumerate(zip(payload.selected, payload.covered_after_step), start=1):
-        stream.write(f"{j},{_name(v, labels)},{c},{c / payload.n_target:.6f}\n")
+        stream.write(f"{j},{labels[v]},{c},{c / payload.n_target:.6f}\n")
     if not payload.feasible:
         stream.write(f"# infeasible: {InfeasibleCoverageError(payload)}\n")
 
 
 def domination_to_dict(
-    payload: DominationResult | Sequence[tuple[int, float]], labels: Sequence[str] | None = None
+    payload: DominationResult | Sequence[tuple[int, float]], labels: Sequence[str]
 ) -> dict:
     """JSON-ready form of a result or of a coverage curve.
 
@@ -383,7 +377,7 @@ def domination_to_dict(
         "rho": payload.rho,
         "target": payload.target,
         "n_target": payload.n_target,
-        "selected": [_name(v, labels) for v in payload.selected],
+        "selected": [labels[v] for v in payload.selected],
         "covered_after_step": list(payload.covered_after_step),
     }
     if payload.feasible:

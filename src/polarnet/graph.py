@@ -711,9 +711,9 @@ def exclude_interval(edges: TemporalEdgeSet, start: int, end: int) -> TemporalEd
     check_interval(start, end)
     keep = (edges.timestamps < start) | (edges.timestamps >= end)
     return TemporalEdgeSet(
-        sources=edges.sources[keep].copy(),
-        targets=edges.targets[keep].copy(),
-        timestamps=edges.timestamps[keep].copy(),
+        sources=edges.sources[keep],
+        targets=edges.targets[keep],
+        timestamps=edges.timestamps[keep],
         labels=edges.labels,
         dropped_self_loops=edges.dropped_self_loops,
         malformed_lines=edges.malformed_lines,

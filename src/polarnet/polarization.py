@@ -63,8 +63,7 @@ def d_modularity(g: UndirectedView, p: Partition, i: int) -> float:
     Raises DegenerateModularityError when |Q| <= ``DEFAULT_D_TOLERANCE``,
     where the ratio would be noise rather than a signal.
     """
-    if not (0 <= i < p.k):
-        raise ValueError(f"group index {i} out of range (k={p.k})")
+    i = p.check_group(i)
     contributions = group_contributions(g, p)
     q = float(contributions.sum())
     if abs(q) <= DEFAULT_D_TOLERANCE:
@@ -221,10 +220,7 @@ def window_series(
     """
     if p.n != edges.n_vertices:
         raise ValueError(f"partition covers {p.n} vertices, edge set has {edges.n_vertices}")
-    tracked = tuple(int(i) for i in tracked_groups)
-    for i in tracked:
-        if not (0 <= i < p.k):
-            raise ValueError(f"group index {i} out of range (k={p.k})")
+    tracked = tuple(p.check_group(i) for i in tracked_groups)
 
     n, k = edges.n_vertices, p.k
     s, t, times = edges.sources, edges.targets, edges.timestamps

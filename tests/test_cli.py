@@ -641,6 +641,42 @@ def test_cheap_flags_are_checked_before_the_input_is_read(tmp_path, capsys, comm
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rhos, message", [
+    (("0.5", "0.5000001"), "--rho 0.5 and --rho 0.5000001 both name their task rho0.5"),
+    (("0.5", "0.9", "0.5"), "--rho 0.5 and --rho 0.5 both name their task rho0.5"),
+])
+def test_dominate_refuses_rhos_that_share_a_task_name(tmp_path, capsys, rhos, message):
+    # a missing file would exit 3 if it were opened first
+    flags = [arg for rho in rhos for arg in ("--rho", rho)]
+    assert run_cli("dominate", "--input", str(tmp_path / "missing.csv"), *flags,
+                   "--out", str(tmp_path / "runs")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["polarization", "--groups", "2"],
+    ["dominate", "--mode", "in-group", "--groups", "2"],
+])
+def test_group_index_k_is_out_of_range_in_the_cli(tmp_path, capsys, command):
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    part_file = tmp_path / "part.csv"
+    write_partition(part_file, {c: int(c > "c") for c in "abcdef"})
+    assert run_cli(command[0], "--input", str(src), "--partition", str(part_file), *command[1:]) == 2
+    assert capsys.readouterr().err == "error: group index 2 out of range (k=2)\n"
+
+
+@pytest.mark.parametrize("command", [["polarization"], ["dominate", "--mode", "in-group", "--groups", "0"]])
+def test_partition_file_naming_an_unknown_group_is_a_format_error(tmp_path, capsys, command):
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    part_file = tmp_path / "part.csv"
+    write_partition(part_file, {c: int(c > "c") for c in "abcdef"}, meta={7: "x"})
+    assert run_cli(command[0], "--input", str(src), "--partition", str(part_file), *command[1:]) == 3
+    assert capsys.readouterr().err == "error: meta names unknown group 7\n"
+
+
 def test_dominate_rejects_bad_rho(tmp_path, capsys):
     src = tmp_path / "edges.csv"
     write_two_triangles(src)

@@ -471,11 +471,30 @@ def test_partition_file_in_save_order_or_shuffled_takes_the_bulk_read():
 
 def test_partition_validation_rejects_unused_group():
     with pytest.raises(ValueError):
-        Partition(
-            assignment=np.array([0, 0, 2]),
-            k=3,
-            group_sizes=np.array([2, 0, 1]),
-        )
+        Partition(assignment=np.array([0, 0, 2]))
+
+
+def test_partition_counts_its_groups_once_from_the_assignment():
+    part = Partition(assignment=np.array([1, 0, 1, 2, 1]), group_meta={0: "left"})
+    assert part.k == 3
+    assert part.group_sizes.tolist() == [1, 3, 1]
+    assert not part.group_sizes.flags.writeable and not part.assignment.flags.writeable
+    ordered = relabel_by_size(part)
+    assert (ordered.k, ordered.group_sizes.tolist(), ordered.group_meta) == (3, [3, 1, 1], {1: "left"})
+
+
+@pytest.mark.parametrize("assignment, meta, message", [
+    ([0, 2], None, "group index 1 has no members"),
+    ([1, 1, 3, 0], None, "group index 2 has no members"),
+    ([0, -1, 1], None, "group index -1 is negative"),
+    ([], None, "partition must cover at least one vertex"),
+    ([0, 1], {0: "left", 7: "x"}, "meta names unknown group 7"),
+    ([0, 1], {-1: "x"}, "meta names unknown group -1"),
+])
+def test_partition_names_the_group_that_breaks_a_rule(assignment, meta, message):
+    with pytest.raises(ValueError) as info:
+        Partition.from_assignment(assignment, meta)
+    assert str(info.value) == message
 
 
 def test_disjoint_cliques_ground_truth_is_detected():

@@ -41,6 +41,20 @@ TWO_TRIANGLES = undirected_from_edges(
 COMPONENTS = Partition.from_assignment([0, 0, 0, 1, 1, 1])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: COMPONENTS.members(2),
+    lambda: d_modularity(TWO_TRIANGLES, COMPONENTS, 2),
+    lambda: window_series(
+        TemporalEdgeSet.from_arcs([(str(v), str(v + 1), 0) for v in range(5)]),
+        COMPONENTS, [TimeWindow(0, 1)], tracked_groups=[2],
+    ),
+], ids=["members", "d_modularity", "window_series"])
+def test_group_index_k_is_out_of_range_everywhere(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "group index 2 out of range (k=2)"
+
+
 def test_two_triangles_modularity_half():
     # hand arithmetic: per group e_i/m = 3/6 and (D_i/2m)^2 = (6/12)^2
     assert modularity(TWO_TRIANGLES, COMPONENTS) == pytest.approx(0.5, abs=1e-12)
