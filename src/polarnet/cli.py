@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
 from pathlib import Path
 
@@ -21,20 +22,14 @@ from .community import (
     save_partition,
 )
 from .domination import (
-    DominationResult,
-    coverage_curve,
+    MODES,
     domination_to_dict,
-    greedy_pdds,
-    group_spreaders,
-    in_group_domination,
-    network_domination_by_group,
+    solve_task,
     write_domination_csv,
-    write_domination_json,
 )
 from .errors import (
     DegenerateModularityError,
     FormatError,
-    InfeasibleCoverageError,
     ParseError,
     UndefinedModularityError,
 )
@@ -197,84 +192,71 @@ def cmd_polarization(args: argparse.Namespace) -> int:
 
 
 def _dominate_tasks(args: argparse.Namespace, g, part: Partition | None):
-    """Yield (name, payload) for every requested run: a DominationResult or a curve."""
-    if args.mode == "unrestricted":
-        group_list: list[int | None] = [None]
-    else:
-        group_list = list(_resolve_groups(args.groups, part))
-
-    for i in group_list:
+    """Yield (name, result) for every requested run; one greedy run per group serves every --rho."""
+    groups = [None] if args.mode == "unrestricted" else _resolve_groups(args.groups, part)
+    for i in groups:
         slug = "all" if i is None else f"g{i}"
         if args.curve:
-            if i is None:
-                curve = coverage_curve(g, max_spreaders=args.max_spreaders)
-            else:
-                cand = group_spreaders(g, part, i)
-                targets = None if args.mode == "network-by-group" else part.members(i)
-                curve = coverage_curve(g, candidates=cand, cover_targets=targets, max_spreaders=args.max_spreaders)
+            (curve,) = solve_task(g, args.mode, part, i, max_picks=args.max_spreaders)
             yield f"curve_{args.mode}_{slug}", curve
             continue
-        for rho in args.rho:
-            name = f"dominate_{args.mode}_{slug}_rho{rho:g}"
-            try:
-                if i is None:
-                    result = greedy_pdds(g, rho)
-                elif args.mode == "network-by-group":
-                    result = network_domination_by_group(g, part, i, rho)
-                else:
-                    result = in_group_domination(g, part, i, rho)
-            except InfeasibleCoverageError as err:
-                result = err.result
-            yield name, result
+        for result in solve_task(g, args.mode, part, i, rhos=args.rho):
+            yield f"dominate_{args.mode}_{slug}_rho{result.rho:g}", result
 
 
 def _write_tasks(stream, tasks, args: argparse.Namespace, labels, named: bool) -> None:
     """Write dominate tasks in --format: all of them named (stdout), or one (a task file)."""
     if args.format == "csv":
-        for name, payload in tasks:
+        for name, result in tasks:
             if named:
                 stream.write(f"# {name}\n")
-            write_domination_csv(payload, stream, labels)
+            write_domination_csv(result, stream, labels)
         return
-    docs = [domination_to_dict(payload, labels) for _, payload in tasks]
     if named:
-        for (name, _), doc in zip(tasks, docs):
-            doc["name"] = name
+        docs = [{**domination_to_dict(result, labels), "name": name} for name, result in tasks]
         doc = {"config": _config_dict(args), "tasks": docs}
     else:
-        (doc,) = docs
-        doc["config"] = _config_dict(args)
-    write_domination_json(doc, stream)
+        ((_, result),) = tasks
+        doc = {**domination_to_dict(result, labels), "config": _config_dict(args)}
+    json.dump(doc, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
-def _task_summary(name: str, payload) -> str:
-    if not isinstance(payload, DominationResult):
-        final = payload[-1][1] if payload else 0.0
-        return f"{name}: {len(payload)} points, final fraction {final:.4f}"
-    if payload.feasible:
-        outcome = f"{len(payload.selected)} spreaders cover"
+def _task_summary(name: str, result) -> str:
+    if result.rho is None:
+        return f"{name}: {len(result.selected)} points, final fraction {result.fraction:.4f}"
+    if result.feasible:
+        outcome = f"{len(result.selected)} spreaders cover"
     else:
         outcome = "INFEASIBLE, candidate pool covers at most"
-    return f"{name}: {outcome} {payload.covered}/{payload.n_target} ({payload.fraction:.4f})"
+    return f"{name}: {outcome} {result.covered}/{result.n_target} ({result.fraction:.4f})"
 
 
 def cmd_dominate(args: argparse.Namespace) -> int:
-    rhos = args.rho if args.rho else [1.0]
+    # every flag is used or refused, before --input is read
+    if args.curve and args.rho:
+        raise ValueError("--curve takes no --rho: a curve runs to --max-spreaders picks")
+    if args.max_spreaders is not None and not args.curve:
+        raise ValueError("--max-spreaders needs --curve")
+    if args.mode == "unrestricted" and args.groups:
+        raise ValueError("--mode unrestricted takes no --groups")
     slugs: dict[str, float] = {}
-    for rho in rhos:
+    for rho in args.rho or []:
         if not (0.0 < rho <= 1.0):
             raise ValueError(f"rho must be in (0, 1], got {rho}")
         slug = f"{rho:g}"
         if slug in slugs:
             raise ValueError(f"--rho {slugs[slug]} and --rho {rho} both name their task rho{slug}")
         slugs[slug] = rho
-    args.rho = rhos
-    if args.curve and args.max_spreaders < 1:
+    if args.max_spreaders is not None and args.max_spreaders < 1:
         raise ValueError(f"--max-spreaders must be at least 1, got {args.max_spreaders}")
     if args.mode != "unrestricted":
         for flag, given in (("--partition", args.partition), ("--groups", args.groups)):
             if not given:
                 raise ValueError(f"--mode {args.mode} requires {flag}")
+    # defaults filled after the checks, so the JSON config records them
+    args.rho = args.rho or [1.0]
+    args.max_spreaders = args.max_spreaders or 10
     edges = _load_edges(args)
     g = build_directed_graph(edges)
     part = _load_partition_file(args.partition, edges) if args.partition else None
@@ -288,11 +270,11 @@ def cmd_dominate(args: argparse.Namespace) -> int:
     if out_dir is None:
         _write_tasks(sys.stdout, tasks, args, labels, named=True)
     else:
-        for name, payload in tasks:
+        for name, result in tasks:
             with open(out_dir / f"{name}.{args.format}", "w", encoding="utf-8") as fh:
-                _write_tasks(fh, [(name, payload)], args, labels, named=False)
-            print(_task_summary(name, payload))
-    infeasible = any(isinstance(p, DominationResult) and not p.feasible for _, p in tasks)
+                _write_tasks(fh, [(name, result)], args, labels, named=False)
+            print(_task_summary(name, result))
+    infeasible = any(not result.feasible for _, result in tasks)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
@@ -395,15 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingest_args(p)
     _add_exclusion_args(p)
     p.add_argument("--partition", default=None, help="partition file (needed for group modes)")
-    p.add_argument("--mode", choices=("unrestricted", "network-by-group", "in-group"),
-                   default="unrestricted")
+    p.add_argument("--mode", choices=MODES, default="unrestricted")
     p.add_argument("--groups", action="append", default=None, metavar="GROUP")
     p.add_argument("--rho", action="append", type=float, default=None,
-                   help="coverage fraction in (0, 1]; repeatable (default 1.0)")
+                   help="coverage fraction in (0, 1]; repeatable, not with --curve (default 1.0)")
     p.add_argument("--curve", action="store_true",
                    help="emit a coverage curve instead of solving for --rho")
-    p.add_argument("--max-spreaders", type=int, default=10,
-                   help="curve length when --curve is given")
+    p.add_argument("--max-spreaders", type=int, default=None,
+                   help="curve length; needs --curve (default 10)")
     p.add_argument("--out", default=None, help="directory for per-task output files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_dominate)

@@ -5,12 +5,15 @@ T. A vertex v "spans" itself plus its out-neighbors, restricted to T. The
 greedy rule repeatedly picks the candidate with the largest uncovered span
 (ties to the lowest vertex id) until the requested fraction of targets is
 covered, which carries the standard H(delta+1) approximation guarantee for
-this objective. The group modes differ only in C and T, always on the full
-graph: a group's spreaders covering every vertex, or covering only the
-group's members. The latter equals a greedy on the group's induced
-subgraph, since a member's span with the group as T is exactly its span
-there, and that subgraph's ids keep the full graph's order, so ties go to
-the same vertex.
+this objective. The modes differ only in C and T, always on the full
+graph, and ``solve_task`` alone maps a mode to them. An in-group task (a
+group's spreaders covering only its members) equals a greedy on the group's
+induced subgraph, since a member's span with the group as T is exactly its
+span there, and that subgraph's ids keep the full graph's order, so ties go
+to the same vertex. A smaller rho's picks are a prefix of a larger one's, so
+``solve_task`` runs the greedy once per task and cuts every rho's result
+from that run, or caps it at a pick count for a coverage curve; the public
+solvers wrap the same run for one rho, and raise for an infeasible one.
 
 The loop is eager: every live candidate's current span sits in one array,
 and each pick takes the largest directly, found through per-block maxima
@@ -24,8 +27,8 @@ graph; a 100k-vertex sparse graph with 18k picks takes about 0.45 s.
 
 from __future__ import annotations
 
-import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, TextIO
@@ -38,6 +41,9 @@ from .graph import DirectedGraph, _distinct_keys
 
 _INT = np.int64
 
+# the tasks ``solve_task`` maps to candidates and targets
+MODES = ("unrestricted", "network-by-group", "in-group")
+
 # candidate pools beyond this are too large to enumerate exactly
 BRUTE_FORCE_LIMIT = 25
 
@@ -49,17 +55,18 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class DominationResult:
-    """Outcome of a greedy run, feasible or not.
+    """Outcome of a greedy run: a rho solve, feasible or not, or a curve.
 
     ``selected`` lists picks in order; ``covered_after_step[j]`` is how many
     targets the first j+1 picks cover together. An infeasible run stops when
     the candidates add no coverage, so its ``covered`` is the most they reach.
+    A coverage curve has ``rho`` and ``target`` None and is always feasible.
     """
 
     selected: tuple[int, ...]
     covered_after_step: tuple[int, ...]
-    rho: float
-    target: int
+    rho: float | None
+    target: int | None
     n_target: int
     candidates: str
     feasible: bool
@@ -71,6 +78,17 @@ class DominationResult:
     @property
     def fraction(self) -> float:
         return self.covered / self.n_target if self.n_target else 0.0
+
+    @property
+    def points(self) -> list[tuple[int, float]]:
+        """(picks, fraction covered) after each pick: a curve's points."""
+        return [(j + 1, c / self.n_target) for j, c in enumerate(self.covered_after_step)]
+
+    @property
+    def reason(self) -> str:
+        """Why an infeasible run fell short, as every report of it says."""
+        return (f"coverage target {self.target} of {self.n_target} is unreachable: "
+                f"candidate set covers at most {self.covered} ({self.fraction:.1%})")
 
 
 def spreaders(g: DirectedGraph) -> np.ndarray:
@@ -110,14 +128,21 @@ def _target_mask(g: DirectedGraph, cover_targets: Sequence[int] | np.ndarray | N
     return mask
 
 
+def _pool(g: DirectedGraph, candidates, cover_targets) -> tuple[np.ndarray, np.ndarray, str]:
+    """Candidate ids (the spreaders if None), target mask and description of a pool."""
+    target_mask = _target_mask(g, cover_targets)
+    if candidates is None:
+        cand = spreaders(g)
+        return cand, target_mask, f"spreaders ({len(cand)} candidates)"
+    cand = _resolve_ids(g, candidates, "candidate")
+    return cand, target_mask, f"restricted pool ({len(cand)} candidates)"
+
+
 def _greedy_run(
-    g: DirectedGraph,
-    candidate_ids: np.ndarray,
-    target_mask: np.ndarray,
-    stop_covered: int | None,
-    max_picks: int | None,
-) -> tuple[list[int], list[int], bool]:
-    """Core greedy loop shared by the solver and the curve, evaluated eagerly.
+    g: DirectedGraph, candidate_ids: np.ndarray, target_mask: np.ndarray, stop_covered: float, max_picks: float
+) -> tuple[list[int], list[int]]:
+    """Picks and coverage after each, until ``stop_covered`` targets are covered,
+    ``max_picks`` are made or no candidate adds coverage; evaluated eagerly.
 
     ``gain`` holds every live candidate's current span and 0 for every other
     vertex, picked ones included, padded with zeros to whole blocks of
@@ -139,9 +164,6 @@ def _greedy_run(
     into its newly covered targets. On a shared 2-core VM that is about
     100 us per pick when picks cover hundreds of targets (dense-daily) and
     25-40 us when they cover a few (sparse-blocks, a 100k-vertex graph).
-
-    Returns (selected, covered_after_step, exhausted). ``exhausted`` means the
-    candidate pool ran out of useful picks before any stop condition was met.
     """
     n = g.n
     rev_ptr, rev_indices = g.in_csr
@@ -163,14 +185,10 @@ def _greedy_run(
     covered_after: list[int] = []
     f = 0
 
-    while True:
-        if stop_covered is not None and f >= stop_covered:
-            return selected, covered_after, False
-        if max_picks is not None and len(selected) >= max_picks:
-            return selected, covered_after, False
+    while f < stop_covered and len(selected) < max_picks:
         b = int(top.argmax())
         if top[b] <= 0:
-            return selected, covered_after, True
+            break
         v = b * _BLOCK + int(blocks[b].argmax())
 
         gain[v] = 0
@@ -194,28 +212,35 @@ def _greedy_run(
             # v left touch with its zeroed slot, but its block changed too
             stale = np.concatenate((touch // _BLOCK, (b,)))
             top[stale] = blocks[stale].max(axis=1)
+    return selected, covered_after
 
 
-def _solve(
-    g: DirectedGraph, rho: float, cand: np.ndarray, target_mask: np.ndarray, desc: str
-) -> DominationResult:
-    """Greedy run to the rho target; its result says whether it got there."""
+def _run(
+    g: DirectedGraph, cand: np.ndarray, target_mask: np.ndarray, desc: str,
+    rhos: Sequence[float] = (), max_picks: int | None = None,
+) -> list[DominationResult]:
+    """One greedy run, to the largest rho's target: each rho's result is the shortest
+    prefix covering its target, the picks of a run to that target alone, or every
+    pick, infeasible, when the run falls short. With no rho it is the curve.
+    """
     n_target = int(np.count_nonzero(target_mask))
-    target = coverage_target(rho, n_target)
-    selected, covered_after, exhausted = _greedy_run(g, cand, target_mask, target, None)
-    return DominationResult(
-        selected=tuple(selected),
-        covered_after_step=tuple(covered_after),
-        rho=rho,
-        target=target,
-        n_target=n_target,
-        candidates=desc,
-        feasible=not exhausted,
-    )
+    targets = [coverage_target(rho, n_target) for rho in rhos]
+    stop, cap = max(targets, default=math.inf), math.inf if max_picks is None else max_picks
+    selected, covered_after = _greedy_run(g, cand, target_mask, stop, cap)
+    if not rhos:
+        return [DominationResult(tuple(selected), tuple(covered_after), None, None, n_target, desc, True)]
+    reach = [0, *covered_after]  # covered after 0, 1, 2, ... picks, strictly increasing
+    cuts = [bisect_left(reach, target) for target in targets]
+    return [
+        DominationResult(
+            tuple(selected[:k]), tuple(covered_after[:k]), rho, target, n_target, desc, k < len(reach))
+        for rho, target, k in zip(rhos, targets, cuts)
+    ]
 
 
-def _feasible(result: DominationResult) -> DominationResult:
-    """The result itself, or InfeasibleCoverageError carrying it."""
+def _feasible(results: list[DominationResult]) -> DominationResult:
+    """The one result of a one-rho run, or InfeasibleCoverageError carrying it."""
+    (result,) = results
     if not result.feasible:
         raise InfeasibleCoverageError(result)
     return result
@@ -233,14 +258,7 @@ def greedy_pdds(
     Raises InfeasibleCoverageError, carrying the infeasible result, when the
     candidate pool cannot reach the requested count at all.
     """
-    target_mask = _target_mask(g, cover_targets)
-    if candidates is None:
-        cand = spreaders(g)
-        desc = f"spreaders ({len(cand)} candidates)"
-    else:
-        cand = _resolve_ids(g, candidates, "candidate")
-        desc = f"restricted pool ({len(cand)} candidates)"
-    return _feasible(_solve(g, rho, cand, target_mask, desc))
+    return _feasible(_run(g, *_pool(g, candidates, cover_targets), [rho]))
 
 
 def coverage_curve(
@@ -257,13 +275,8 @@ def coverage_curve(
     """
     if max_spreaders < 1:
         raise ValueError("max_spreaders must be at least 1")
-    target_mask = _target_mask(g, cover_targets)
-    n_target = int(np.count_nonzero(target_mask))
-    if n_target == 0:
-        return []
-    cand = spreaders(g) if candidates is None else _resolve_ids(g, candidates, "candidate")
-    _, covered_after, _ = _greedy_run(g, cand, target_mask, None, max_spreaders)
-    return [(j + 1, c / n_target) for j, c in enumerate(covered_after)]
+    (curve,) = _run(g, *_pool(g, candidates, cover_targets), max_picks=max_spreaders)
+    return curve.points
 
 
 def brute_force_pdds(
@@ -322,6 +335,27 @@ def group_spreaders(g: DirectedGraph, p: Partition, i: int) -> np.ndarray:
     return members[g.out_degrees[members] > 0]
 
 
+def solve_task(
+    g: DirectedGraph, mode: str, p: Partition | None = None, i: int | None = None,
+    rhos: Sequence[float] = (), max_picks: int | None = None,
+) -> list[DominationResult]:
+    """A result per rho, infeasible ones too, or with no rho one curve, from one run of
+    the task: every spreader covering every vertex (``unrestricted``), or group i's
+    spreaders covering every vertex (``network-by-group``) or its members (``in-group``).
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
+    if mode == "unrestricted":
+        return _run(g, *_pool(g, None, None), rhos, max_picks)
+    cand = group_spreaders(g, p, i)
+    if mode == "in-group":
+        targets, audience = p.assignment == i, "in-group"
+    else:
+        targets, audience = _target_mask(g, None), "network"
+    desc = f"group {i} spreaders, {audience} targets ({len(cand)} candidates)"
+    return _run(g, cand, targets, desc, rhos, max_picks)
+
+
 def in_group_domination(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:
     """Cover a fraction of group i using only its own spreader members.
 
@@ -330,68 +364,54 @@ def in_group_domination(g: DirectedGraph, p: Partition, i: int, rho: float) -> D
     group still qualifies but covers only itself. The result equals a
     greedy on the group's induced subgraph, with ids in the full graph.
     """
-    cand = group_spreaders(g, p, i)
-    desc = f"group {i} spreaders, in-group targets ({len(cand)} candidates)"
-    return _feasible(_solve(g, rho, cand, p.assignment == i, desc))
+    return _feasible(solve_task(g, "in-group", p, i, [rho]))
 
 
 def network_domination_by_group(g: DirectedGraph, p: Partition, i: int, rho: float) -> DominationResult:
     """Cover a fraction of the whole network using only group i spreaders."""
-    cand = group_spreaders(g, p, i)
-    desc = f"group {i} spreaders, network targets ({len(cand)} candidates)"
-    return _feasible(_solve(g, rho, cand, _target_mask(g, None), desc))
+    return _feasible(solve_task(g, "network-by-group", p, i, [rho]))
 
 
-def write_domination_csv(
-    payload: DominationResult | Sequence[tuple[int, float]], stream: TextIO, labels: Sequence[str]
-) -> None:
+def write_domination_csv(result: DominationResult, stream: TextIO, labels: Sequence[str]) -> None:
     """CSV of a result, one row per pick, or of a coverage curve.
 
     An infeasible result ends with a ``# infeasible: <reason>`` line.
     """
-    if not isinstance(payload, DominationResult):
+    if result.rho is None:
         stream.write("spreaders,fraction\n")
-        for count, frac in payload:
-            stream.write(f"{count},{frac:.6f}\n")
+        stream.writelines(f"{count},{frac:.6f}\n" for count, frac in result.points)
         return
     stream.write("step,vertex,covered,fraction\n")
-    for j, (v, c) in enumerate(zip(payload.selected, payload.covered_after_step), start=1):
-        stream.write(f"{j},{labels[v]},{c},{c / payload.n_target:.6f}\n")
-    if not payload.feasible:
-        stream.write(f"# infeasible: {InfeasibleCoverageError(payload)}\n")
+    for j, (v, c) in enumerate(zip(result.selected, result.covered_after_step), start=1):
+        stream.write(f"{j},{labels[v]},{c},{c / result.n_target:.6f}\n")
+    if not result.feasible:
+        stream.write(f"# infeasible: {result.reason}\n")
 
 
-def domination_to_dict(
-    payload: DominationResult | Sequence[tuple[int, float]], labels: Sequence[str]
-) -> dict:
+def domination_to_dict(result: DominationResult, labels: Sequence[str]) -> dict:
     """JSON-ready form of a result or of a coverage curve.
 
     An infeasible result reports ``max_coverable``/``max_fraction`` and the
     reason in ``error`` where a feasible one has ``covered``/``fraction``,
     and its ``candidates`` is None.
     """
-    if not isinstance(payload, DominationResult):
-        return {"curve": [{"spreaders": c, "fraction": f} for c, f in payload]}
+    if result.rho is None:
+        return {"curve": [{"spreaders": c, "fraction": f} for c, f in result.points]}
     doc = {
-        "feasible": payload.feasible,
-        "rho": payload.rho,
-        "target": payload.target,
-        "n_target": payload.n_target,
-        "selected": [labels[v] for v in payload.selected],
-        "covered_after_step": list(payload.covered_after_step),
+        "feasible": result.feasible,
+        "rho": result.rho,
+        "target": result.target,
+        "n_target": result.n_target,
+        "selected": [labels[v] for v in result.selected],
+        "covered_after_step": list(result.covered_after_step),
     }
-    if payload.feasible:
-        doc.update(candidates=payload.candidates, covered=payload.covered, fraction=payload.fraction)
+    if result.feasible:
+        doc.update(candidates=result.candidates, covered=result.covered, fraction=result.fraction)
     else:
         doc.update(
             candidates=None,
-            max_coverable=payload.covered,
-            max_fraction=payload.fraction,
-            error=str(InfeasibleCoverageError(payload)),
+            max_coverable=result.covered,
+            max_fraction=result.fraction,
+            error=result.reason,
         )
     return doc
-
-
-def write_domination_json(payload: dict, stream: TextIO) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")

@@ -34,18 +34,15 @@ class DegenerateModularityError(PolarnetError):
 
 
 class InfeasibleCoverageError(PolarnetError):
-    """The requested coverage target exceeds what the candidate set can reach.
+    """A one-rho solver's coverage target exceeds what its candidates reach.
 
-    ``result`` is the infeasible domination result: the picks made until the
-    candidates ran out of new coverage, so callers can report the partial
-    run instead of just failing. ``max_coverable`` is its ``covered``.
+    ``result`` is the infeasible result, its picks until the candidates ran
+    out of new coverage; the message is its ``reason``, ``max_coverable``
+    its ``covered``. ``domination.solve_task`` returns such results instead.
     """
 
     def __init__(self, result: DominationResult):
         self.result = result
         self.n_target = result.n_target
         self.max_coverable = result.covered
-        super().__init__(
-            f"coverage target {result.target} of {result.n_target} is unreachable: "
-            f"candidate set covers at most {result.covered} ({result.fraction:.1%})"
-        )
+        super().__init__(result.reason)

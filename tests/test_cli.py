@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from polarnet import community, graph
+from polarnet import community, domination, graph
 from polarnet.cli import main
 from polarnet.community import load_partition
 from polarnet.synth import MAX_DAYS
@@ -634,11 +634,41 @@ def test_dominate_json_embeds_config(tmp_path, capsys):
      "--mode network-by-group requires --groups"),
     ("polarization", ("--partition", "p.csv", "--window-seconds", "0"),
      "--window-seconds must be positive, got 0"),
+    # flags that would be accepted and then ignored
+    ("dominate", ("--curve", "--rho", "0.5"), "--curve takes no --rho: a curve runs to --max-spreaders picks"),
+    ("dominate", ("--max-spreaders", "5"), "--max-spreaders needs --curve"),
+    ("dominate", ("--groups", "0", "--rho", "0.5"), "--mode unrestricted takes no --groups"),
 ])
 def test_cheap_flags_are_checked_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # a missing file would exit 3 if it were opened first
     assert run_cli(command, "--input", str(tmp_path / "missing.csv"), *flags) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dominate_runs_the_greedy_once_per_task(tmp_path, monkeypatch):
+    # group 1 is {c, d, e, f}: d and e reach 3 of its 4 members, so rho 0.5
+    # is feasible there and 0.9 and 1.0 are not
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,0\na,c,0\nd,e,0\ne,f,0\n", encoding="utf-8")
+    part_file = tmp_path / "part.csv"
+    write_partition(part_file, {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1, "f": 1})
+    calls = []
+    core = domination._greedy_run
+    monkeypatch.setattr(domination, "_greedy_run", lambda *a: calls.append(a) or core(*a))
+    common = ["dominate", "--input", str(src), "--partition", str(part_file), "--mode", "in-group",
+              "--groups", "0,1"]
+    slugs = {"0.5": "0.5", "0.9": "0.9", "1.0": "1"}
+    flags = [arg for rho in slugs for arg in ("--rho", rho)]
+    assert run_cli(*common, *flags, "--out", str(tmp_path / "all")) == 4
+    assert len(calls) == 2
+    assert len(list((tmp_path / "all").iterdir())) == 6
+    for rho, slug in slugs.items():
+        alone = tmp_path / slug
+        assert run_cli(*common, "--rho", rho, "--out", str(alone)) == (0 if rho == "0.5" else 4)
+        for name in (f"dominate_in-group_g{i}_rho{slug}.csv" for i in (0, 1)):
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes(), name
+    assert "# infeasible: " not in (tmp_path / "all" / "dominate_in-group_g1_rho0.5.csv").read_text()
+    assert "# infeasible: " in (tmp_path / "all" / "dominate_in-group_g1_rho0.9.csv").read_text()
 
 
 @pytest.mark.parametrize("rhos, message", [

@@ -18,6 +18,7 @@ from polarnet.domination import (
     group_spreaders,
     in_group_domination,
     network_domination_by_group,
+    solve_task,
     spreaders,
 )
 from polarnet.errors import InfeasibleCoverageError
@@ -458,6 +459,41 @@ def test_in_group_runs_equal_full_graph_runs_on_group_targets(seed, n, p, k, rho
         assert coverage_curve(g, candidates=cand, cover_targets=members, max_spreaders=max_spreaders) == (
             coverage_curve(sub, candidates=cand_local, max_spreaders=max_spreaders)
         )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 24),
+    st.sampled_from([0.05, 0.15, 0.4]),
+    st.integers(1, 4),
+    st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9, 1.0]), min_size=1, max_size=4, unique=True),
+    st.integers(1, 6),
+)
+def test_one_run_per_task_matches_the_oracle_for_every_rho(seed, n, p, k, rhos, max_picks):
+    # each rho cut from the one run to the largest target is the oracle's
+    # run to that rho alone, infeasible ones included, in the order given;
+    # the curve is the oracle's full run capped at max_picks
+    rng = np.random.default_rng(seed)
+    g = oracles.random_digraph(n, p, rng)
+    part = Partition.from_assignment(oracles.random_grouping(n, min(k, n), rng))
+    tasks = [("unrestricted", None, spreaders(g).tolist(), None)]
+    for i in range(part.k):
+        pool = group_spreaders(g, part, i).tolist()
+        tasks += [("network-by-group", i, pool, None), ("in-group", i, pool, part.members(i).tolist())]
+    for mode, i, pool, targets in tasks:
+        n_target = n if targets is None else len(targets)
+        results = solve_task(g, mode, part, i, rhos=rhos)
+        assert [r.rho for r in results] == rhos
+        for rho, result in zip(rhos, results):
+            selected, covered_after, feasible = oracles.greedy_reference(g, rho, pool, targets)
+            assert result.selected == tuple(selected)
+            assert result.covered_after_step == tuple(covered_after)
+            assert (result.feasible, result.target, result.n_target) == (
+                feasible, coverage_target(rho, n_target), n_target)
+        (curve,) = solve_task(g, mode, part, i, max_picks=max_picks)
+        _, full_run, _ = oracles.greedy_reference(g, 1.0, pool, targets)
+        assert (curve.rho, curve.target, curve.feasible) == (None, None, True)
+        assert curve.covered_after_step == tuple(full_run[:max_picks])
 
 
 def test_network_by_group_universal_hub():
