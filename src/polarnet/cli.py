@@ -151,6 +151,8 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
+    if not args.resolution > 0:
+        raise ValueError(f"--resolution must be positive, got {args.resolution}")
     edges = _load_edges(args)
     und = underlying_undirected(build_directed_graph(edges))
     part = relabel_by_size(
@@ -262,14 +264,14 @@ def cmd_dominate(args: argparse.Namespace) -> int:
     part = _load_partition_file(args.partition, edges) if args.partition else None
     labels = edges.labels
 
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+    # every task is solved, and so every --groups selector resolved, before
+    # --out is created: a refused run leaves no directory behind
     tasks = list(_dominate_tasks(args, g, part))
-    if out_dir is None:
+    if not args.out:
         _write_tasks(sys.stdout, tasks, args, labels, named=True)
     else:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, result in tasks:
             with open(out_dir / f"{name}.{args.format}", "w", encoding="utf-8") as fh:
                 _write_tasks(fh, [(name, result)], args, labels, named=False)
@@ -310,6 +312,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     flags = {name: flag for flag, name, _, _ in _SYNTH_PARAMETERS}
     params = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
+    if params.get("swaps", 0) < 0:
+        raise ValueError(f"--swaps must be non-negative, got {params['swaps']}")
     base = None
     if args.input is not None:
         base = underlying_undirected(build_directed_graph(_load_edges(args)))

@@ -14,12 +14,34 @@ adjacency order, each neighbour repeated once per original edge that the
 level's weighted edge stands for. A visit counts its neighbours' groups
 into a dict in C (``collections._count_elements``), one increment per
 list entry, then scans the distinct groups in Python. Level weights are
-integer edge counts, so these counts equal the float weight sums of a
-weighted adjacency exactly; with the visit order and the tie-break
-unchanged, the partitions and per-level modularities are those of a float
-weighted implementation bit for bit (``tests/oracles.louvain_reference``).
-Off-diagonal weight sums to at most 2m, so no level's lists hold more
-entries than level 0's.
+int64 multiplicities of original edges, so these counts equal the float
+weight sums of a weighted adjacency exactly; with the visit order and the
+tie-break unchanged, the partitions and per-level modularities are those
+of a float weighted implementation bit for bit
+(``tests/oracles.louvain_reference``). Off-diagonal weight sums to at most
+2m, so no level's lists hold more entries than level 0's.
+
+The lists and group labels of every level are gathered from one object
+array of Python ints, built once per run, so they share one int object
+per vertex id: no level allocates or frees an int per list entry.
+Aggregation counts each level edge key once per original edge it stands
+for, so the supervertex multiplicities are run lengths of sorted keys and
+stay int64. A level's modularity needs the weight inside its groups:
+twice its loop weights plus its edges between two members of a group,
+which are the diagonal of that aggregation, so no further pass over the
+level is made. A level without a move, always the last, leaves every
+vertex alone and has no such edge. Every term is an integer below 2⁵³,
+so these sums are exact in any order.
+
+Measured with Python 3.11 and numpy 2.4 on one core of a shared 2-core
+VM, on the benchmark's 10,000-vertex sparse-blocks graph (seed 1, four
+Louvain seeds): level 0's lists (128,572 entries) take 6-10 ms to build,
+its local moving 140-175 ms; level 1 (3,000-3,800 supervertices, 83k-105k
+entries) 6-17 ms and 60-115 ms; the last level about 1.5 ms; all other
+work, aggregation included, 11-26 ms per run. On the 3,000-vertex
+dense-daily graph, level 0's 508,166 entries take 19-30 ms (building and
+freeing a fresh int per entry took about 59 ms) and its local moving
+150-195 ms.
 """
 
 from __future__ import annotations
@@ -33,7 +55,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import FormatError
-from .graph import UndirectedView, _csr_rows, _distinct_keys, _key_csr, _pair_keys
+from .graph import UndirectedView, _distinct_keys, _key_counts, _key_csr, _pair_keys
 
 _INT = np.int64
 
@@ -154,26 +176,41 @@ def _local_move(
     return n_moves
 
 
-def _neighbour_lists(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> list[list[int]]:
-    """Per-vertex neighbour lists, each neighbour repeated by its integer weight."""
-    counts = weights.astype(_INT)
-    ends = np.zeros(len(counts) + 1, dtype=_INT)
-    np.cumsum(counts, out=ends[1:])
-    flat = np.repeat(indices, counts).tolist()
-    bounds = ends[indptr].tolist()
+def _neighbour_lists(
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray | None, ids: np.ndarray
+) -> list[list[int]]:
+    """Per-vertex neighbour lists, each neighbour repeated by its int64
+    weight, or listed once where ``weights`` is None (level 0).
+
+    The entries are gathered from ``ids``, an object array of one Python int
+    per vertex id, so every list shares those ints: building or freeing the
+    lists allocates no int object per entry.
+    """
+    if weights is None:
+        flat, bounds = ids[indices].tolist(), indptr.tolist()
+    else:
+        ends = np.zeros(len(weights) + 1, dtype=_INT)
+        np.cumsum(weights, out=ends[1:])
+        flat, bounds = ids[np.repeat(indices, weights)].tolist(), ends[indptr].tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _louvain(
     g: UndirectedView, resolution: float, seed: int, min_improvement: float
 ) -> tuple[np.ndarray, list[float]]:
-    """Multilevel optimization; returns (dense assignment, per-level modularity)."""
-    rng = np.random.default_rng(seed)
+    """Multilevel optimization; returns (dense assignment, per-level modularity).
 
-    # level graph: symmetric CSR without self-loops + separate loop weights
-    indptr = g.indptr.astype(_INT)
-    indices = g.indices.astype(_INT)
-    weights = np.ones(len(indices), dtype=np.float64)
+    A level is a symmetric CSR without self-loops, its int64 edge
+    multiplicities ``weights`` (None at level 0, where each is 1), and float
+    loop weights ``self_w`` and strengths. Each of these holds integers below
+    2⁵³, so every sum of them is exact in any order.
+    """
+    rng = np.random.default_rng(seed)
+    ids = np.arange(g.n).astype(object)
+
+    indptr = np.asarray(g.indptr, dtype=_INT)
+    indices = np.asarray(g.indices, dtype=_INT)
+    weights = None
     self_w = np.zeros(g.n, dtype=np.float64)
     strength = np.asarray(np.diff(indptr), dtype=np.float64)
     two_m = float(strength.sum())
@@ -182,14 +219,12 @@ def _louvain(
     q_history: list[float] = []
 
     while True:
-        n_l = len(self_w)
-        comm = list(range(n_l))
-        sigma_tot = strength.tolist()
+        comm = ids[: len(self_w)].tolist()
         n_moves = _local_move(
-            _neighbour_lists(indptr, indices, weights),
+            _neighbour_lists(indptr, indices, weights, ids),
             strength.tolist(),
             comm,
-            sigma_tot,
+            strength.tolist(),
             two_m,
             resolution,
             rng,
@@ -199,27 +234,30 @@ def _louvain(
         used = _distinct_keys(comm_arr)
         dense = np.searchsorted(used, comm_arr)
         assignment = dense[assignment]
-        # the level's modularity: CSR entry e joins groups cu[e] and cv[e]
-        cu, cv = dense[_csr_rows(indptr)], dense[indices]
-        w_in = float(weights[cu == cv].sum()) + 2.0 * float(self_w.sum())
         tot = np.bincount(dense, weights=strength)
+        # weight inside groups: the loops, plus the CSR entries joining two
+        # members, which aggregation sums on its diagonal. A move always
+        # lands in a non-empty group, so without one every vertex is alone
+        w_in = 2.0 * float(self_w.sum())
+        if n_moves:
+            # aggregate groups into supervertices; group u's own edges are
+            # the keys u * (k_new + 1), each key once per original edge
+            k_new = len(used)
+            keys = _pair_keys(k_new, np.repeat(dense, np.diff(indptr)), dense[indices])
+            uk, wsum = _key_counts(keys if weights is None else np.repeat(keys, weights))
+            group, rest = np.divmod(uk, k_new + 1)
+            diag = rest == 0
+            w_in += float(wsum[diag].sum())
         q_history.append(w_in / two_m - resolution * float(np.sum((tot / two_m) ** 2)))
-        k_new = len(used)
-        if n_moves == 0 or k_new == n_l:
+        if not n_moves:
             break
 
-        # aggregate groups into supervertices; group u's own edges are the
-        # keys u * (k_new + 1)
-        keys = _pair_keys(k_new, cu, cv)
-        uk = _distinct_keys(keys)
-        wsum = np.bincount(np.searchsorted(uk, keys), weights=weights)
-        group, rest = np.divmod(uk, k_new + 1)
-        diag = rest == 0
         self_w = np.bincount(dense, weights=self_w, minlength=k_new)
         self_w[group[diag]] += wsum[diag] / 2.0
         indptr, indices = _key_csr(k_new, uk[~diag])
         weights = wsum[~diag]
-        strength = np.bincount(_csr_rows(indptr), weights=weights, minlength=k_new) + 2.0 * self_w
+        # a supervertex's strength is the total of its members'
+        strength = tot
 
     return assignment, q_history
 

@@ -766,9 +766,27 @@ def _distinct_keys(keys: np.ndarray) -> np.ndarray:
     takes a hash-based path that is tens of times slower.
     """
     keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return keys[_run_firsts(keys)]
+
+
+def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of an integer array and how many times each
+    occurs (int64), like ``np.unique(keys, return_counts=True)``.
+
+    The counts are the lengths of the runs of the sorted keys, so no key is
+    looked up again: ``community._louvain`` sums its level multiplicities
+    this way, each edge key repeated by its multiplicity.
+    """
+    keys = np.sort(keys)
+    starts = np.flatnonzero(_run_firsts(keys))
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _run_firsts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 def _directed(n: int, src: np.ndarray, dst: np.ndarray) -> DirectedGraph:

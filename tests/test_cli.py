@@ -638,11 +638,30 @@ def test_dominate_json_embeds_config(tmp_path, capsys):
     ("dominate", ("--curve", "--rho", "0.5"), "--curve takes no --rho: a curve runs to --max-spreaders picks"),
     ("dominate", ("--max-spreaders", "5"), "--max-spreaders needs --curve"),
     ("dominate", ("--groups", "0", "--rho", "0.5"), "--mode unrestricted takes no --groups"),
+    ("communities", ("--resolution", "0"), "--resolution must be positive, got 0.0"),
+    ("synth", ("--family", "configuration-model", "--swaps", "-1", "--out", "refused"),
+     "--swaps must be non-negative, got -1"),
 ])
 def test_cheap_flags_are_checked_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # a missing file would exit 3 if it were opened first
     assert run_cli(command, "--input", str(tmp_path / "missing.csv"), *flags) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("group, message", [
+    ("nosuch", "unknown group 'nosuch'; known names: none; indices run 0..1"),
+    ("2", "group index 2 out of range (k=2)"),
+])
+def test_dominate_with_a_refused_group_creates_no_out_directory(tmp_path, capsys, group, message):
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    part_file = tmp_path / "part.csv"
+    write_partition(part_file, {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1})
+    out = tmp_path / "o1"
+    assert run_cli("dominate", "--input", str(src), "--partition", str(part_file), "--mode", "in-group",
+                   "--groups", group, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_dominate_runs_the_greedy_once_per_task(tmp_path, monkeypatch):

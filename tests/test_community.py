@@ -217,6 +217,53 @@ def test_louvain_equals_reference_on_either_side_of_int32_keys(n):
     assert q_history == expected_q
 
 
+def _ring_with_isolated_vertices() -> tuple[int, list[tuple[int, int]]]:
+    """Five 4-cliques in a ring on the odd vertices 1..39; the even ones
+    and 40-42 have no edge."""
+    k, size = 5, 4
+    edges = [(c * size + i, c * size + j) for c in range(k) for i in range(size) for j in range(i + 1, size)]
+    edges += [(c * size, (c + 1) % k * size + 1) for c in range(k)]
+    return 2 * k * size + 3, [(2 * u + 1, 2 * v + 1) for u, v in edges]
+
+
+@pytest.mark.parametrize("n, edges, resolution, levels", [
+    # at resolution 8 every vertex is best alone, so level 0 makes no move
+    pytest.param(6, [(i, i + 1) for i in range(5)], 8.0, 1, id="path"),
+    pytest.param(7, [(0, i) for i in range(1, 7)], 8.0, 1, id="star"),
+    # level 0 gathers each triangle; merging the two would lower modularity
+    pytest.param(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 1.0, 2, id="bridged-triangles"),
+    pytest.param(*_ring_with_isolated_vertices(), 1.0, 2, id="isolated-vertices"),
+])
+def test_louvain_runs_of_one_or_two_levels_equal_the_reference(n, edges, resolution, levels):
+    und = undirected_from_edges(n, edges)
+    expected, expected_q = oracles.louvain_reference(und, resolution, 3, 1e-7)
+    assert len(expected_q) == levels
+    assignment, q_history = _louvain(und, resolution, 3, 1e-7)
+    assert assignment.tolist() == expected.tolist()
+    assert q_history == expected_q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_seed(), st.sampled_from([0.5, 1.0, 8.0]))
+def test_a_level_keeps_all_its_groups_exactly_when_it_makes_no_move(case, resolution):
+    # a move lands in a non-empty group, so the first one empties a group;
+    # _louvain takes a level without moves to have no edge inside a group
+    und, seed = case
+    core, levels = community._local_move, []
+
+    def recording(nbrs, strength, comm, *rest):
+        moves = core(nbrs, strength, comm, *rest)
+        levels.append((len(comm), moves, len(set(comm))))
+        return moves
+
+    with mock.patch.object(community, "_local_move", recording):
+        _, q_history = _louvain(und, resolution, seed, 1e-7)
+    assert len(levels) == len(q_history)
+    assert levels[-1][1] == 0
+    for n_l, moves, groups in levels:
+        assert (groups < n_l) == (moves > 0)
+
+
 def test_empty_graph_is_rejected():
     with pytest.raises(ValueError):
         detect_communities(undirected_from_edges(4, []))
