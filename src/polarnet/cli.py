@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .community import (
     Partition,
+    check_resolution,
     detect_communities,
     load_partition,
     relabel_by_size,
@@ -23,6 +24,8 @@ from .community import (
 )
 from .domination import (
     MODES,
+    check_max_picks,
+    check_rho,
     domination_to_dict,
     solve_task,
     write_domination_csv,
@@ -37,6 +40,7 @@ from .graph import (
     IngestOptions,
     TemporalEdgeSet,
     build_directed_graph,
+    check_granularity,
     check_interval,
     exclude_interval,
     ingest_edge_list,
@@ -50,7 +54,7 @@ from .polarization import (
     write_report_csv,
     write_report_json,
 )
-from .synth import FAMILIES, MAX_DAYS, GeneratorSpec, check_parameters, generate
+from .synth import FAMILIES, GeneratorSpec, check_days, check_parameters, check_swaps, generate
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -151,8 +155,7 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    if not args.resolution > 0:
-        raise ValueError(f"--resolution must be positive, got {args.resolution}")
+    check_resolution(args.resolution)
     edges = _load_edges(args)
     und = underlying_undirected(build_directed_graph(edges))
     part = relabel_by_size(
@@ -171,8 +174,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 
 def cmd_polarization(args: argparse.Namespace) -> int:
-    if args.window_seconds <= 0:
-        raise ValueError(f"--window-seconds must be positive, got {args.window_seconds}")
+    check_granularity(args.window_seconds)
     edges = _load_edges(args)
     part = _load_partition_file(args.partition, edges)
     windows = slice_windows(edges, args.window_seconds, origin=args.window_origin)
@@ -244,14 +246,13 @@ def cmd_dominate(args: argparse.Namespace) -> int:
         raise ValueError("--mode unrestricted takes no --groups")
     slugs: dict[str, float] = {}
     for rho in args.rho or []:
-        if not (0.0 < rho <= 1.0):
-            raise ValueError(f"rho must be in (0, 1], got {rho}")
+        check_rho(rho)
         slug = f"{rho:g}"
         if slug in slugs:
             raise ValueError(f"--rho {slugs[slug]} and --rho {rho} both name their task rho{slug}")
         slugs[slug] = rho
-    if args.max_spreaders is not None and args.max_spreaders < 1:
-        raise ValueError(f"--max-spreaders must be at least 1, got {args.max_spreaders}")
+    if args.max_spreaders is not None:
+        check_max_picks(args.max_spreaders)
     if args.mode != "unrestricted":
         for flag, given in (("--partition", args.partition), ("--groups", args.groups)):
             if not given:
@@ -287,15 +288,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _days(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    if value > MAX_DAYS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DAYS}, got {value}")
-    return value
-
-
 # the synth parameter flags: (flag, the generate() parameter it sets, type, help)
 _SYNTH_PARAMETERS = (
     ("--blocks", "block_sizes", _int_list, "planted-partition block sizes, e.g. 100,100"),
@@ -312,8 +304,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     flags = {name: flag for flag, name, _, _ in _SYNTH_PARAMETERS}
     params = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
-    if params.get("swaps", 0) < 0:
-        raise ValueError(f"--swaps must be non-negative, got {params['swaps']}")
+    check_swaps(params.get("swaps", 0))
+    check_days(args.days)
     base = None
     if args.input is not None:
         base = underlying_undirected(build_directed_graph(_load_edges(args)))
@@ -397,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--out", required=True, help="directory for edges.csv (+ partition.csv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--days", type=_days, default=0,
+    p.add_argument("--days", type=int, default=0,
                    help="spread timestamps uniformly over this many days (default: all zero)")
     p.add_argument("--input", default=None, help="base graph for configuration-model")
     _add_format_args(p)

@@ -46,6 +46,7 @@ freeing a fresh int per entry took about 59 ms) and its local moving
 
 from __future__ import annotations
 
+import math
 import re
 from collections import _count_elements, deque
 from dataclasses import dataclass, field
@@ -67,7 +68,8 @@ class Partition:
     Group indices run 0..k-1 and each is used; ``group_meta`` names existing
     groups. The constructor alone judges these rules, raising ValueError that
     names the group, and counts each group's members once into the read-only
-    ``group_sizes``. ``check_group`` is the one range check of an index.
+    ``group_sizes``. ``check_group`` is the one range check of an index and
+    ``check_cover`` the one check that a partition fits a graph.
     """
 
     assignment: np.ndarray
@@ -103,6 +105,11 @@ class Partition:
         a = np.asarray(list(assignment) if not isinstance(assignment, np.ndarray) else assignment, dtype=_INT).copy()
         return cls(assignment=a, group_meta=dict(group_meta or {}))
 
+    def check_cover(self, n: int) -> None:
+        """Raise ValueError unless the partition assigns exactly the ``n`` vertices of a graph."""
+        if self.n != n:
+            raise ValueError(f"partition covers {self.n} vertices, graph has {n}")
+
     def check_group(self, i: int) -> int:
         """``i`` as an int, or ValueError when no group has that index."""
         i = int(i)
@@ -121,6 +128,14 @@ def relabel_by_size(p: Partition) -> Partition:
     perm[order] = np.arange(p.k, dtype=_INT)
     meta = {int(perm[i]): name for i, name in p.group_meta.items()}
     return Partition(assignment=perm[p.assignment], group_meta=meta)
+
+
+def check_resolution(value: float, name: str = "resolution") -> None:
+    """Raise ValueError unless ``value`` is positive and finite: the rule of
+    ``resolution`` and of ``min_improvement``, named by ``name``. With NaN
+    or infinity every vertex would end alone, without an error."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _local_move(
@@ -287,16 +302,15 @@ def detect_communities(
     tie-break are those of the plain weighted algorithm.
 
     Deterministic for fixed (graph, resolution, seed, min_improvement).
-    Isolated vertices end up in singleton groups. Raises ValueError on an
-    empty graph (no vertices or no edges), where modularity optimization is
-    undefined.
+    Isolated vertices end up in singleton groups. Raises ValueError unless
+    ``resolution`` and ``min_improvement`` are positive and finite
+    (``check_resolution``, checked first), and on an empty graph (no
+    vertices or no edges), where modularity optimization is undefined.
     """
+    check_resolution(resolution)
+    check_resolution(min_improvement, "min_improvement")
     if g.n == 0 or g.m == 0:
         raise ValueError("community detection requires a graph with at least one edge")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    if min_improvement <= 0:
-        raise ValueError("min_improvement must be positive")
     assignment, _ = _louvain(g, resolution, seed, min_improvement)
     return Partition.from_assignment(assignment)
 

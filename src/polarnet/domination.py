@@ -96,14 +96,25 @@ def spreaders(g: DirectedGraph) -> np.ndarray:
     return np.flatnonzero(g.out_degrees > 0)
 
 
+def check_rho(rho: float) -> None:
+    """Raise ValueError unless ``rho`` is a coverage fraction in (0, 1]."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+
+
+def check_max_picks(max_picks: int) -> None:
+    """Raise ValueError unless a curve of ``max_picks`` picks has a point."""
+    if not max_picks >= 1:
+        raise ValueError(f"curve length must be at least 1, got {max_picks}")
+
+
 def coverage_target(rho: float, n_target: int) -> int:
     """Smallest integer count satisfying a fractional coverage requirement.
 
     Products that land within 1e-9 of an integer are snapped to it before
     rounding up, so e.g. 0.3 * 10 asks for 3 picks rather than 4.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    check_rho(rho)
     scaled = rho * n_target
     nearest = round(scaled)
     if abs(scaled - nearest) < 1e-9:
@@ -222,7 +233,10 @@ def _run(
     """One greedy run, to the largest rho's target: each rho's result is the shortest
     prefix covering its target, the picks of a run to that target alone, or every
     pick, infeasible, when the run falls short. With no rho it is the curve.
+    Every rho and a ``max_picks`` that is not None are checked before the run.
     """
+    if max_picks is not None:
+        check_max_picks(max_picks)
     n_target = int(np.count_nonzero(target_mask))
     targets = [coverage_target(rho, n_target) for rho in rhos]
     stop, cap = max(targets, default=math.inf), math.inf if max_picks is None else max_picks
@@ -271,10 +285,9 @@ def coverage_curve(
 
     Stops early once no remaining candidate adds coverage, so the curve never
     pads with useless picks. Fractions are non-decreasing and their marginal
-    gains never increase.
+    gains never increase. Raises ValueError when ``max_spreaders`` is
+    below 1 (``check_max_picks``).
     """
-    if max_spreaders < 1:
-        raise ValueError("max_spreaders must be at least 1")
     (curve,) = _run(g, *_pool(g, candidates, cover_targets), max_picks=max_spreaders)
     return curve.points
 
@@ -329,8 +342,7 @@ def brute_force_pdds(
 
 def group_spreaders(g: DirectedGraph, p: Partition, i: int) -> np.ndarray:
     """Members of group i that are spreaders in the full graph."""
-    if p.n != g.n:
-        raise ValueError(f"partition covers {p.n} vertices, graph has {g.n}")
+    p.check_cover(g.n)
     members = p.members(i)
     return members[g.out_degrees[members] > 0]
 
@@ -342,11 +354,16 @@ def solve_task(
     """A result per rho, infeasible ones too, or with no rho one curve, from one run of
     the task: every spreader covering every vertex (``unrestricted``), or group i's
     spreaders covering every vertex (``network-by-group``) or its members (``in-group``).
+
+    Raises ValueError for an unknown mode, a group mode without ``p`` or ``i``, a rho
+    outside (0, 1] (``check_rho``) or a ``max_picks`` below 1 (``check_max_picks``).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
     if mode == "unrestricted":
         return _run(g, *_pool(g, None, None), rhos, max_picks)
+    if p is None or i is None:
+        raise ValueError(f"mode {mode} needs a partition and a group index")
     cand = group_spreaders(g, p, i)
     if mode == "in-group":
         targets, audience = p.assignment == i, "in-group"

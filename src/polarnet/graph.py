@@ -27,11 +27,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class IngestOptions:
     """How :func:`ingest_edge_list` reads a file: the CLI's ``--delimiter``,
-    ``--header`` and ``--strict`` flags."""
+    ``--header`` and ``--strict`` flags.
+
+    Raises ValueError for an empty delimiter, which cannot split a line, or
+    one holding a line break, which ends the line before any field does.
+    """
 
     delimiter: str = ","
     skip_header: bool = False
     strict: bool = False
+
+    def __post_init__(self):
+        if not self.delimiter:
+            raise ValueError("delimiter must not be empty")
+        if "\n" in self.delimiter or "\r" in self.delimiter:
+            raise ValueError(f"delimiter {self.delimiter!r} holds a line break")
 
 
 @dataclass(frozen=True)
@@ -871,19 +881,25 @@ def window_label(start: int, granularity: int) -> str:
     return _window_labels(np.array([start], dtype=_INT), granularity)[0]
 
 
+def check_granularity(granularity: int) -> None:
+    """Raise ValueError unless ``granularity``, a window length in seconds, is positive."""
+    if not granularity > 0:
+        raise ValueError(f"window length must be positive, got {granularity}")
+
+
 def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> list[TimeWindow]:
     """Consecutive equal-length windows aligned to ``origin`` covering all arcs.
 
     Returns an empty list for an empty edge set. The origin lets "day"
-    boundaries match any timezone convention. Raises ValueError when a
-    window would start before ``FIRST_LABELLED_SECOND`` or past
+    boundaries match any timezone convention. Raises ValueError unless
+    ``granularity`` is positive (``check_granularity``), when a window
+    would start before ``FIRST_LABELLED_SECOND`` or past
     ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
     span more than ``MAX_WINDOWS`` windows; all three are checked before
     any window or label is built. Every label comes from one vectorised
     call (see ``window_label`` for the format).
     """
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
+    check_granularity(granularity)
     span = edges.time_span()
     if span is None:
         return []

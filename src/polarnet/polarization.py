@@ -24,11 +24,6 @@ from .graph import TemporalEdgeSet, TimeWindow, UndirectedView, _pair_keys
 DEFAULT_D_TOLERANCE = 1e-12
 
 
-def _check_cover(g: UndirectedView, p: Partition) -> None:
-    if p.n != g.n:
-        raise ValueError(f"partition covers {p.n} vertices, graph has {g.n}")
-
-
 def _contributions(cu: np.ndarray, cv: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     """Q_i for len(m) rows of k groups each, as an (len(m), k) array: edge j
     joins the cells cu[j] and cv[j] (row·k + the endpoint's group) and row r
@@ -50,7 +45,7 @@ def modularity(g: UndirectedView, p: Partition) -> float:
 
 def group_contributions(g: UndirectedView, p: Partition) -> np.ndarray:
     """All Q_i at once; Q_i = e_i/m - (D_i/(2m))^2."""
-    _check_cover(g, p)
+    p.check_cover(g.n)
     if g.m == 0:
         raise UndefinedModularityError("modularity is undefined on a graph with no edges")
     pairs = g.edge_pairs()
@@ -218,8 +213,7 @@ def window_series(
     in runs whose slices hold at most 2A arcs, so temporaries stay
     O(A + F·k) even when windows overlap.
     """
-    if p.n != edges.n_vertices:
-        raise ValueError(f"partition covers {p.n} vertices, edge set has {edges.n_vertices}")
+    p.check_cover(edges.n_vertices)
     tracked = tuple(p.check_group(i) for i in tracked_groups)
 
     n, k = edges.n_vertices, p.k

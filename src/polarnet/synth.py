@@ -309,6 +309,12 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     return accepted
 
 
+def check_swaps(swaps: int) -> None:
+    """Raise ValueError unless ``swaps``, a count of accepted swaps, is non-negative."""
+    if not swaps >= 0:
+        raise ValueError(f"swaps must be non-negative, got {swaps}")
+
+
 def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> UndirectedView:
     """Degree-preserving randomization by repeated double-edge swaps.
 
@@ -334,9 +340,9 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     0.1 s for 30k swaps and 3.2-3.5 s for the 10·m swaps ``generate``
     defaults to, about 1.2 µs per proposal. Memory is a few arrays of m
     keys, int32 whenever n² < 2³¹ − 1 (the dtype ``graph._pair_keys`` chooses).
+    A negative ``swaps`` raises ValueError (``check_swaps``).
     """
-    if swaps < 0:
-        raise ValueError("swaps must be non-negative")
+    check_swaps(swaps)
     if swaps == 0:
         return g
     if g.m < 2:
@@ -478,6 +484,15 @@ class GeneratorSpec:
         return hash((self.family, frozenset(self.parameters.items()), self.seed))
 
 
+def check_days(days: int) -> None:
+    """Raise ValueError unless ``days`` runs from 0 to ``MAX_DAYS``: the
+    stamps of a longer spread would not fit an int64."""
+    if not days >= 0:
+        raise ValueError(f"days must be non-negative, got {days}")
+    if days > MAX_DAYS:
+        raise ValueError(f"days must be at most {MAX_DAYS}, got {days}")
+
+
 @dataclass(frozen=True)
 class SynthOutput:
     """Arc list plus optional ground-truth partition, ready to serialize."""
@@ -489,11 +504,8 @@ class SynthOutput:
     def temporal_edges(self, days: int = 0, seed: int = 0) -> TemporalEdgeSet:
         """The arcs over labels ``v0 .. v{n-1}``, stamped uniformly over
         ``days`` days by ``default_rng([seed, 1])``, or all at 0 for 0 days.
-        ``days`` runs from 0 to ``MAX_DAYS``."""
-        if days < 0:
-            raise ValueError(f"days must be non-negative, got {days}")
-        if days > MAX_DAYS:
-            raise ValueError(f"days must be at most {MAX_DAYS}, got {days}")
+        ``days`` runs from 0 to ``MAX_DAYS`` (``check_days``)."""
+        check_days(days)
         n_arcs = len(self.arc_pairs)
         if days > 0:
             stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=n_arcs)

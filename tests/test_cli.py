@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from polarnet import community, domination, graph
+from polarnet import community, domination, graph, synth
 from polarnet.cli import main
 from polarnet.community import load_partition
 from polarnet.synth import MAX_DAYS
@@ -221,7 +221,7 @@ def test_synth_rejects_negative_days(tmp_path, capsys):
     out_dir = tmp_path / "x"
     assert run_cli("synth", "--family", "star", "--leaves", "3", "--days", "-2",
                    "--out", str(out_dir)) == 2
-    assert "argument --days: must be non-negative, got -2" in capsys.readouterr().err
+    assert "error: days must be non-negative, got -2" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -229,7 +229,7 @@ def test_synth_refuses_days_past_the_int64_seconds_limit(tmp_path, capsys):
     out_dir = tmp_path / "x"
     assert run_cli("synth", "--family", "star", "--leaves", "1", "--days", str(MAX_DAYS + 1),
                    "--out", str(out_dir)) == 2
-    assert f"argument --days: must be at most {MAX_DAYS}, got {MAX_DAYS + 1}" in capsys.readouterr().err
+    assert f"error: days must be at most {MAX_DAYS}, got {MAX_DAYS + 1}" in capsys.readouterr().err
     assert not out_dir.exists()
     assert run_cli("synth", "--family", "star", "--leaves", "1", "--days", str(MAX_DAYS),
                    "--out", str(out_dir)) == 0
@@ -628,19 +628,20 @@ def test_dominate_json_embeds_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags, message", [
-    ("dominate", ("--curve", "--max-spreaders", "0"), "--max-spreaders must be at least 1, got 0"),
+    ("dominate", ("--curve", "--max-spreaders", "0"), "curve length must be at least 1, got 0"),
     ("dominate", ("--mode", "in-group"), "--mode in-group requires --partition"),
     ("dominate", ("--mode", "network-by-group", "--partition", "p.csv"),
      "--mode network-by-group requires --groups"),
     ("polarization", ("--partition", "p.csv", "--window-seconds", "0"),
-     "--window-seconds must be positive, got 0"),
+     "window length must be positive, got 0"),
     # flags that would be accepted and then ignored
     ("dominate", ("--curve", "--rho", "0.5"), "--curve takes no --rho: a curve runs to --max-spreaders picks"),
     ("dominate", ("--max-spreaders", "5"), "--max-spreaders needs --curve"),
     ("dominate", ("--groups", "0", "--rho", "0.5"), "--mode unrestricted takes no --groups"),
-    ("communities", ("--resolution", "0"), "--resolution must be positive, got 0.0"),
+    ("communities", ("--resolution", "0"), "resolution must be positive and finite, got 0.0"),
     ("synth", ("--family", "configuration-model", "--swaps", "-1", "--out", "refused"),
-     "--swaps must be non-negative, got -1"),
+     "swaps must be non-negative, got -1"),
+    ("ingest-check", ("--delimiter", ""), "delimiter must not be empty"),
 ])
 def test_cheap_flags_are_checked_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # a missing file would exit 3 if it were opened first
@@ -730,3 +731,84 @@ def test_dominate_rejects_bad_rho(tmp_path, capsys):
     src = tmp_path / "edges.csv"
     write_two_triangles(src)
     assert run_cli("dominate", "--input", str(src), "--rho", "1.5") == 2
+
+
+# every value rule, owned by one library check: the library calls that apply
+# it to a value, and the CLI run passing the value through a flag (None where
+# no flag sets it). IN, PART and OUT stand for the input, partition and
+# output paths; the value follows the last argument as "--flag=value".
+_TRIANGLES = graph.undirected_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+_ARCS = graph.directed_from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+_GROUPS = community.Partition.from_assignment([0, 0, 0, 1, 1, 1])
+_STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
+_STAR = synth.generate(synth.GeneratorSpec("star", {"n_leaves": 1}))
+
+VALUE_RULES = {
+    "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
+                   ["communities", "--input", "IN", "--resolution"]),
+    "min_improvement": (float, [lambda v: community.detect_communities(_TRIANGLES, min_improvement=v)], None),
+    "window-length": (int, [lambda v: graph.slice_windows(_STAMPED, v)],
+                      ["polarization", "--input", "IN", "--partition", "PART", "--window-seconds"]),
+    "rho": (float, [lambda v: domination.coverage_target(v, 10),
+                    lambda v: domination.greedy_pdds(_ARCS, v),
+                    lambda v: domination.solve_task(_ARCS, "in-group", _GROUPS, 1, rhos=[v])],
+            ["dominate", "--input", "IN", "--rho"]),
+    "curve-length": (int, [lambda v: domination.coverage_curve(_ARCS, max_spreaders=v),
+                           lambda v: domination.solve_task(_ARCS, "unrestricted", max_picks=v),
+                           lambda v: domination.solve_task(_ARCS, "network-by-group", _GROUPS, 0, max_picks=v)],
+                     ["dominate", "--input", "IN", "--curve", "--max-spreaders"]),
+    "swaps": (int, [lambda v: synth.configuration_rewire(_TRIANGLES, v),
+                    lambda v: synth.generate(synth.GeneratorSpec("configuration-model", {"swaps": v}), _TRIANGLES)],
+              ["synth", "--family", "configuration-model", "--input", "IN", "--out", "OUT", "--swaps"]),
+    "days": (int, [lambda v: _STAR.temporal_edges(v)],
+             ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--days"]),
+    "delimiter": (str, [lambda v: graph.IngestOptions(delimiter=v)],
+                  ["ingest-check", "--input", "IN", "--delimiter"]),
+}
+_NOT_POSITIVE_FLOATS = ("0", "-1", "nan", "inf", "-inf")
+REFUSED = [
+    *[("resolution", text) for text in _NOT_POSITIVE_FLOATS],
+    *[("min_improvement", text) for text in _NOT_POSITIVE_FLOATS],
+    ("window-length", "0"), ("window-length", "-1"),
+    *[("rho", text) for text in ("0", "-0.5", "1.5", "nan", "inf", "-inf")],
+    ("curve-length", "0"), ("curve-length", "-1"),
+    ("swaps", "-1"),
+    ("days", "-1"), ("days", str(MAX_DAYS + 1)),
+    ("delimiter", ""), ("delimiter", "\n"), ("delimiter", ";\r"),
+]
+ACCEPTED = [
+    ("resolution", "5e-324"), ("window-length", "1"), ("rho", "1.0"), ("curve-length", "1"),
+    ("swaps", "0"), ("days", "0"), ("days", str(MAX_DAYS)), ("delimiter", ";"),
+]
+
+
+def _rule_argv(tmp_path, rule: str, text: str, input_path) -> list[str]:
+    paths = {"IN": str(input_path), "PART": str(tmp_path / "part.csv"), "OUT": str(tmp_path / "out")}
+    *argv, flag = VALUE_RULES[rule][2]
+    return [paths.get(arg, arg) for arg in argv] + [f"{flag}={text}"]
+
+
+@pytest.mark.parametrize("rule, text", REFUSED, ids=[f"{rule}={text}" for rule, text in REFUSED])
+def test_each_value_rule_refuses_alike_in_the_library_and_the_cli(tmp_path, capsys, rule, text):
+    kind, calls, cli = VALUE_RULES[rule]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(kind(text))
+        messages.add(str(info.value))
+    (message,) = messages
+    if cli is not None:
+        # a missing input would exit 3 if it were opened first
+        assert run_cli(*_rule_argv(tmp_path, rule, text, tmp_path / "missing.csv")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rule, text", ACCEPTED, ids=[f"{rule}={text}" for rule, text in ACCEPTED])
+def test_each_value_rule_accepts_its_boundary_in_the_library_and_the_cli(tmp_path, rule, text):
+    kind, calls, _ = VALUE_RULES[rule]
+    for call in calls:
+        call(kind(text))
+    write_two_triangles(tmp_path / "edges.csv")
+    write_partition(tmp_path / "part.csv", {c: int(c > "c") for c in "abcdef"})
+    assert run_cli(*_rule_argv(tmp_path, rule, text, tmp_path / "edges.csv")) == 0

@@ -339,6 +339,14 @@ def test_rho_validation():
             greedy_pdds(g, bad)
 
 
+@pytest.mark.parametrize("mode", ["network-by-group", "in-group"])
+@pytest.mark.parametrize("part, i", [(None, 0), (Partition.from_assignment([0, 0, 1, 1]), None), (None, None)],
+                         ids=["no-partition", "no-group", "neither"])
+def test_group_modes_without_a_partition_or_group_raise_naming_the_mode(mode, part, i):
+    with pytest.raises(ValueError, match=f"^mode {mode} needs a partition and a group index$"):
+        solve_task(star(3), mode, part, i, max_picks=1)
+
+
 def test_curve_single_star():
     assert coverage_curve(star(5), max_spreaders=3) == [(1, 1.0)]
 

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 from polarnet.community import Partition
+from polarnet.domination import group_spreaders
 from polarnet.errors import DegenerateModularityError, UndefinedModularityError
 from polarnet.graph import (
     TemporalEdgeSet,
     TimeWindow,
+    directed_from_arcs,
     slice_windows,
     underlying_undirected,
     undirected_from_edges,
@@ -53,6 +55,20 @@ def test_group_index_k_is_out_of_range_everywhere(call):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == "group index 2 out of range (k=2)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: modularity(TWO_TRIANGLES, Partition.from_assignment([0, 0, 1])),
+    lambda: window_series(
+        TemporalEdgeSet.from_arcs([(str(v), str(v + 1), 0) for v in range(5)]),
+        Partition.from_assignment([0, 0, 1]), [TimeWindow(0, 1)],
+    ),
+    lambda: group_spreaders(directed_from_arcs(6, [(0, 1)]), Partition.from_assignment([0, 0, 1]), 0),
+], ids=["modularity", "window_series", "group_spreaders"])
+def test_a_partition_that_does_not_cover_the_graph_is_refused_everywhere(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "partition covers 3 vertices, graph has 6"
 
 
 def test_two_triangles_modularity_half():
