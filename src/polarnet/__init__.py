@@ -61,8 +61,6 @@ from .polarization import (
 )
 from .synth import (
     FAMILIES,
-    GeneratorSpec,
-    SynthOutput,
     configuration_rewire,
     directed_cycle,
     disjoint_cliques,
@@ -81,14 +79,12 @@ __all__ = [
     "DominationResult",
     "FAMILIES",
     "FormatError",
-    "GeneratorSpec",
     "InfeasibleCoverageError",
     "IngestOptions",
     "ParseError",
     "Partition",
     "PolarizationReport",
     "PolarnetError",
-    "SynthOutput",
     "TemporalEdgeSet",
     "TimeWindow",
     "TrendFit",

@@ -54,7 +54,7 @@ from .polarization import (
     write_report_csv,
     write_report_json,
 )
-from .synth import FAMILIES, GeneratorSpec, check_days, check_parameters, check_swaps, generate
+from .synth import FAMILIES, check_days, check_parameters, check_swaps, generate
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -315,8 +315,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if given:
             raise ValueError(f"{', '.join(given)} {'needs' if len(given) == 1 else 'need'} --input")
 
-    output = generate(GeneratorSpec(family=args.family, parameters=params, seed=args.seed), base)
-    arcs = output.temporal_edges(args.days, args.seed)
+    arcs, part = generate(args.family, params, args.seed, base, args.days)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,13 +323,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(edges_path, "w", encoding="utf-8") as fh:
         write_edge_list(fh, arcs)
     written = [str(edges_path)]
-    if output.partition is not None:
+    if part is not None:
         part_path = out_dir / "partition.csv"
         with open(part_path, "w", encoding="utf-8") as fh:
-            save_partition(output.partition, fh, arcs.labels)
+            save_partition(part, fh, arcs.labels)
         written.append(str(part_path))
     print(f"family: {args.family}")
-    print(f"vertices: {output.n}")
+    print(f"vertices: {arcs.n_vertices}")
     print(f"arcs: {arcs.n_arcs}")
     for path in written:
         print(f"wrote {path}")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .community import Partition
 from .errors import InfeasibleCoverageError
-from .graph import DirectedGraph, _distinct_keys
+from .graph import DirectedGraph, _check_integer, _distinct_keys
 
 _INT = np.int64
 
@@ -103,9 +103,10 @@ def check_rho(rho: float) -> None:
 
 
 def check_max_picks(max_picks: int) -> None:
-    """Raise ValueError unless a curve of ``max_picks`` picks has a point."""
+    """Raise ValueError unless ``max_picks``, a curve length, is an integer of at least 1."""
     if not max_picks >= 1:
         raise ValueError(f"curve length must be at least 1, got {max_picks}")
+    _check_integer(max_picks, "curve length")
 
 
 def coverage_target(rho: float, n_target: int) -> int:
@@ -285,8 +286,8 @@ def coverage_curve(
 
     Stops early once no remaining candidate adds coverage, so the curve never
     pads with useless picks. Fractions are non-decreasing and their marginal
-    gains never increase. Raises ValueError when ``max_spreaders`` is
-    below 1 (``check_max_picks``).
+    gains never increase. Raises ValueError unless ``max_spreaders`` is
+    an integer of at least 1 (``check_max_picks``).
     """
     (curve,) = _run(g, *_pool(g, candidates, cover_targets), max_picks=max_spreaders)
     return curve.points
@@ -356,7 +357,8 @@ def solve_task(
     spreaders covering every vertex (``network-by-group``) or its members (``in-group``).
 
     Raises ValueError for an unknown mode, a group mode without ``p`` or ``i``, a rho
-    outside (0, 1] (``check_rho``) or a ``max_picks`` below 1 (``check_max_picks``).
+    outside (0, 1] (``check_rho``) or a ``max_picks`` that is not an integer of at
+    least 1 (``check_max_picks``).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; modes are {', '.join(MODES)}")

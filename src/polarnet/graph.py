@@ -8,6 +8,7 @@ marked read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
@@ -881,10 +882,19 @@ def window_label(start: int, granularity: int) -> str:
     return _window_labels(np.array([start], dtype=_INT), granularity)[0]
 
 
+def _check_integer(value: int, name: str) -> None:
+    """Raise ValueError unless ``value``, a count named ``name``, is an
+    integer (a numpy one too): the rule every count check ends with, so
+    that a float, infinity included, is refused once in range."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def check_granularity(granularity: int) -> None:
-    """Raise ValueError unless ``granularity``, a window length in seconds, is positive."""
+    """Raise ValueError unless ``granularity``, a window length in seconds, is a positive integer."""
     if not granularity > 0:
         raise ValueError(f"window length must be positive, got {granularity}")
+    _check_integer(granularity, "window length")
 
 
 def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> list[TimeWindow]:
@@ -892,7 +902,7 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
 
     Returns an empty list for an empty edge set. The origin lets "day"
     boundaries match any timezone convention. Raises ValueError unless
-    ``granularity`` is positive (``check_granularity``), when a window
+    ``granularity`` is a positive integer (``check_granularity``), when a window
     would start before ``FIRST_LABELLED_SECOND`` or past
     ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
     span more than ``MAX_WINDOWS`` windows; all three are checked before

@@ -9,14 +9,16 @@ default_rng, making every family reproducible bit for bit.
 ``FAMILIES`` is the one table of families: each
 name maps to its builder, its required and optional parameters, and whether
 it rewires a base graph. ``generate`` and the ``synth`` command both check
-their arguments against it with ``check_parameters``.
+their arguments against it with ``check_parameters``, and ``generate``
+returns what ``synth`` writes: the arcs as a ``TemporalEdgeSet`` over labels
+``v{i}``, and the ground-truth partition (or None), which covers exactly the
+vertices that the arcs name.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .graph import (
     DirectedGraph,
     TemporalEdgeSet,
     UndirectedView,
+    _check_integer,
     _csr_rows,
     _pair_keys,
     _undirected,
@@ -310,9 +313,10 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
 
 
 def check_swaps(swaps: int) -> None:
-    """Raise ValueError unless ``swaps``, a count of accepted swaps, is non-negative."""
+    """Raise ValueError unless ``swaps``, a count of accepted swaps, is a non-negative integer."""
     if not swaps >= 0:
         raise ValueError(f"swaps must be non-negative, got {swaps}")
+    _check_integer(swaps, "swaps")
 
 
 def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> UndirectedView:
@@ -340,7 +344,8 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     0.1 s for 30k swaps and 3.2-3.5 s for the 10·m swaps ``generate``
     defaults to, about 1.2 µs per proposal. Memory is a few arrays of m
     keys, int32 whenever n² < 2³¹ − 1 (the dtype ``graph._pair_keys`` chooses).
-    A negative ``swaps`` raises ValueError (``check_swaps``).
+    A negative or non-integral ``swaps`` (infinity too) raises ValueError
+    (``check_swaps``).
     """
     check_swaps(swaps)
     if swaps == 0:
@@ -446,9 +451,12 @@ FAMILIES: dict[str, Family] = {
 
 def check_parameters(family: str, given: Iterable[str], has_base: bool,
                      spell: Callable[[str], str] = repr) -> None:
-    """Raise ValueError unless ``family`` takes the ``given`` parameter names
-    and, exactly when ``has_base``, a base graph (named ``"base"``).
+    """Raise ValueError unless ``family`` is in ``FAMILIES`` and takes the
+    ``given`` parameter names and, exactly when ``has_base``, a base graph
+    (named ``"base"``).
     ``spell`` renders each name in the message."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     entry = FAMILIES[family]
     unknown = sorted(set(given) - {*entry.required, *entry.optional})
     unknown += ["base"] if has_base and not entry.rewires else []
@@ -460,73 +468,52 @@ def check_parameters(family: str, given: Iterable[str], has_base: bool,
         raise ValueError(f"{family} requires {', '.join(map(spell, missing))}")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named family plus its parameters and seed; the unit of reproducibility.
-
-    ``parameters`` is frozen into a read-only copy, list values into tuples,
-    so equal specs compare and hash equal.
-    """
-
-    family: str
-    parameters: Mapping = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        frozen = {name: tuple(v) if isinstance(v, list) else v for name, v in self.parameters.items()}
-        object.__setattr__(self, "parameters", MappingProxyType(frozen))
-
-    def __hash__(self):
-        return hash((self.family, frozenset(self.parameters.items()), self.seed))
-
-
 def check_days(days: int) -> None:
-    """Raise ValueError unless ``days`` runs from 0 to ``MAX_DAYS``: the
-    stamps of a longer spread would not fit an int64."""
+    """Raise ValueError unless ``days`` is an integer from 0 to ``MAX_DAYS``:
+    the stamps of a longer spread would not fit an int64."""
     if not days >= 0:
         raise ValueError(f"days must be non-negative, got {days}")
     if days > MAX_DAYS:
         raise ValueError(f"days must be at most {MAX_DAYS}, got {days}")
+    _check_integer(days, "days")
 
 
-@dataclass(frozen=True)
-class SynthOutput:
-    """Arc list plus optional ground-truth partition, ready to serialize."""
+def generate(family: str, parameters: Mapping, seed: int = 0, base: UndirectedView | None = None,
+             days: int = 0) -> tuple[TemporalEdgeSet, Partition | None]:
+    """Build a family into the arcs ``synth`` writes and its ground-truth
+    partition, or None when it has none.
 
-    n: int
-    arc_pairs: np.ndarray
-    partition: Partition | None
-
-    def temporal_edges(self, days: int = 0, seed: int = 0) -> TemporalEdgeSet:
-        """The arcs over labels ``v0 .. v{n-1}``, stamped uniformly over
-        ``days`` days by ``default_rng([seed, 1])``, or all at 0 for 0 days.
-        ``days`` runs from 0 to ``MAX_DAYS`` (``check_days``)."""
-        check_days(days)
-        n_arcs = len(self.arc_pairs)
-        if days > 0:
-            stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=n_arcs)
-        else:
-            stamps = np.zeros(n_arcs, dtype=_INT)
-        return TemporalEdgeSet(
-            sources=self.arc_pairs[:, 0],
-            targets=self.arc_pairs[:, 1],
-            timestamps=stamps,
-            labels=tuple(f"v{i}" for i in range(self.n)),
-        )
-
-
-def generate(spec: GeneratorSpec, base: UndirectedView | None = None) -> SynthOutput:
-    """Materialize a family; undirected families serialize one arc per direction.
-
-    The configuration-model family rewires ``base`` and is the only one that
-    takes it.
+    An undirected graph gives one arc per direction. Vertex i is labelled
+    ``v{i}``; a vertex without arcs is left out, and so is its partition
+    row. A group this empties is dropped and the others are renumbered in
+    order, keeping their names, so the partition covers exactly the edge
+    set's vertices. The arcs are stamped uniformly over ``days`` days by
+    ``default_rng([seed, 1])``, or all at 0 for 0 days (``check_days``).
+    Only the configuration-model family takes ``base``, the graph it
+    rewires. Raises ValueError for an unknown family, parameters it does
+    not take (``check_parameters``), or a graph without arcs.
     """
-    check_parameters(spec.family, spec.parameters, base is not None)
-    g, part = FAMILIES[spec.family].build(spec.parameters, spec.seed, base)
+    check_parameters(family, parameters, base is not None)
+    check_days(days)
+    g, part = FAMILIES[family].build(parameters, seed, base)
+    if g.indices.size == 0:
+        raise ValueError(f"{family} made no arcs, so the edge list would have no vertices")
     # a CSR row per vertex: an undirected view holds each edge in both rows
-    sources = _csr_rows(g.indptr)
-    return SynthOutput(n=g.n, arc_pairs=np.column_stack([sources, g.indices]), partition=part)
+    sources, targets = _csr_rows(g.indptr), g.indices
+    kept = np.diff(g.indptr) > 0
+    kept[targets] = True
+    ids = np.flatnonzero(kept)
+    if len(ids) < g.n:
+        new_id = np.cumsum(kept) - 1
+        sources, targets = new_id[sources], new_id[targets]
+        if part is not None:
+            groups, assignment = np.unique(part.assignment[ids], return_inverse=True)
+            names = part.group_meta
+            part = Partition.from_assignment(
+                assignment, {new: names[old] for new, old in enumerate(groups.tolist()) if old in names})
+    if days > 0:
+        stamps = np.random.default_rng([seed, 1]).integers(0, days * 86400, size=len(targets))
+    else:
+        stamps = np.zeros(len(targets), dtype=_INT)
+    labels = tuple(f"v{i}" for i in ids.tolist())
+    return TemporalEdgeSet(sources=sources, targets=targets, timestamps=stamps, labels=labels), part

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from polarnet import community, domination, graph, synth
@@ -319,6 +321,28 @@ def test_synth_pipes_into_ingest_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vertices: 8" in out
     assert "arcs: 24" in out
+
+
+def test_sparse_synth_partition_names_only_vertices_with_arcs(tmp_path, capsys):
+    out_dir = tmp_path / "iso"
+    assert run_cli("synth", "--family", "planted-partition", "--blocks", "50,50", "--p-in", "0.01",
+                   "--p-out", "0", "--seed", "1", "--out", str(out_dir)) == 0
+    assert "vertices: 65\n" in capsys.readouterr().out
+    assert run_cli("ingest-check", "--input", str(out_dir / "edges.csv")) == 0
+    assert "vertices: 65\n" in capsys.readouterr().out
+    inputs = ["--input", str(out_dir / "edges.csv"), "--partition", str(out_dir / "partition.csv")]
+    assert run_cli("polarization", *inputs) == 0
+    assert run_cli("dominate", *inputs, "--mode", "in-group", "--groups", "0") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_synth_without_arcs_is_an_argument_error(tmp_path, capsys):
+    out_dir = tmp_path / "empty"
+    assert run_cli("synth", "--family", "planted-partition", "--blocks", "3", "--p-in", "0",
+                   "--p-out", "0", "--out", str(out_dir)) == 2
+    assert capsys.readouterr().err == (
+        "error: planted-partition made no arcs, so the edge list would have no vertices\n")
+    assert not out_dir.exists()
 
 
 # polarization
@@ -741,7 +765,6 @@ _TRIANGLES = graph.undirected_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4,
 _ARCS = graph.directed_from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 _GROUPS = community.Partition.from_assignment([0, 0, 0, 1, 1, 1])
 _STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
-_STAR = synth.generate(synth.GeneratorSpec("star", {"n_leaves": 1}))
 
 VALUE_RULES = {
     "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
@@ -758,9 +781,9 @@ VALUE_RULES = {
                            lambda v: domination.solve_task(_ARCS, "network-by-group", _GROUPS, 0, max_picks=v)],
                      ["dominate", "--input", "IN", "--curve", "--max-spreaders"]),
     "swaps": (int, [lambda v: synth.configuration_rewire(_TRIANGLES, v),
-                    lambda v: synth.generate(synth.GeneratorSpec("configuration-model", {"swaps": v}), _TRIANGLES)],
+                    lambda v: synth.generate("configuration-model", {"swaps": v}, base=_TRIANGLES)],
               ["synth", "--family", "configuration-model", "--input", "IN", "--out", "OUT", "--swaps"]),
-    "days": (int, [lambda v: _STAR.temporal_edges(v)],
+    "days": (int, [lambda v: synth.generate("star", {"n_leaves": 1}, days=v)],
              ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--days"]),
     "delimiter": (str, [lambda v: graph.IngestOptions(delimiter=v)],
                   ["ingest-check", "--input", "IN", "--delimiter"]),
@@ -812,3 +835,34 @@ def test_each_value_rule_accepts_its_boundary_in_the_library_and_the_cli(tmp_pat
     write_two_triangles(tmp_path / "edges.csv")
     write_partition(tmp_path / "part.csv", {c: int(c > "c") for c in "abcdef"})
     assert run_cli(*_rule_argv(tmp_path, rule, text, tmp_path / "edges.csv")) == 0
+
+
+# the count rules refuse what no int flag can pass: infinity, fractions and
+# floats (an infinite swap count would make the rewire's stall budget
+# infinite too); numpy integers pass
+COUNT_CHECKS = {
+    "swaps": synth.check_swaps,
+    "days": synth.check_days,
+    "curve length": domination.check_max_picks,
+    "window length": graph.check_granularity,
+}
+
+
+@pytest.mark.parametrize("name", COUNT_CHECKS)
+@pytest.mark.parametrize("value", [float("inf"), 2.5, 2.0])
+def test_count_checks_refuse_infinite_and_fractional_values(name, value):
+    check = COUNT_CHECKS[name]
+    expected = f"{name} must be an integer, got {value}"
+    if (name, value) == ("days", float("inf")):
+        expected = f"days must be at most {MAX_DAYS}, got inf"  # the range message comes first
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        check(value)
+    check(np.int64(2))
+
+
+@pytest.mark.parametrize("max_picks", [1.5, float("inf")])
+def test_solve_task_refuses_a_curve_length_that_is_not_an_integer(max_picks):
+    with pytest.raises(ValueError, match=re.escape(f"curve length must be an integer, got {max_picks}")):
+        domination.solve_task(synth.star(3), "unrestricted", max_picks=max_picks)
+    (curve,) = domination.solve_task(synth.star(3), "unrestricted", max_picks=np.int64(2))
+    assert curve.feasible

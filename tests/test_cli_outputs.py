@@ -20,6 +20,9 @@ per-window series and the `json.dump` writer that preceded the all-window
 series and the direct report writer. The two `synth configuration-model tab`
 cases read the same base as a tab-separated file with a header line, through
 `--delimiter` and `--header`, and must equal their comma twins byte for byte.
+The two `synth planted-partition` cases were recaptured when `synth` stopped
+writing a partition row for a vertex without arcs: `v7` is in no arc, so
+its row went and `vertices:` reads 8, not 9; `edges.csv` is unchanged.
 
 ``PYTHONPATH=src python tests/test_cli_outputs.py`` captures the cases that
 `cli_outputs.json` does not hold yet and leaves every pinned case as it is. If

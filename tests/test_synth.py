@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import re
 
 import numpy as np
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from polarnet import graph
-from polarnet.graph import underlying_undirected, undirected_from_edges
+from polarnet.community import load_partition, save_partition
+from polarnet.graph import ingest_edge_list, underlying_undirected, undirected_from_edges, write_edge_list
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
     FAMILIES,
     MAX_DAYS,
-    GeneratorSpec,
     _proposals,
     configuration_rewire,
     directed_cycle,
@@ -77,9 +78,8 @@ def test_reference_fixture_cross_edge_composition():
 
 
 def test_planted_extremes_form_directed_cliques():
-    out = generate(GeneratorSpec("planted-partition",
-                                 {"block_sizes": [3, 3], "p_in": 1.0, "p_out": 0.0}))
-    pairs = set(map(tuple, out.arc_pairs.tolist()))
+    edges, _ = generate("planted-partition", {"block_sizes": [3, 3], "p_in": 1.0, "p_out": 0.0})
+    pairs = set(zip(edges.sources.tolist(), edges.targets.tolist()))
     expected = {(u, v) for u in range(3) for v in range(3) if u != v}
     expected |= {(u, v) for u in range(3, 6) for v in range(3, 6) if u != v}
     assert pairs == expected
@@ -279,30 +279,33 @@ def test_two_triangles_hit_known_optimum():
 
 
 def test_generate_is_reproducible_bytewise():
-    spec = GeneratorSpec("planted-partition",
-                         {"block_sizes": [30, 30], "p_in": 0.4, "p_out": 0.02}, seed=7)
-    first = generate(spec)
-    second = generate(spec)
-    assert first.arc_pairs.tobytes() == second.arc_pairs.tobytes()
-    assert first.partition.assignment.tolist() == second.partition.assignment.tolist()
+    params = {"block_sizes": [30, 30], "p_in": 0.4, "p_out": 0.02}
+    first, first_part = generate("planted-partition", params, seed=7, days=2)
+    second, second_part = generate("planted-partition", params, seed=7, days=2)
+    for a, b in ((first.sources, second.sources), (first.targets, second.targets),
+                 (first.timestamps, second.timestamps)):
+        assert a.tobytes() == b.tobytes()
+    assert first.labels == second.labels
+    assert first_part.assignment.tolist() == second_part.assignment.tolist()
 
 
 def test_generate_figure2_and_vertex_labels():
-    out = generate(GeneratorSpec("figure2", {}))
-    assert out.n == 12
-    assert len(out.arc_pairs) == 38  # both directions of 19 edges
-    labels = out.temporal_edges().labels
+    edges, part = generate("figure2", {})
+    assert edges.n_vertices == part.n == 12
+    assert edges.n_arcs == 38  # both directions of 19 edges
+    labels = edges.labels
     assert labels[0] == "v0"
     assert labels[-1] == "v11"
 
 
 def test_generate_rejects_unknown_family_and_params():
+    expected = "unknown family 'erdos'; expected one of " + ", ".join(FAMILIES)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        generate("erdos", {})
     with pytest.raises(ValueError):
-        GeneratorSpec("erdos", {})
+        generate("star", {"n_leaves": 3, "extra": 1})
     with pytest.raises(ValueError):
-        generate(GeneratorSpec("star", {"n_leaves": 3, "extra": 1}))
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec("configuration-model", {}))  # needs a base graph
+        generate("configuration-model", {})  # needs a base graph
 
 
 # parameters each family with required ones accepts
@@ -319,61 +322,116 @@ VALID_PARAMETERS = {
 ])
 def test_generate_names_each_missing_parameter(family, missing):
     params = VALID_PARAMETERS[family]
-    generate(GeneratorSpec(family, params))
+    generate(family, params)
     absent = {name: value for name, value in params.items() if name != missing}
     with pytest.raises(ValueError, match=re.escape(f"{family} requires {missing!r}")):
-        generate(GeneratorSpec(family, absent))
+        generate(family, absent)
 
 
 def test_generate_refuses_another_familys_parameters_and_base():
     base, _ = figure2_instance()
     with pytest.raises(ValueError, match=re.escape("star does not take 'n'")):
-        generate(GeneratorSpec("star", {"n_leaves": 3, "n": 9}))
+        generate("star", {"n_leaves": 3, "n": 9})
     with pytest.raises(ValueError, match=re.escape("figure2 does not take 'base'")):
-        generate(GeneratorSpec("figure2"), base)
+        generate("figure2", {}, base=base)
     with pytest.raises(ValueError, match=re.escape("configuration-model requires 'base'")):
-        generate(GeneratorSpec("configuration-model", {"swaps": 2}))
+        generate("configuration-model", {"swaps": 2})
 
 
 def test_temporal_edges_stamps_and_labels():
-    out = generate(GeneratorSpec("directed-cycle", {"n": 50}))
-    flat = out.temporal_edges()
+    flat, _ = generate("directed-cycle", {"n": 50})
     assert flat.labels == tuple(f"v{i}" for i in range(50))
     assert flat.timestamps.tolist() == [0] * 50
-    spread = out.temporal_edges(days=2, seed=3)
+    spread, _ = generate("directed-cycle", {"n": 50}, seed=3, days=2)
     expected = np.random.default_rng([3, 1]).integers(0, 2 * 86400, size=50)
     assert spread.timestamps.tolist() == expected.tolist()
+    assert spread.sources.tolist() == flat.sources.tolist() == list(range(50))
     with pytest.raises(ValueError, match="days must be non-negative"):
-        out.temporal_edges(days=-1)
+        generate("directed-cycle", {"n": 50}, days=-1)
 
 
 def test_temporal_edges_days_stop_at_the_int64_seconds_limit():
     # one arc, so the largest span stamps a single value
-    out = generate(GeneratorSpec("star", {"n_leaves": 1}))
-    (stamp,) = out.temporal_edges(days=MAX_DAYS).timestamps.tolist()
+    edges, _ = generate("star", {"n_leaves": 1}, days=MAX_DAYS)
+    (stamp,) = edges.timestamps.tolist()
     assert 0 <= stamp < MAX_DAYS * 86400 <= 2**63 - 1 < (MAX_DAYS + 1) * 86400
     with pytest.raises(ValueError, match=f"days must be at most {MAX_DAYS}, got {MAX_DAYS + 1}"):
-        out.temporal_edges(days=MAX_DAYS + 1)
-
-
-def test_generator_spec_is_frozen_and_hashable():
-    params = {"sizes": [3, 4]}
-    spec = GeneratorSpec("disjoint-cliques", params, seed=2)
-    params["sizes"].append(5)
-    same = GeneratorSpec("disjoint-cliques", {"sizes": (3, 4)}, seed=2)
-    assert spec == same and hash(spec) == hash(same)
-    assert len({spec, same, GeneratorSpec("disjoint-cliques", {"sizes": [4, 3]}, seed=2)}) == 2
-    assert spec.parameters == {"sizes": (3, 4)}
-    with pytest.raises(TypeError):
-        spec.parameters["sizes"] = (1,)
-    assert generate(spec).arc_pairs.tolist() == generate(same).arc_pairs.tolist()
-    planted = GeneratorSpec("planted-partition", {"block_sizes": [3, 2], "p_in": 0.5, "p_out": 0.1})
-    assert generate(planted).n == 5
+        generate("star", {"n_leaves": 1}, days=MAX_DAYS + 1)
 
 
 def test_generate_configuration_model_from_base():
     g, _ = figure2_instance()
-    out = generate(GeneratorSpec("configuration-model", {"swaps": 40}, seed=2), base=g)
-    assert out.n == 12
-    assert len(out.arc_pairs) == 38
-    assert out.partition is None
+    edges, part = generate("configuration-model", {"swaps": 40}, seed=2, base=g)
+    assert edges.n_vertices == 12
+    assert edges.n_arcs == 38
+    assert part is None
+
+
+def test_generate_leaves_out_vertices_without_arcs():
+    # 1-cliques have no arcs: their vertices and groups go, the rest keep
+    # their v{i} labels and their groups' names, renumbered in order
+    edges, part = generate("disjoint-cliques", {"sizes": [1, 3, 1, 2]})
+    assert edges.labels == ("v1", "v2", "v3", "v5", "v6")
+    assert part.assignment.tolist() == [0, 0, 0, 1, 1]
+    assert part.group_meta == {0: "clique1", 1: "clique3"}
+    assert sorted({*edges.sources.tolist(), *edges.targets.tolist()}) == [0, 1, 2, 3, 4]
+
+
+def test_generate_refuses_a_graph_without_arcs():
+    with pytest.raises(ValueError, match="planted-partition made no arcs"):
+        generate("planted-partition", {"block_sizes": [3], "p_in": 0.0, "p_out": 0.0})
+    with pytest.raises(ValueError, match="disjoint-cliques made no arcs"):
+        generate("disjoint-cliques", {"sizes": [1, 1]})
+
+
+_SIZES = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+
+
+@st.composite
+def _family_calls(draw):
+    """A family, parameters it takes at small values, a seed and, for the
+    rewire, a small base graph, possibly with vertices without edges."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params, base = {}, None
+    if family == "planted-partition":
+        probability = st.sampled_from([0.0, 0.05, 0.3, 1.0])
+        params = {"block_sizes": draw(_SIZES), "p_in": draw(probability), "p_out": draw(probability)}
+    elif family == "configuration-model":
+        n = draw(st.integers(4, 9))
+        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
+        base = undirected_from_edges(n, draw(st.lists(pairs, min_size=2, max_size=12, unique=True)))
+        params = {"swaps": draw(st.integers(0, 6))}
+    elif family == "star":
+        params = {"n_leaves": draw(st.integers(1, 6))}
+    elif family == "directed-cycle":
+        params = {"n": draw(st.integers(2, 7))}
+    elif family == "disjoint-cliques":
+        params = {"sizes": draw(_SIZES)}
+    return family, params, draw(st.integers(0, 3)), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_calls())
+def test_generated_partition_covers_the_edge_list_and_loads_back(call):
+    family, params, seed, base = call
+    try:
+        edges, part = generate(family, params, seed, base, days=1)
+    except ValueError as err:
+        # the only refusals of valid parameters: no arc, or no legal swap
+        assert re.search("made no arcs|rewire stalled", str(err))
+        assume(False)
+    labels = np.array(edges.labels)
+    assert set(labels[edges.sources]) | set(labels[edges.targets]) == set(edges.labels)
+    text = io.StringIO()
+    write_edge_list(text, edges)
+    read = ingest_edge_list(io.StringIO(text.getvalue()))
+    assert read.n_vertices == edges.n_vertices
+    if part is None:
+        return
+    part.check_cover(edges.n_vertices)
+    rows = io.StringIO()
+    save_partition(part, rows, edges.labels)
+    loaded = load_partition(io.StringIO(rows.getvalue()), read.labels)
+    groups = dict(zip(edges.labels, part.assignment.tolist()))
+    assert dict(zip(read.labels, loaded.assignment.tolist())) == groups
+    assert loaded.group_meta == part.group_meta
