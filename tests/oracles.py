@@ -526,6 +526,23 @@ def edge_list_text(labels, arcs):
     return "".join(f"{labels[s]},{labels[t]},{stamp}\n" for s, t, stamp in arcs)
 
 
+def unwritable_label(labels, arcs):
+    """The first label an edge-list file of (source id, target id, stamp)
+    triples cannot carry back to ingest, or None.
+
+    A line is stripped and split at commas, and a field is stripped, so a
+    label must be non-empty, unpadded and free of ``,``; a line ends at
+    ``\\n``, or at ``\\r`` under universal newlines; and a line starting with
+    ``#`` is a comment. Labels that break the first three rules come first,
+    then sources breaking the last, each in label order.
+    """
+    for label in labels:
+        if not label or label != label.strip() or "," in label or "\n" in label or "\r" in label:
+            return label
+    sources = {s for s, _, _ in arcs}
+    return next((label for i, label in enumerate(labels) if i in sources and label.startswith("#")), None)
+
+
 def closed_out_neighborhood(g: DirectedGraph, v) -> set:
     return set(g.out_neighbors(v).tolist()) | {v}
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -312,7 +314,7 @@ def test_edge_set_refuses_duplicate_labels():
 
 
 @given(
-    st.lists(st.text(st.characters() | st.sampled_from(["\ud800", ",", "\n", "é"]), max_size=6),
+    st.lists(st.text(st.characters() | st.sampled_from(["\ud800", ",", "\n", "\r", "#", " ", "é"]), max_size=6),
              min_size=1, max_size=8, unique=True),
     st.data(),
 )
@@ -322,8 +324,14 @@ def test_edge_list_writer_equals_per_arc_text(labels, data):
     arcs = data.draw(st.lists(arc, max_size=40))
     edges = _edge_set(labels, arcs)
     buf = io.StringIO()
-    write_edge_list(buf, edges)
-    assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
+    bad = oracles.unwritable_label(labels, arcs)
+    if bad is None:
+        write_edge_list(buf, edges)
+        assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_edge_list(buf, edges)
+        assert buf.getvalue() == ""
 
 
 def test_edge_list_writer_cuts_chunks_of_long_rows():
@@ -334,6 +342,138 @@ def test_edge_list_writer_cuts_chunks_of_long_rows():
     buf = io.StringIO()
     write_edge_list(buf, _edge_set(labels, arcs))
     assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
+
+
+@pytest.mark.parametrize("edges, bad", [
+    # a label holding the comma, read with another delimiter
+    (_ingest("a,b;c;1\nc;a,b;2\n", delimiter=";"), "a,b"),
+    # a source starting with "#" would start a comment line
+    (TemporalEdgeSet.from_arcs([("#a", "b", 1), ("b", "#a", 2)]), "#a"),
+    # "\r" ends a line when the file is read with universal newlines
+    (TemporalEdgeSet.from_arcs([("a\rb", "c", 1), ("c", "a\rb", 2)]), "a\rb"),
+    # ingest strips " a" to "a": a distinct arc would become a self-loop
+    (TemporalEdgeSet.from_arcs([(" a", "a", 1)]), " a"),
+])
+def test_edge_list_writer_refuses_labels_ingest_reads_differently(edges, bad):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write_edge_list(buf, edges)
+    assert buf.getvalue() == ""
+
+
+def test_edge_list_writer_accepts_a_hash_label_as_target_only():
+    edges = TemporalEdgeSet.from_arcs([("b", "#a", 1)])
+    buf = io.StringIO()
+    write_edge_list(buf, edges)
+    assert buf.getvalue() == "b,#a,1\n"
+    assert _ingest(buf.getvalue()).labels == edges.labels
+
+
+# characters of 1 to 4 UTF-8 bytes, lone surrogates (3 bytes under
+# "surrogatepass") and characters ingest keeps inside a label but strips
+# from its ends
+_LABEL_CHARS = ("a", "Z", "7", "_", "#", "\x00", "é", "ß", "日", "本", "😀", "𝄞", "\ud800", "\udfff")
+_INNER_CHARS = (" ", "\t", "\x85", "\u2028")
+
+
+def _random_labels(rng, count, chars=_LABEL_CHARS):
+    """``count`` distinct labels of 1 to 40 UTF-8 bytes, none padded."""
+    labels = set()
+    while len(labels) < count:
+        budget = int(rng.integers(1, 41))
+        label = ""
+        while True:
+            inner = 0 < len(label) and rng.random() < 0.1
+            char = str(rng.choice(_INNER_CHARS if inner else chars))
+            if len(f"{label}{char}".encode("utf-8", "surrogatepass")) > budget:
+                break
+            label += char
+        labels.add(label.rstrip() or "a")
+    return sorted(labels)
+
+
+def _random_stamps(rng, count):
+    """0, 2**63 - 1 and one stamp of each length from 1 to 19 digits first,
+    then stamps of random lengths."""
+    def of_length(digits):
+        low = 0 if digits == 1 else 10 ** (digits - 1)
+        return int(rng.integers(low, min(10**digits, 2**63), dtype=np.int64))
+    lengths = rng.integers(1, 20, count)
+    return [0, 2**63 - 1] + [of_length(d) for d in range(1, 20)] + [of_length(int(d)) for d in lengths]
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from((1 << 18, 1 << 12)))
+def test_edge_list_writer_equals_per_arc_text_at_scale(seed, chunk):
+    rng = np.random.default_rng(seed)
+    labels = _random_labels(rng, 300)
+    stamps = _random_stamps(rng, 3000)
+    hashed = np.array([label.startswith("#") for label in labels])
+    sources = rng.choice(np.flatnonzero(~hashed), len(stamps))
+    arcs = list(zip(sources.tolist(), rng.integers(0, len(labels), len(stamps)).tolist(), stamps))
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("polarnet.graph._WRITE_CHUNK", chunk)
+        write_edge_list(buf, _edge_set(labels, arcs))
+    assert buf.getvalue() == oracles.edge_list_text(labels, arcs)
+
+
+@pytest.mark.parametrize("labels", [(), ("a", "b")])
+def test_edge_list_writer_writes_nothing_without_arcs(labels):
+    buf = io.StringIO()
+    write_edge_list(buf, _edge_set(labels, []))
+    assert buf.getvalue() == ""
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_edge_list_file_reads_back_as_the_same_arcs(tmp_path_factory, seed):
+    # a UTF-8 file holds no lone surrogate, so ingest cannot produce one;
+    # "#" labels stay targets
+    rng = np.random.default_rng(seed)
+    labels = _random_labels(rng, 200, [c for c in _LABEL_CHARS if not "\ud800" <= c <= "\udfff"])
+    stamps = _random_stamps(rng, 1000)
+    sources = [label for label in labels if not label.startswith("#")]
+    arcs = [(sources[i], labels[j], stamp) for i, j, stamp in
+            zip(rng.integers(0, len(sources), len(stamps)), rng.integers(0, len(labels), len(stamps)), stamps)]
+    edges = TemporalEdgeSet.from_arcs(arcs)
+    path = tmp_path_factory.mktemp("edges") / "edges.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_edge_list(fh, edges)
+    with open(path, encoding="utf-8") as fh:
+        again = ingest_edge_list(fh)
+    assert again.labels == edges.labels
+    assert (again.malformed_lines, again.dropped_self_loops) == (0, 0)
+    for a, b in ((again.sources, edges.sources), (again.targets, edges.targets),
+                 (again.timestamps, edges.timestamps)):
+        assert np.array_equal(a, b)
+
+
+def test_edge_list_writer_peak_memory_stays_below_huge_pages():
+    # tracemalloc sees numpy's buffers too. 4 MiB is where arrays start to
+    # pick up transparent-huge-page RSS (see graph._WRITE_CHUNK); a writer
+    # holding the whole 200k-arc text at once would need about 10 MiB.
+    rng = np.random.default_rng(0)
+    n = 200_000
+    labels = tuple(f"user{i:06d}" for i in range(5000))
+    edges = TemporalEdgeSet(sources=rng.integers(0, 5000, n), targets=rng.integers(0, 5000, n),
+                            timestamps=rng.integers(10**9, 2 * 10**9, n), labels=labels)
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_edge_list(Discard(), edges)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_build_directed_graph_collapses_duplicates():
