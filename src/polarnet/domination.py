@@ -15,14 +15,19 @@ to the same vertex. A smaller rho's picks are a prefix of a larger one's, so
 from that run, or caps it at a pick count for a coverage curve; the public
 solvers wrap the same run for one rho, and raise for an infeasible one.
 
-The loop is eager: every live candidate's current span sits in one array,
-and each pick takes the largest directly, found through per-block maxima
-(see ``_greedy_run``). A pick then lowers the spans its newly covered
+The loop is eager and runs in rounds. Every live candidate's current span
+sits in one array, and a round reads the largest, s, through per-block
+maxima (see ``_greedy_run``). It walks the candidates holding s in id
+order and takes each one whose uncovered targets miss those taken before
+it in the round: exactly the picks of a greedy taking one candidate at a
+time. The round then lowers at once the spans that its newly covered
 targets took away, through the in-neighbor lists of those targets. The
 reversed graph holding them is built once per graph and shared by every
 run on it. On the benchmark's dense-daily graph (3,000 vertices, 264k
-arcs, 81 picks) a solve takes about 15 ms, 5-6 of them for the reversed
-graph; a 100k-vertex sparse graph with 18k picks takes about 0.45 s.
+arcs) the 81 picks take 57 rounds and about 7 ms, plus 4-5 ms for the
+reversed graph; on sparse-blocks (10,000 vertices, 64k arcs) 1,248 picks
+take 16 rounds and about 6 ms, and on a 200k-vertex sparse graph 30,606
+picks take 18 rounds and 0.15-0.2 s.
 """
 
 from __future__ import annotations
@@ -47,10 +52,15 @@ MODES = ("unrestricted", "network-by-group", "in-group")
 # candidate pools beyond this are too large to enumerate exactly
 BRUTE_FORCE_LIMIT = 25
 
-# slots per block of the greedy's span array: a pick scans the n / _BLOCK
-# block maxima, then one block. 32, 64, 128 and 256 were within noise of
-# each other on the benchmark graphs; on a 100k-vertex one 256 was slowest.
+# slots per block of the greedy's span array: a round scans the n / _BLOCK
+# block maxima, then the blocks holding the largest span. 32, 64, 128 and
+# 256 were within noise of each other on the benchmark graphs when each
+# pick scanned them; on a 100k-vertex one 256 was slowest.
 _BLOCK = 64
+
+# rows that ``_gather`` slices one by one: on the benchmark graphs one
+# vectorised gather cost about as much as 16 to 32 slices
+_FEW_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -150,32 +160,82 @@ def _pool(g: DirectedGraph, candidates, cover_targets) -> tuple[np.ndarray, np.n
     return cand, target_mask, f"restricted pool ({len(cand)} candidates)"
 
 
+def _gather(indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The CSR rows of ``ids``, at least one, concatenated in order: up to
+    ``_FEW_ROWS`` rows sliced one by one, more in one gather of their positions."""
+    starts = indptr[ids]
+    stops = indptr[ids + 1]
+    if len(ids) <= _FEW_ROWS:
+        return np.concatenate([indices[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+    lens = stops - starts
+    ends = np.cumsum(lens)  # where each row ends in the result
+    return indices[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+
+
+def _disjoint_picks(
+    g: DirectedGraph, cand: np.ndarray, uncovered: np.ndarray, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates, walked in id order, whose uncovered targets miss those of every
+    candidate taken before them, and the targets they take together."""
+    out = _gather(g.indptr, g.indices, cand)
+    live = out[uncovered[out]].tolist()
+    claimed: set[int] = set()
+    picks: list[int] = []
+    newly: list[int] = []
+    at = 0
+    # v holds s uncovered targets: the next s - own of ``live``, and itself when own
+    for v, own in zip(cand.tolist(), uncovered[cand].tolist()):
+        row = live[at: at + s - own]
+        at += s - own
+        if own:
+            row.append(v)
+        if claimed.isdisjoint(row):
+            claimed.update(row)
+            picks.append(v)
+            newly += row
+    return np.array(picks, dtype=_INT), np.array(newly, dtype=_INT)
+
+
 def _greedy_run(
     g: DirectedGraph, candidate_ids: np.ndarray, target_mask: np.ndarray, stop_covered: float, max_picks: float
 ) -> tuple[list[int], list[int]]:
     """Picks and coverage after each, until ``stop_covered`` targets are covered,
     ``max_picks`` are made or no candidate adds coverage; evaluated eagerly.
 
-    ``gain`` holds every live candidate's current span and 0 for every other
-    vertex, picked ones included, padded with zeros to whole blocks of
-    ``_BLOCK`` slots; ``top`` holds each block's maximum. The first block
-    whose maximum is the largest holds the largest span, and no block before
-    it does. The first slot inside it holding that maximum is therefore the
-    largest span with the lowest id: exactly the pick of a full rescan. A
-    largest span of 0 means no candidate adds coverage.
+    ``gain`` holds every live candidate's current span, padded with zeros to
+    whole blocks of ``_BLOCK`` slots; every other slot, picked ones included,
+    holds 0 or less and so is never picked. ``top`` holds each block's
+    maximum, so the largest span s and the blocks holding it are found
+    without a scan of every slot. A largest span of 0 means no candidate
+    adds coverage.
 
-    A pick zeroes its slot, and each newly covered target lowers by one the
-    span of every live candidate reaching it: its in-neighbors, plus itself.
-    ``np.subtract.at`` applies these, since a candidate reaching several of
-    the targets appears once per target. Spans only fall, so a block's
-    maximum goes stale only when one of its slots changed: the touched
-    blocks and the picked vertex's own, whose zeroed slot is no longer
-    touched. Those are recomputed, or every block is when the touched
-    slots could fill them all anyway. A pick costs a scan of the
-    ``n / _BLOCK`` maxima and of one block, plus numpy work over the arcs
-    into its newly covered targets. On a shared 2-core VM that is about
-    100 us per pick when picks cover hundreds of targets (dense-daily) and
-    25-40 us when they cover a few (sparse-blocks, a 100k-vertex graph).
+    A round walks the live candidates holding s in id order. It takes each
+    one whose uncovered targets, as of the round's start, miss every target
+    taken earlier in the round, and skips the rest. These are exactly the
+    picks of a full rescan, the largest span with the lowest id each time:
+    no span exceeds s and spans only fall, so after the round's picks so far
+    a skipped candidate holds less than s, one not yet reached that the walk
+    would take still holds s, and every candidate that held less than s at
+    the round's start still does. A skipped candidate is found again by a
+    later round, at its lower span. The pick that reaches ``stop_covered``
+    or ``max_picks`` ends the run in the middle of its round.
+
+    The round is then applied at once. Its picks' slots are zeroed, and each
+    newly covered target lowers by one the span of every candidate reaching
+    it: its in-neighbors, plus itself. One gather reads the in-neighbor rows
+    of all the round's targets, and ``np.subtract.at`` applies them, since a
+    candidate reaching several of the targets appears once per target.
+    Spans only fall, so a block's maximum goes stale only when one of its
+    slots changed: those of touched and picked slots are recomputed, or
+    every block's when the touched slots could fill them all anyway.
+
+    A round costs a scan of the ``n / _BLOCK`` maxima and of the blocks
+    holding s, a Python set test per candidate holding s over its s
+    targets, and numpy work over the arcs into its newly covered targets.
+    On a shared 2-core VM that is about 100 us per round on dense-daily,
+    whose 81 picks covering hundreds of targets take 57 rounds, and about
+    5 us per pick on sparse graphs, where a round holds hundreds to
+    thousands of picks (sparse-blocks, a 200k-vertex graph).
     """
     n = g.n
     rev_ptr, rev_indices = g.in_csr
@@ -199,30 +259,38 @@ def _greedy_run(
 
     while f < stop_covered and len(selected) < max_picks:
         b = int(top.argmax())
-        if top[b] <= 0:
+        s = int(top[b])
+        if s <= 0:
             break
-        v = b * _BLOCK + int(blocks[b].argmax())
+        held = np.flatnonzero(top == s)
+        if len(held) == 1:
+            cand = np.flatnonzero(blocks[b] == s) + b * _BLOCK
+        else:
+            rows, cols = np.nonzero(blocks[held] == s)
+            cand = held[rows] * _BLOCK + cols
+        if len(cand) == 1:
+            closed = np.concatenate((g.indices[g.indptr[cand[0]]: g.indptr[cand[0] + 1]], cand))
+            picks, newly = cand, closed[uncovered[closed]]
+        else:
+            picks, newly = _disjoint_picks(g, cand, uncovered, s)
+        for v in picks.tolist():
+            f += s
+            selected.append(v)
+            covered_after.append(f)
+            if f >= stop_covered or len(selected) >= max_picks:
+                return selected, covered_after
 
-        gain[v] = 0
-        closed = np.concatenate((g.indices[g.indptr[v]: g.indptr[v + 1]], (v,)))
-        newly = closed[uncovered[closed]]
+        gain[picks] = 0
         uncovered[newly] = False
-        f += len(newly)
-        selected.append(v)
-        covered_after.append(f)
-
-        chunks = [rev_indices[rev_ptr[w]: rev_ptr[w + 1]] for w in newly.tolist()]
-        chunks.append(newly)
-        touch = np.concatenate(chunks)
-        # a live candidate reaching a newly covered target still counts it,
-        # so the positive slots here are exactly the live candidates
-        touch = touch[gain[touch] > 0]
+        # every candidate reaching a newly covered target loses it; other
+        # slots fall below 0 and so are never picked
+        touch = np.concatenate((_gather(rev_ptr, rev_indices, newly), newly))
         np.subtract.at(gain, touch, 1)
-        if len(touch) * _BLOCK >= n:
+        if (len(touch) + len(picks)) * _BLOCK >= n:
             top = blocks.max(axis=1)
         else:
-            # v left touch with its zeroed slot, but its block changed too
-            stale = np.concatenate((touch // _BLOCK, (b,)))
+            # picked slots may be missing from touch, but their blocks changed too
+            stale = np.concatenate((touch, picks)) // _BLOCK
             top[stale] = blocks[stale].max(axis=1)
     return selected, covered_after
 

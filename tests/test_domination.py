@@ -88,7 +88,7 @@ def test_brute_force_matches_reference_enumerator():
 
 
 def test_greedy_matches_full_rescan_reference():
-    # span bookkeeping check: the heap solver must reproduce the naive
+    # span bookkeeping check: the solver must reproduce the naive
     # recompute-everything selection exactly, including tie-breaks
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -125,8 +125,8 @@ def _greedy_instance(draw):
 
     Besides random digraphs, the shapes are tie-heavy: equal disjoint stars
     or cliques and directed cycles under a random relabelling, where many
-    heap entries share a span and the lowest-id rule decides, optionally
-    with a few extra arcs so that stale spans fall unevenly.
+    candidates share the largest span and the lowest-id rule decides,
+    optionally with a few extra arcs so that spans fall unevenly.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["random", "stars", "cliques", "cycle"]))
@@ -222,6 +222,47 @@ _MULTI_BLOCK_CASES = {
 }
 
 
+# Instances for the solver's rounds, each of which takes every candidate holding
+# the largest span whose targets miss those of the candidates taken before it;
+# (graph, candidates, cover targets, rho, curve length, picks expected). Six
+# hubs over four blocks, two of them in block 0, each with three leaves.
+_HUBS = [3, 9, _B + 1, _B + 40, 2 * _B + 7, 3 * _B + 2]
+_STARS = {h: [150 + 3 * j, 151 + 3 * j, 152 + 3 * j] for j, h in enumerate(_HUBS)}
+_DISJOINT_STARS = _star_graph(_N, _STARS)
+_STAR_VERTICES = sorted({*_HUBS, *range(150, 150 + 3 * len(_HUBS))})
+_ROUND_CASES = {
+    # one round takes every hub
+    "equal_disjoint_stars": (_DISJOINT_STARS, None, None, 1.0, _N, _HUBS),
+    # hub 9 shares leaf 152 with hub 3: it comes after the higher hubs that
+    # kept the span it lost
+    "shared_leaf": (
+        _star_graph(_N, {**_STARS, 9: [152, 170, 171]}),
+        None, None, 1.0, _N, [3, *_HUBS[2:], 9]),
+    # rho's 12 of 24 targets are covered by the third of six picks of a round
+    "rho_reached_mid_round": (_DISJOINT_STARS, None, _STAR_VERTICES, 0.5, _N, _HUBS[:3]),
+    # the curve stops at 4 of a round's 6 picks
+    "curve_cut_mid_round": (_DISJOINT_STARS, None, _STAR_VERTICES, 1.0, 4, _HUBS),
+    # hubs _B + 1 and 3 * _B + 2 are not targets, so three leaves make their
+    # span of 3; _B + 1 reaches hub 3, the round's first pick, and waits a round
+    "hubs_not_targets": (
+        _star_graph(_N, {3: [150, 151], _B + 1: [3, 160, 161], 2 * _B + 7: [170, 171], 3 * _B + 2: [180, 181, 182]}),
+        None, [v for v in range(_N) if v not in (_B + 1, 3 * _B + 2)], 1.0, _N, [3, 2 * _B + 7, 3 * _B + 2, _B + 1]),
+    # the second and fourth hub reach only what the first covers: the round
+    # skips them, no candidate adds coverage after it, and vertex 200 stays
+    # uncovered
+    "pool_dry_mid_round": (
+        _star_graph(_N, {1: [150, 151, 152], _B + 1: [150, 151, 152], 2 * _B + 1: [160, 161, 162], 3 * _B + 1: [150, 151, 152]}),
+        None, [150, 151, 152, 160, 161, 162, 200], 1.0, _N, [1, 2 * _B + 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_CASES))
+def test_round_boundaries_match_reference(case):
+    g, candidates, cover_targets, rho, max_spreaders, expected = _ROUND_CASES[case]
+    _assert_matches_reference(g, candidates, cover_targets, rho, max_spreaders)
+    assert list(_outcome(lambda: greedy_pdds(g, rho, candidates, cover_targets)).selected) == expected
+
+
 @pytest.mark.parametrize("case", sorted(_MULTI_BLOCK_CASES))
 def test_multi_block_greedy_matches_reference(case):
     g, candidates, cover_targets, rho, expected = _MULTI_BLOCK_CASES[case]
@@ -236,14 +277,18 @@ def _multi_block_instance(draw):
     """A sparse or star-heavy graph over several blocks, with pool and targets.
 
     Stars of one size put many equal spans in different blocks and in the
-    same block; candidate pools may be confined to the last block.
+    same block; with shared leaves, drawn from a pool not much larger than
+    one star, a hub taken first cuts the span of later ones holding the
+    same span. Candidate pools may be confined to the last block.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(_BLOCK + 1, 4 * _BLOCK + _BLOCK // 2))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["stars", "shared_leaves", "random"]))
+    if shape != "random":
         hubs = rng.choice(n, size=draw(st.integers(1, 12)), replace=False)
         leaves = draw(st.integers(1, 5))
-        arcs = [(int(h), int(w)) for h in hubs for w in rng.choice(n, size=leaves, replace=False) if w != h]
+        pool = n if shape == "stars" else rng.choice(n, size=leaves + draw(st.integers(0, 3)), replace=False)
+        arcs = [(int(h), int(w)) for h in hubs for w in rng.choice(pool, size=leaves, replace=False) if w != h]
     else:
         arcs = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(1.5 * n), 2)) if a != b]
     g = directed_from_arcs(n, arcs)
