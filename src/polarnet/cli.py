@@ -17,6 +17,7 @@ from pathlib import Path
 from .community import (
     Partition,
     check_resolution,
+    check_seed,
     detect_communities,
     load_partition,
     relabel_by_size,
@@ -156,6 +157,7 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 
 def cmd_communities(args: argparse.Namespace) -> int:
     check_resolution(args.resolution)
+    check_seed(args.seed)
     edges = _load_edges(args)
     und = underlying_undirected(build_directed_graph(edges))
     part = relabel_by_size(
@@ -306,6 +308,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
     check_swaps(params.get("swaps", 0))
     check_days(args.days)
+    check_seed(args.seed)
     base = None
     if args.input is not None:
         base = underlying_undirected(build_directed_graph(_load_edges(args)))

@@ -56,7 +56,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import FormatError
-from .graph import UndirectedView, _distinct_keys, _key_counts, _key_csr, _pair_keys
+from .graph import UndirectedView, _check_integer, _distinct_keys, _key_counts, _key_csr, _pair_keys
 
 _INT = np.int64
 
@@ -136,6 +136,15 @@ def check_resolution(value: float, name: str = "resolution") -> None:
     or infinity every vertex would end alone, without an error."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed``, the seed of a numpy generator, is a
+    non-negative integer: numpy refuses a negative one only when it draws
+    from it, and with its own message."""
+    if not seed >= 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_integer(seed, "seed")
 
 
 def _local_move(
@@ -304,11 +313,13 @@ def detect_communities(
     Deterministic for fixed (graph, resolution, seed, min_improvement).
     Isolated vertices end up in singleton groups. Raises ValueError unless
     ``resolution`` and ``min_improvement`` are positive and finite
-    (``check_resolution``, checked first), and on an empty graph (no
-    vertices or no edges), where modularity optimization is undefined.
+    (``check_resolution``) and ``seed`` is a non-negative integer
+    (``check_seed``), all checked first, and on an empty graph (no vertices
+    or no edges), where modularity optimization is undefined.
     """
     check_resolution(resolution)
     check_resolution(min_improvement, "min_improvement")
+    check_seed(seed)
     if g.n == 0 or g.m == 0:
         raise ValueError("community detection requires a graph with at least one edge")
     assignment, _ = _louvain(g, resolution, seed, min_improvement)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .community import Partition
+from .community import Partition, check_seed
 from .graph import (
     DirectedGraph,
     TemporalEdgeSet,
@@ -70,7 +70,9 @@ def planted_partition(
     block_sizes: Sequence[int], p_in: float, p_out: float, seed: int = 0
 ) -> tuple[DirectedGraph, Partition]:
     """Directed blocks: each ordered pair gets an arc independently, with
-    probability p_in inside a block and p_out across blocks."""
+    probability p_in inside a block and p_out across blocks. Raises
+    ValueError unless ``seed`` is a non-negative integer (``check_seed``)."""
+    check_seed(seed)
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError("block sizes must be positive integers")
@@ -345,9 +347,10 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     defaults to, about 1.2 µs per proposal. Memory is a few arrays of m
     keys, int32 whenever n² < 2³¹ − 1 (the dtype ``graph._pair_keys`` chooses).
     A negative or non-integral ``swaps`` (infinity too) raises ValueError
-    (``check_swaps``).
+    (``check_swaps``), and so does such a ``seed`` (``check_seed``).
     """
     check_swaps(swaps)
+    check_seed(seed)
     if swaps == 0:
         return g
     if g.m < 2:
@@ -491,10 +494,12 @@ def generate(family: str, parameters: Mapping, seed: int = 0, base: UndirectedVi
     ``default_rng([seed, 1])``, or all at 0 for 0 days (``check_days``).
     Only the configuration-model family takes ``base``, the graph it
     rewires. Raises ValueError for an unknown family, parameters it does
-    not take (``check_parameters``), or a graph without arcs.
+    not take (``check_parameters``), a seed that is not a non-negative
+    integer (``check_seed``), or a graph without arcs.
     """
     check_parameters(family, parameters, base is not None)
     check_days(days)
+    check_seed(seed)
     g, part = FAMILIES[family].build(parameters, seed, base)
     if g.indices.size == 0:
         raise ValueError(f"{family} made no arcs, so the edge list would have no vertices")

@@ -1,9 +1,15 @@
-"""Command-line interface, driven in-process through main(argv)."""
+"""Command-line interface, driven in-process through main(argv), and end to
+end by the dry-run script in a shell."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +339,11 @@ def test_sparse_synth_partition_names_only_vertices_with_arcs(tmp_path, capsys):
     inputs = ["--input", str(out_dir / "edges.csv"), "--partition", str(out_dir / "partition.csv")]
     assert run_cli("polarization", *inputs) == 0
     assert run_cli("dominate", *inputs, "--mode", "in-group", "--groups", "0") == 0
+    # many equal spans, which the greedy takes in rounds
+    runs = tmp_path / "runs"
+    assert run_cli("dominate", "--input", str(out_dir / "edges.csv"), "--format", "json",
+                   "--out", str(runs)) == 0
+    assert [p.name for p in runs.iterdir()] == ["dominate_unrestricted_all_rho1.json"]
     assert capsys.readouterr().err == ""
 
 
@@ -758,8 +769,8 @@ def test_dominate_rejects_bad_rho(tmp_path, capsys):
 
 
 # every value rule, owned by one library check: the library calls that apply
-# it to a value, and the CLI run passing the value through a flag (None where
-# no flag sets it). IN, PART and OUT stand for the input, partition and
+# it to a value, then each CLI run passing the value through a flag (none
+# where no flag sets it). IN, PART and OUT stand for the input, partition and
 # output paths; the value follows the last argument as "--flag=value".
 _TRIANGLES = graph.undirected_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 _ARCS = graph.directed_from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -769,7 +780,7 @@ _STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
 VALUE_RULES = {
     "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
                    ["communities", "--input", "IN", "--resolution"]),
-    "min_improvement": (float, [lambda v: community.detect_communities(_TRIANGLES, min_improvement=v)], None),
+    "min_improvement": (float, [lambda v: community.detect_communities(_TRIANGLES, min_improvement=v)]),
     "window-length": (int, [lambda v: graph.slice_windows(_STAMPED, v)],
                       ["polarization", "--input", "IN", "--partition", "PART", "--window-seconds"]),
     "rho": (float, [lambda v: domination.coverage_target(v, 10),
@@ -787,6 +798,12 @@ VALUE_RULES = {
              ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--days"]),
     "delimiter": (str, [lambda v: graph.IngestOptions(delimiter=v)],
                   ["ingest-check", "--input", "IN", "--delimiter"]),
+    "seed": (int, [lambda v: community.detect_communities(_TRIANGLES, seed=v),
+                   lambda v: synth.planted_partition([2], 0.5, 0.5, seed=v),
+                   lambda v: synth.configuration_rewire(_TRIANGLES, 1, seed=v),
+                   lambda v: synth.generate("star", {"n_leaves": 1}, seed=v)],
+             ["communities", "--input", "IN", "--seed"],
+             ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--seed"]),
 }
 _NOT_POSITIVE_FLOATS = ("0", "-1", "nan", "inf", "-inf")
 REFUSED = [
@@ -798,53 +815,56 @@ REFUSED = [
     ("swaps", "-1"),
     ("days", "-1"), ("days", str(MAX_DAYS + 1)),
     ("delimiter", ""), ("delimiter", "\n"), ("delimiter", ";\r"),
+    ("seed", "-1"),
 ]
 ACCEPTED = [
     ("resolution", "5e-324"), ("window-length", "1"), ("rho", "1.0"), ("curve-length", "1"),
-    ("swaps", "0"), ("days", "0"), ("days", str(MAX_DAYS)), ("delimiter", ";"),
+    ("swaps", "0"), ("days", "0"), ("days", str(MAX_DAYS)), ("delimiter", ";"), ("seed", "0"),
 ]
 
 
-def _rule_argv(tmp_path, rule: str, text: str, input_path) -> list[str]:
+def _rule_argv(tmp_path, cli: list[str], text: str, input_path) -> list[str]:
     paths = {"IN": str(input_path), "PART": str(tmp_path / "part.csv"), "OUT": str(tmp_path / "out")}
-    *argv, flag = VALUE_RULES[rule][2]
+    *argv, flag = cli
     return [paths.get(arg, arg) for arg in argv] + [f"{flag}={text}"]
 
 
 @pytest.mark.parametrize("rule, text", REFUSED, ids=[f"{rule}={text}" for rule, text in REFUSED])
 def test_each_value_rule_refuses_alike_in_the_library_and_the_cli(tmp_path, capsys, rule, text):
-    kind, calls, cli = VALUE_RULES[rule]
+    kind, calls, *clis = VALUE_RULES[rule]
     messages = set()
     for call in calls:
         with pytest.raises(ValueError) as info:
             call(kind(text))
         messages.add(str(info.value))
     (message,) = messages
-    if cli is not None:
+    for cli in clis:
         # a missing input would exit 3 if it were opened first
-        assert run_cli(*_rule_argv(tmp_path, rule, text, tmp_path / "missing.csv")) == 2
+        assert run_cli(*_rule_argv(tmp_path, cli, text, tmp_path / "missing.csv")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rule, text", ACCEPTED, ids=[f"{rule}={text}" for rule, text in ACCEPTED])
 def test_each_value_rule_accepts_its_boundary_in_the_library_and_the_cli(tmp_path, rule, text):
-    kind, calls, _ = VALUE_RULES[rule]
+    kind, calls, *clis = VALUE_RULES[rule]
     for call in calls:
         call(kind(text))
     write_two_triangles(tmp_path / "edges.csv")
     write_partition(tmp_path / "part.csv", {c: int(c > "c") for c in "abcdef"})
-    assert run_cli(*_rule_argv(tmp_path, rule, text, tmp_path / "edges.csv")) == 0
+    for cli in clis:
+        assert run_cli(*_rule_argv(tmp_path, cli, text, tmp_path / "edges.csv")) == 0
 
 
-# the count rules refuse what no int flag can pass: infinity, fractions and
-# floats (an infinite swap count would make the rewire's stall budget
-# infinite too); numpy integers pass
+# the count rules, and the seed's, refuse what no int flag can pass:
+# infinity, fractions and floats (an infinite swap count would make the
+# rewire's stall budget infinite too); numpy integers pass
 COUNT_CHECKS = {
     "swaps": synth.check_swaps,
     "days": synth.check_days,
     "curve length": domination.check_max_picks,
     "window length": graph.check_granularity,
+    "seed": community.check_seed,
 }
 
 
@@ -866,3 +886,25 @@ def test_solve_task_refuses_a_curve_length_that_is_not_an_integer(max_picks):
         domination.solve_task(synth.star(3), "unrestricted", max_picks=max_picks)
     (curve,) = domination.solve_task(synth.star(3), "unrestricted", max_picks=np.int64(2))
     assert curve.feasible
+
+
+# the console-script dry run
+
+
+def test_dry_run_script_exits_0(tmp_path):
+    # the same file CI runs with the installed entry point; here `polarnet`
+    # is a shim over this interpreter, and src comes first on PYTHONPATH,
+    # so the checkout is tested whether or not it is installed
+    tests = Path(__file__).resolve().parent
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "polarnet"
+    shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m polarnet "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
+    work = tmp_path / "work"
+    work.mkdir()
+    run = subprocess.run(["sh", str(tests / "dry_run.sh")], cwd=work, env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout
