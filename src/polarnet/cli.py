@@ -95,14 +95,24 @@ def _load_edges(args: argparse.Namespace) -> TemporalEdgeSet:
         skip_header=args.header,
         strict=args.strict,
     )
-    with open(args.input, "r", encoding="utf-8") as fh:
-        edges = ingest_edge_list(fh, options)
+    edges = _read_text(args.input, lambda fh: ingest_edge_list(fh, options))
     return edges if start is None else exclude_interval(edges, start, end)
 
 
 def _load_partition_file(path: str, edges: TemporalEdgeSet) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_partition(fh, edges.labels)
+    return _read_text(path, lambda fh: load_partition(fh, edges.labels))
+
+
+def _read_text(path: str, read):
+    """``read`` of the UTF-8 file at ``path``, past a leading byte-order mark
+    (as spreadsheet "CSV UTF-8" exports write). A file that is not UTF-8
+    raises FormatError naming it."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return read(fh)
+        except UnicodeDecodeError as err:
+            bad = err.object[err.start : err.end].hex(" ")
+            raise FormatError(f"{path} is not UTF-8 text: {err.reason} (bytes {bad})") from None
 
 
 def _resolve_groups(tokens: list[str], part: Partition) -> list[int]:

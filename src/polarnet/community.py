@@ -6,8 +6,8 @@ nothing changes. Local moving follows the fast local-move queue of Traag,
 Waltman & van Eck ("From Louvain to Leiden", 2019): after a first visit of
 every vertex, only the neighbours of vertices that moved are visited again.
 Determinism is pinned down by a seeded visit order and a lowest-index
-tie-break, so identical (graph, resolution, seed, min_improvement) inputs
-always produce identical partitions.
+tie-break, so identical (graph, resolution, seed) inputs always produce
+identical partitions.
 
 Each level keeps, for every vertex, a Python list of its neighbours in
 adjacency order, each neighbour repeated once per original edge that the
@@ -59,6 +59,8 @@ from .errors import FormatError
 from .graph import UndirectedView, _check_integer, _distinct_keys, _key_counts, _key_csr, _pair_keys
 
 _INT = np.int64
+# A vertex moves only when that raises modularity by more than this.
+MIN_IMPROVEMENT = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +132,12 @@ def relabel_by_size(p: Partition) -> Partition:
     return Partition(assignment=perm[p.assignment], group_meta=meta)
 
 
-def check_resolution(value: float, name: str = "resolution") -> None:
-    """Raise ValueError unless ``value`` is positive and finite: the rule of
-    ``resolution`` and of ``min_improvement``, named by ``name``. With NaN
-    or infinity every vertex would end alone, without an error."""
+def check_resolution(value: float) -> None:
+    """Raise ValueError unless the resolution ``value`` is positive and
+    finite. With NaN or infinity every vertex would end alone, without an
+    error."""
     if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"resolution must be positive and finite, got {value}")
 
 
 def check_seed(seed: int) -> None:
@@ -155,7 +157,6 @@ def _local_move(
     two_m: float,
     resolution: float,
     order_source: np.random.Generator,
-    min_improvement: float,
 ) -> int:
     """One level of queue-driven local moving, as detect_communities
     describes it; returns the number of moves.
@@ -188,7 +189,7 @@ def _local_move(
             score = w - coef * sigma_tot[c]
             if score > best or (score == best and c < best_c):
                 best, best_c = score, c
-        if 2.0 * (best - stay) / two_m > min_improvement:
+        if 2.0 * (best - stay) / two_m > MIN_IMPROVEMENT:
             comm[v] = best_c
             n_moves += 1
             # first occurrences keep adjacency order
@@ -219,9 +220,7 @@ def _neighbour_lists(
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _louvain(
-    g: UndirectedView, resolution: float, seed: int, min_improvement: float
-) -> tuple[np.ndarray, list[float]]:
+def _louvain(g: UndirectedView, resolution: float, seed: int) -> tuple[np.ndarray, list[float]]:
     """Multilevel optimization; returns (dense assignment, per-level modularity).
 
     A level is a symmetric CSR without self-loops, its int64 edge
@@ -252,7 +251,6 @@ def _louvain(
             two_m,
             resolution,
             rng,
-            min_improvement,
         )
         comm_arr = np.asarray(comm, dtype=_INT)
         used = _distinct_keys(comm_arr)
@@ -290,18 +288,17 @@ def detect_communities(
     g: UndirectedView,
     resolution: float = 1.0,
     seed: int = 0,
-    min_improvement: float = 1e-7,
 ) -> Partition:
     """Multilevel modularity-maximization partition of an undirected view.
 
     Each level queues every vertex once, in an order drawn from ``seed``.
     A popped vertex moves to the neighbouring group that raises modularity
     most, ties going to the lowest group index, but only when that gain
-    exceeds ``min_improvement``; then each of its neighbours outside its new
-    group is queued again unless already queued. The level ends when the
-    queue is empty. Every move raises modularity, which lies within
-    [-resolution, 1], by more than ``min_improvement``, so a run makes fewer
-    than (1 + resolution) / min_improvement moves.
+    exceeds ``MIN_IMPROVEMENT`` (1e-7); then each of its neighbours outside
+    its new group is queued again unless already queued. The level ends when
+    the queue is empty. Every move raises modularity, which lies within
+    [-resolution, 1], by more than ``MIN_IMPROVEMENT``, so a run makes fewer
+    than (1 + resolution) / MIN_IMPROVEMENT moves.
 
     A visit costs one C-level dict increment per original edge leaving the
     (super)vertex, plus one Python score per distinct neighbouring group.
@@ -310,19 +307,17 @@ def detect_communities(
     weight as a float sum would, and the visit order, the scores and the
     tie-break are those of the plain weighted algorithm.
 
-    Deterministic for fixed (graph, resolution, seed, min_improvement).
-    Isolated vertices end up in singleton groups. Raises ValueError unless
-    ``resolution`` and ``min_improvement`` are positive and finite
-    (``check_resolution``) and ``seed`` is a non-negative integer
+    Deterministic for fixed (graph, resolution, seed). Isolated vertices end
+    up in singleton groups. Raises ValueError unless ``resolution`` is
+    positive and finite (``check_resolution``) and ``seed`` is a non-negative integer
     (``check_seed``), all checked first, and on an empty graph (no vertices
     or no edges), where modularity optimization is undefined.
     """
     check_resolution(resolution)
-    check_resolution(min_improvement, "min_improvement")
     check_seed(seed)
     if g.n == 0 or g.m == 0:
         raise ValueError("community detection requires a graph with at least one edge")
-    assignment, _ = _louvain(g, resolution, seed, min_improvement)
+    assignment, _ = _louvain(g, resolution, seed)
     return Partition.from_assignment(assignment)
 
 

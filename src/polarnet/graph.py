@@ -292,69 +292,55 @@ def _decimal_words(words: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, n
     return v, bad
 
 
-class _FastLines:
-    """Vector parse of the lines of a block that need none of the per-line rules.
+def _scan(padded: np.ndarray, delimiter: int, width: int):
+    """Split a block of whole lines and parse the lines that need none of
+    the per-line rules.
 
-    A line is fast when its only bytes that are a delimiter, ASCII
-    whitespace or control (<= 0x20, 0x7F) or non-ASCII (>= 0x80) are
-    delimiter, delimiter, newline; both labels are non-empty; it does not
-    start with ``#``; and its timestamp is 1 to 16 ASCII digits. Such a
-    line is a valid record as it stands, with no stripping.
+    ``padded`` is the block's bytes between ``_FRONT`` and ``_BACK``, and
+    ``delimiter`` the delimiter's byte, or -1 (no byte) when it is not one
+    ASCII character. A line is fast when its only bytes that are the
+    delimiter, ASCII whitespace or control (<= 0x20, 0x7F) or non-ASCII
+    (>= 0x80) are delimiter, delimiter, newline; both labels are non-empty;
+    it does not start with ``#``; and its timestamp is 1 to 16 ASCII
+    digits. Stripping such a line or its fields changes nothing, and
+    splitting it gives its three fields, so it is a valid record as it
+    stands. Returns the lines' start and end (newline) offsets in the
+    block, the indices of the fast lines, their label words (sources, then
+    targets; at least ``width`` words each) and their timestamps.
     """
+    front = len(_FRONT)
+    b = padded[front : len(padded) - len(_BACK)]
+    # bytes <= 0x20 or >= 0x7F wrap to >= 0x5E after subtracting 0x21
+    special = np.flatnonzero((b - np.uint8(0x21) >= 0x5E) | (b == delimiter))
+    kinds = b[special]
+    k = np.flatnonzero(kinds == _NEWLINE)  # one per line, in line order
+    ends = special[k]
+    starts = _starts(ends)
+    rows = np.flatnonzero(np.diff(k, prepend=-1) == 3)
+    k = k[rows]
+    s, d1, d2, e = starts[rows], special[k - 2], special[k - 1], ends[rows]
+    # the lengths of the two labels and of the timestamp
+    n1, n2, digits = d1 - s, d2 - d1 - 1, e - d2 - 1
 
-    def __init__(self, opts: IngestOptions):
-        d = opts.delimiter
-        # a digit delimiter could split a timestamp, and a multi-byte or
-        # whitespace one is not a single special byte: per-line path only
-        single = len(d) == 1 and 0x21 <= ord(d) <= 0x7E and not d.isdigit()
-        self.delimiter = ord(d) if single else -1
-        self.enabled = single
-
-    def scan(self, padded: np.ndarray, width: int):
-        """Split a block of whole lines and parse its fast lines.
-
-        ``padded`` is the block's bytes between ``_FRONT`` and ``_BACK``.
-        Returns the lines' start and end (newline) offsets in the block,
-        the indices of the fast lines, their label words (sources, then
-        targets; at least ``width`` words each) and their timestamps.
-        """
-        front = len(_FRONT)
-        b = padded[front : len(padded) - len(_BACK)]
-        if not self.enabled:
-            ends = np.flatnonzero(b == _NEWLINE)
-            none = np.empty(0, dtype=_INT)
-            return _starts(ends), ends, none, np.zeros((width, 0), dtype=np.uint64), none
-        # bytes <= 0x20 or >= 0x7F wrap to >= 0x5E after subtracting 0x21
-        special = np.flatnonzero((b - np.uint8(0x21) >= 0x5E) | (b == self.delimiter))
-        kinds = b[special]
-        k = np.flatnonzero(kinds == _NEWLINE)  # one per line, in line order
-        ends = special[k]
-        starts = _starts(ends)
-        rows = np.flatnonzero(np.diff(k, prepend=-1) == 3)
-        k = k[rows]
-        s, d1, d2, e = starts[rows], special[k - 2], special[k - 1], ends[rows]
-        # the lengths of the two labels and of the timestamp
-        n1, n2, digits = d1 - s, d2 - d1 - 1, e - d2 - 1
-
-        # the little-endian uint64 that starts at each byte of the padded block
-        view = np.ndarray((len(padded) - len(_BACK),), dtype="<u8", buffer=padded, strides=(1,))
-        # the 8 bytes that end at the newline hold the last 8 digits
-        stamps, bad = _decimal_words(view[e + (front - 8)], np.minimum(digits, 8))
-        # the 8 bytes before them hold digits 9 to 16, on the lines that have them
-        long = np.flatnonzero(digits > 8)
-        if len(long):
-            high, high_bad = _decimal_words(view[e[long] + (front - 16)], np.minimum(digits[long] - 8, 8))
-            stamps[long] += high * np.uint64(10**8)
-            bad[long] |= high_bad
-        ok = (
-            (kinds[k - 2] == self.delimiter) & (kinds[k - 1] == self.delimiter)
-            & (n1 > 0) & (n2 > 0) & (digits > 0) & (digits <= _FAST_DIGITS) & (bad == 0)
-        )
-        ok &= b[s] != ord(_COMMENT)
-        rows, s, d1, n1, n2, stamps = rows[ok], s[ok], d1[ok], n1[ok], n2[ok], stamps[ok]
-        words = _label_words(view, np.concatenate([s + front, d1 + (front + 1)]),
-                             np.concatenate([n1, n2]), width)
-        return starts, ends, rows, words, stamps.view(_INT)
+    # the little-endian uint64 that starts at each byte of the padded block
+    view = np.ndarray((len(padded) - len(_BACK),), dtype="<u8", buffer=padded, strides=(1,))
+    # the 8 bytes that end at the newline hold the last 8 digits
+    stamps, bad = _decimal_words(view[e + (front - 8)], np.minimum(digits, 8))
+    # the 8 bytes before them hold digits 9 to 16, on the lines that have them
+    long = np.flatnonzero(digits > 8)
+    if len(long):
+        high, high_bad = _decimal_words(view[e[long] + (front - 16)], np.minimum(digits[long] - 8, 8))
+        stamps[long] += high * np.uint64(10**8)
+        bad[long] |= high_bad
+    ok = (
+        (kinds[k - 2] == delimiter) & (kinds[k - 1] == delimiter)
+        & (n1 > 0) & (n2 > 0) & (digits > 0) & (digits <= _FAST_DIGITS) & (bad == 0)
+    )
+    ok &= b[s] != ord(_COMMENT)
+    rows, s, d1, n1, n2, stamps = rows[ok], s[ok], d1[ok], n1[ok], n2[ok], stamps[ok]
+    words = _label_words(view, np.concatenate([s + front, d1 + (front + 1)]),
+                         np.concatenate([n1, n2]), width)
+    return starts, ends, rows, words, stamps.view(_INT)
 
 
 def _starts(ends: np.ndarray) -> np.ndarray:
@@ -363,7 +349,7 @@ def _starts(ends: np.ndarray) -> np.ndarray:
 
 def _label_words(view: np.ndarray, start: np.ndarray, length: np.ndarray, width: int) -> np.ndarray:
     """The byte strings ``length[i]`` bytes long at ``start[i]`` in the buffer
-    of ``view`` (the uint64 at every byte offset, see ``_FastLines.scan``)
+    of ``view`` (the uint64 at every byte offset, see :func:`_scan`)
     as columns of little-endian uint64 words, zero-padded: row ``j`` holds
     bytes ``8j`` to ``8j + 7`` of every string. There are ``width`` rows, or
     more if the longest string needs them.
@@ -511,15 +497,15 @@ def _merge_labels(names: list[str], *columns: Iterable[str]
 
 
 def _edge_set(names: list[str], src: np.ndarray, tgt: np.ndarray, ts: np.ndarray,
-              malformed: int = 0, loops: int = 0) -> TemporalEdgeSet:
+              malformed: int = 0) -> TemporalEdgeSet:
     """The arcs ``src[i] -> tgt[i]`` over ids into ``names`` (sorted), with
-    self-loops dropped and counted on top of ``loops`` dropped before, and
-    the labels no kept arc touches dropped.
+    self-loops dropped and counted, and the labels no kept arc touches
+    dropped.
 
     The arrays become the edge set's own when nothing is dropped."""
     kept = src != tgt
-    if not kept.all():
-        loops += len(kept) - int(np.count_nonzero(kept))
+    loops = len(kept) - int(np.count_nonzero(kept))
+    if loops:
         src, tgt, ts = src[kept], tgt[kept], ts[kept]
     used = np.zeros(len(names), dtype=bool)
     used[src] = True
@@ -558,8 +544,8 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
     The stream is read in blocks of about 256 KiB. Lines that are records as
     they stand (no padding, ASCII, two single-byte delimiters, a timestamp
     of at most 16 digits) are parsed as whole numpy columns, a timestamp
-    from the one or two 8-byte words that end at its newline; a multi-byte,
-    whitespace or digit delimiter turns this off. Every other line (blank,
+    from the one or two 8-byte words that end at its newline; a delimiter
+    of more than one byte turns this off. Every other line (blank,
     comment, padded, non-ASCII, malformed, or with a longer timestamp) goes
     through the per-line rules of ``_parse_line``. On a 2-core x86-64 VM
     that is about 0.3 µs per fast line and 2.5 µs per other line. Fast
@@ -574,13 +560,12 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
     number and a timestamp); and four Python objects per other record line.
     """
     opts = options or IngestOptions()
-    fast = _FastLines(opts)
+    d = opts.delimiter
+    delimiter = ord(d) if len(d) == 1 and d.isascii() else -1
     table = _LabelTable()
     # per block: the line numbers, source and target label ids (in the
-    # table's order of insertion) and timestamps of the fast records that
-    # are no self-loops
+    # table's order of insertion) and timestamps of the fast records
     lines, sources, targets, stamps = [], [], [], []
-    loops = 0
     # records from the per-line rules, kept as flat columns: a tuple per
     # record would be tracked by the garbage collector and rescanned
     slow_lines: list[int] = []
@@ -594,14 +579,13 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
             text = text[text.index("\n") + 1 :]
             base = 1
         buf = text.encode("utf-8", "surrogatepass")
-        starts, ends, rows, words, ts = fast.scan(
-            np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), table.width)
+        starts, ends, rows, words, ts = _scan(
+            np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), delimiter, table.width)
         rest = np.ones(len(ends), dtype=bool)
         rest[rows] = False
         rest = np.flatnonzero(rest)
-        ascii_block = len(buf) == len(text)  # byte offsets are then text offsets
         for i, lo, hi in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
-            raw = text[lo:hi] if ascii_block else buf[lo:hi].decode("utf-8", "surrogatepass")
+            raw = buf[lo:hi].decode("utf-8", "surrogatepass")
             record = _parse_line(raw, opts)
             if record is None:
                 if opts.strict:
@@ -618,14 +602,9 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
                 slow_tgt.append(target)
                 slow_ts.append(stamp)
         ids = table.ids(words)
-        src, tgt = ids[: len(rows)], ids[len(rows) :]
-        kept = src != tgt
-        if not kept.all():
-            loops += len(kept) - int(np.count_nonzero(kept))
-            rows, src, tgt, ts = rows[kept], src[kept], tgt[kept], ts[kept]
         lines.append(base + 1 + rows)
-        sources.append(src)
-        targets.append(tgt)
+        sources.append(ids[: len(rows)])
+        targets.append(ids[len(rows) :])
         stamps.append(ts)
         base += len(ends)
 
@@ -643,7 +622,7 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
         # back to line order
         order = np.argsort(line_no, kind="stable")
         src, tgt, ts = src[order], tgt[order], ts[order]
-    return _edge_set(names, src, tgt, ts, malformed, loops)
+    return _edge_set(names, src, tgt, ts, malformed)
 
 
 # Padded bytes write_edge_list assembles at a time. Its block, the block's

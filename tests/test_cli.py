@@ -91,6 +91,45 @@ def test_ingest_check_header_and_delimiter(tmp_path, capsys):
     assert "arcs: 1" in capsys.readouterr().out
 
 
+def test_ingest_check_skips_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with one
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("a,b,1\nb,a,2\n", encoding="utf-8")
+    marked.write_text("\ufeffa,b,1\nb,a,2\n", encoding="utf-8")
+    assert run_cli("ingest-check", "--input", str(plain)) == 0
+    want = capsys.readouterr().out
+    assert run_cli("ingest-check", "--input", str(marked)) == 0
+    assert capsys.readouterr().out == want
+    assert "vertices: 2" in want
+
+
+def test_polarization_skips_a_byte_order_mark_in_the_partition_file(tmp_path, capsys):
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_partition(plain, {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1})
+    marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli("polarization", "--input", str(src), "--partition", str(plain)) == 0
+    want = capsys.readouterr().out
+    assert run_cli("polarization", "--input", str(src), "--partition", str(marked)) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("flag", ["--input", "--partition"])
+def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, capsys, flag):
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,1\nb,c,2\n", encoding="utf-8")
+    part_file = tmp_path / "part.csv"
+    part_file.write_text("a,0\nb,0\nc,1\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a,b,1\nb,caf\xe9,2\n" if flag == "--input" else b"a,0\nb,0\ncaf\xe9,1\n")
+    paths = {"--input": src, "--partition": part_file, flag: latin1}
+    assert run_cli("polarization", "--input", str(paths["--input"]), "--partition", str(paths["--partition"])) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"error: {latin1} is not UTF-8 text" in err
+
+
 # communities
 
 
@@ -769,9 +808,9 @@ def test_dominate_rejects_bad_rho(tmp_path, capsys):
 
 
 # every value rule, owned by one library check: the library calls that apply
-# it to a value, then each CLI run passing the value through a flag (none
-# where no flag sets it). IN, PART and OUT stand for the input, partition and
-# output paths; the value follows the last argument as "--flag=value".
+# it to a value, then each CLI run passing the value through a flag. IN, PART
+# and OUT stand for the input, partition and output paths; the value follows
+# the last argument as "--flag=value".
 _TRIANGLES = graph.undirected_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 _ARCS = graph.directed_from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 _GROUPS = community.Partition.from_assignment([0, 0, 0, 1, 1, 1])
@@ -780,7 +819,6 @@ _STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
 VALUE_RULES = {
     "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
                    ["communities", "--input", "IN", "--resolution"]),
-    "min_improvement": (float, [lambda v: community.detect_communities(_TRIANGLES, min_improvement=v)]),
     "window-length": (int, [lambda v: graph.slice_windows(_STAMPED, v)],
                       ["polarization", "--input", "IN", "--partition", "PART", "--window-seconds"]),
     "rho": (float, [lambda v: domination.coverage_target(v, 10),
@@ -808,7 +846,6 @@ VALUE_RULES = {
 _NOT_POSITIVE_FLOATS = ("0", "-1", "nan", "inf", "-inf")
 REFUSED = [
     *[("resolution", text) for text in _NOT_POSITIVE_FLOATS],
-    *[("min_improvement", text) for text in _NOT_POSITIVE_FLOATS],
     ("window-length", "0"), ("window-length", "-1"),
     *[("rho", text) for text in ("0", "-0.5", "1.5", "nan", "inf", "-inf")],
     ("curve-length", "0"), ("curve-length", "-1"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from polarnet import community
 from polarnet.community import (
+    MIN_IMPROVEMENT,
     Partition,
     _louvain,
     detect_communities,
@@ -92,12 +93,6 @@ def test_detected_beats_singleton_partition():
         assert modularity(und, part) >= modularity(und, singleton)
 
 
-def test_min_improvement_is_a_per_move_threshold():
-    # no single move raises modularity by 1, so every vertex stays alone
-    part = detect_communities(TWO_TRIANGLES, seed=0, min_improvement=1.0)
-    assert part.k == 6
-
-
 @st.composite
 def _graph_and_seed(draw):
     n = draw(st.integers(2, 24))
@@ -123,7 +118,7 @@ def test_level_modularity_history_is_non_decreasing():
         und = underlying_undirected(g)
         if und.m == 0:
             continue
-        _, history = _louvain(und, resolution=1.0, seed=3, min_improvement=1e-7)
+        _, history = _louvain(und, resolution=1.0, seed=3)
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-12
 
@@ -181,14 +176,13 @@ def _clique_ring(draw):
 @given(
     _clique_ring(),
     st.sampled_from([0.5, 1.0, 2.0]),
-    st.sampled_from([1e-7, 1e-3]),
     st.integers(0, 2**16),
 )
-def test_louvain_equals_float_weight_reference(und, resolution, min_improvement, seed):
-    expected, expected_q = oracles.louvain_reference(und, resolution, seed, min_improvement)
+def test_louvain_equals_float_weight_reference(und, resolution, seed):
+    expected, expected_q = oracles.louvain_reference(und, resolution, seed, MIN_IMPROVEMENT)
     # a third level runs only when level 1 moved a supervertex
     assume(len(expected_q) >= 3)
-    assignment, q_history = _louvain(und, resolution, seed, min_improvement)
+    assignment, q_history = _louvain(und, resolution, seed)
     assert assignment.tolist() == expected.tolist()
     assert q_history == expected_q
 
@@ -209,10 +203,10 @@ def test_louvain_equals_reference_on_either_side_of_int32_keys(n):
     # n = 46,341 + m every level keeps at least 46,341 groups and int64
     # keys; the cliques hold the highest groups, whose keys pass 2³¹ − 1
     und = undirected_from_edges(n, _top_clique_ring(n))
-    expected, expected_q = oracles.louvain_reference(und, 1.0, 7, 1e-7)
+    expected, expected_q = oracles.louvain_reference(und, 1.0, 7, MIN_IMPROVEMENT)
     assert len(expected_q) == 3
     assert (int(expected.max()) + 1 > 46340) == (n > 46340)
-    assignment, q_history = _louvain(und, 1.0, 7, 1e-7)
+    assignment, q_history = _louvain(und, 1.0, 7)
     assert assignment.tolist() == expected.tolist()
     assert q_history == expected_q
 
@@ -236,9 +230,9 @@ def _ring_with_isolated_vertices() -> tuple[int, list[tuple[int, int]]]:
 ])
 def test_louvain_runs_of_one_or_two_levels_equal_the_reference(n, edges, resolution, levels):
     und = undirected_from_edges(n, edges)
-    expected, expected_q = oracles.louvain_reference(und, resolution, 3, 1e-7)
+    expected, expected_q = oracles.louvain_reference(und, resolution, 3, MIN_IMPROVEMENT)
     assert len(expected_q) == levels
-    assignment, q_history = _louvain(und, resolution, 3, 1e-7)
+    assignment, q_history = _louvain(und, resolution, 3)
     assert assignment.tolist() == expected.tolist()
     assert q_history == expected_q
 
@@ -257,7 +251,7 @@ def test_a_level_keeps_all_its_groups_exactly_when_it_makes_no_move(case, resolu
         return moves
 
     with mock.patch.object(community, "_local_move", recording):
-        _, q_history = _louvain(und, resolution, seed, 1e-7)
+        _, q_history = _louvain(und, resolution, seed)
     assert len(levels) == len(q_history)
     assert levels[-1][1] == 0
     for n_l, moves, groups in levels:

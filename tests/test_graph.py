@@ -6,6 +6,7 @@ import io
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ _PLAIN_LABELS = ("a", "b", "bb", "#a", "a#", "abcdefghi", "abcdefgXi", "a-label-
 _ODD_LABELS = ("a,b", "a b", "a\x00", "é", "日本", "")
 _ODD_STAMPS = ("-0", "-3", "+4", "1_0", "٣", "", "x", "1.5", "9" * 18, str(2**63 - 1), str(2**63),
                "9" * 19, "9" * 20)
-_DELIMITERS = (",", ";", "\t", " ", "::")
+_DELIMITERS = (",", ";", "\t", " ", "::", "5", "\x00", "\x7f", "\x0b", "#")
 
 
 @st.composite
@@ -208,6 +209,19 @@ def test_ingest_ids_are_labels_in_byte_order(per_line, block):
     for built in (edges, from_arcs):
         # an id is the label's place in the sorted, distinct labels
         assert built.labels == tuple(sorted(set(built.labels)))
+
+
+@pytest.mark.parametrize("delimiter", ("\t", " "))
+def test_clean_tab_or_space_separated_lines_take_the_vector_path(delimiter):
+    records = _FAST_RECORDS + [("ab", "b", 10**15 + 8), ("a-label-longer-than-16-bytes", "ab", 9)]
+    text = "".join(f"{s}{delimiter}{t}{delimiter}{ts}\n" for s, t, ts in records)
+    want = oracles.ingest_reference(text, delimiter=delimiter)
+    with mock.patch.object(graph, "_parse_line", side_effect=AssertionError("per-line path")):
+        edges = _ingest(text, delimiter=delimiter)
+    for name in ("sources", "targets", "timestamps"):
+        assert getattr(edges, name).tolist() == want[name]
+    for name in ("labels", "dropped_self_loops", "malformed_lines"):
+        assert getattr(edges, name) == want[name]
 
 
 def _assert_ingest_matches_reference(text, block):
