@@ -37,8 +37,8 @@ from .graph import (
     DirectedGraph,
     IngestOptions,
     TemporalEdgeSet,
-    TimeWindow,
     UndirectedView,
+    WindowGrid,
     build_directed_graph,
     directed_from_arcs,
     exclude_interval,
@@ -86,10 +86,10 @@ __all__ = [
     "PolarizationReport",
     "PolarnetError",
     "TemporalEdgeSet",
-    "TimeWindow",
     "TrendFit",
     "UndefinedModularityError",
     "UndirectedView",
+    "WindowGrid",
     "WindowStats",
     "brute_force_pdds",
     "build_directed_graph",

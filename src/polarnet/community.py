@@ -67,11 +67,11 @@ MIN_IMPROVEMENT = 1e-7
 class Partition:
     """Assignment of every vertex to exactly one group, with optional names.
 
-    Group indices run 0..k-1 and each is used; ``group_meta`` names existing
-    groups. The constructor alone judges these rules, raising ValueError that
-    names the group, and counts each group's members once into the read-only
-    ``group_sizes``. ``check_group`` is the one range check of an index and
-    ``check_cover`` the one check that a partition fits a graph.
+    Group indices run 0..k-1 and each is used; ``group_meta`` gives existing
+    groups distinct names. The constructor alone judges these rules, raising
+    ValueError naming the group, and counts each group's members once into
+    the read-only ``group_sizes``. ``check_group`` is the one range check of
+    an index and ``check_cover`` the one check that a partition fits a graph.
     """
 
     assignment: np.ndarray
@@ -87,9 +87,12 @@ class Partition:
         sizes = np.bincount(self.assignment)
         if not sizes.all():
             raise ValueError(f"group index {sizes.argmin()} has no members")
-        for i in self.group_meta:
+        named: dict[str, int] = {}
+        for i, name in sorted(self.group_meta.items()):
             if not (0 <= i < len(sizes)):
                 raise ValueError(f"meta names unknown group {i}")
+            if named.setdefault(name, i) != i:
+                raise ValueError(f"groups {named[name]} and {i} are both named {name!r}")
         for a in (self.assignment, sizes):
             a.setflags(write=False)
         object.__setattr__(self, "group_sizes", sizes)
@@ -381,15 +384,16 @@ def _meta_entry(line: str) -> tuple[int, str] | None:
 
 def _bulk_rows(text: str, ids: dict[str, int], n: int) -> tuple[np.ndarray, dict[int, str]] | None:
     """The assignment and group names of ``text`` read as whole columns, or
-    None where some line is not a leading ``#meta`` line or a plain row, or
-    the rows do not name each vertex once with a group below ``n``."""
+    None where some line is not a leading ``#meta`` line or a plain row, a
+    group is named twice, or the rows do not name each vertex once with a
+    group below ``n``."""
     meta: dict[int, str] = {}
     start = 0
     while text.startswith(_META_PREFIX + ",", start):
         end = text.find("\n", start)
         end = len(text) if end < 0 else end
         entry = _meta_entry(text[start:end].strip())
-        if entry is None:
+        if entry is None or entry[0] in meta:
             return None
         meta[entry[0]] = entry[1]
         start = end + 1
@@ -428,6 +432,8 @@ def _line_rows(
             entry = _meta_entry(line)
             if entry is None:
                 raise FormatError(f"bad meta line {lineno}: {line!r}")
+            if entry[0] in meta:
+                raise FormatError(f"group {entry[0]} named twice (line {lineno})")
             meta[entry[0]] = entry[1]
             continue
         if line.startswith("#"):
@@ -460,8 +466,9 @@ def load_partition(stream: TextIO, labels: Sequence[str]) -> Partition:
     Every vertex in ``labels`` must be assigned exactly once; unknown or
     missing vertices raise :class:`FormatError` naming the offender, as does
     an empty ``labels``. A group or meta index that is not ASCII decimal
-    digits, or a group index of ``len(labels)`` or more, raises it naming the
-    line; a grouping that :class:`Partition` refuses, naming the group.
+    digits, a second ``#meta`` line for a group, or a group index of
+    ``len(labels)`` or more raises it naming the line; a grouping that
+    :class:`Partition` refuses, naming the group.
 
     The stream is read once and split into lines at ``\\n``. A file of
     leading ``#meta`` lines followed by rows ``label,digits``, each label

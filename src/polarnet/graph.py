@@ -46,16 +46,20 @@ class IngestOptions:
 
 
 @dataclass(frozen=True)
-class TimeWindow:
-    """Half-open interval [start, end) of integer epoch seconds."""
+class WindowGrid:
+    """Consecutive windows, as :func:`slice_windows` builds them: window j is
+    [first + j·length, first + (j + 1)·length) in epoch seconds, named
+    ``labels[j]``. ``length`` must be a positive integer (``check_granularity``)."""
 
-    start: int
-    end: int
-    label: str = ""
+    first: int
+    length: int
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"window start {self.start} must precede end {self.end}")
+        check_granularity(self.length)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -898,7 +902,7 @@ LAST_LABELLED_SECOND = 253402300799
 # 1000-01-01T00:00:00 UTC: labels of earlier seconds have years of 1-3 digits
 _FIRST_FOUR_DIGIT_SECOND = -30610224000
 
-# the most windows slice_windows builds; one TimeWindow and its label each
+# the most windows slice_windows builds; a label and a boundary each
 MAX_WINDOWS = 1_000_000
 
 
@@ -940,22 +944,22 @@ def check_granularity(granularity: int) -> None:
     _check_integer(granularity, "window length")
 
 
-def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> list[TimeWindow]:
-    """Consecutive equal-length windows aligned to ``origin`` covering all arcs.
+def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> WindowGrid:
+    """The grid of consecutive equal-length windows aligned to ``origin`` covering all arcs.
 
-    Returns an empty list for an empty edge set. The origin lets "day"
+    An empty edge set gives a grid of no windows. The origin lets "day"
     boundaries match any timezone convention. Raises ValueError unless
     ``granularity`` is a positive integer (``check_granularity``), when a window
     would start before ``FIRST_LABELLED_SECOND`` or past
     ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
     span more than ``MAX_WINDOWS`` windows; all three are checked before
-    any window or label is built. Every label comes from one vectorised
-    call (see ``window_label`` for the format).
+    any label is built. Every label comes from one vectorised call (see
+    ``window_label`` for the format).
     """
     check_granularity(granularity)
     span = edges.time_span()
     if span is None:
-        return []
+        return WindowGrid(origin, granularity, ())
     tmin, tmax = span
     first = origin + ((tmin - origin) // granularity) * granularity
     last = first + ((tmax - first) // granularity) * granularity
@@ -977,5 +981,4 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
         )
     # a range of Python ints: with one window, granularity may exceed int64
     starts = np.fromiter(range(first, last + 1, granularity), dtype=_INT, count=count)
-    labels = _window_labels(starts, granularity)
-    return [TimeWindow(start, start + granularity, label) for start, label in zip(starts.tolist(), labels)]
+    return WindowGrid(first, granularity, tuple(_window_labels(starts, granularity)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .community import Partition
 from .errors import DegenerateModularityError, UndefinedModularityError
-from .graph import TemporalEdgeSet, TimeWindow, UndirectedView, _pair_keys
+from .graph import TemporalEdgeSet, UndirectedView, WindowGrid, _pair_keys
 
 DEFAULT_D_TOLERANCE = 1e-12
 
@@ -114,7 +114,7 @@ class WindowStats:
 class PolarizationReport:
     """A window series stored as read-only columns, plus its trends.
 
-    One entry per window, in the order the windows were given: ``labels``,
+    One entry per window of the grid, in time order: ``labels``,
     and ``rows``, the window's row in the columns or -1 when the window
     holds no arcs. One row per window that holds arcs, in window order:
     ``m`` (distinct pairs), ``q``, ``group_q`` (rows × k, Q_i), ``defined``
@@ -186,32 +186,30 @@ class _WindowRows(Sequence):
 def window_series(
     edges: TemporalEdgeSet,
     p: Partition,
-    windows: Sequence[TimeWindow],
+    windows: WindowGrid,
     tracked_groups: Sequence[int] = (),
 ) -> PolarizationReport:
-    """Per-window Q, Q_i, and tracked d_i, plus least-squares trends.
+    """Per-window Q, Q_i, and tracked d_i over a grid's windows, plus least-squares trends.
 
-    Windows may come in any order and may overlap or lie outside the arcs'
-    time span; each row is computed from the arcs inside its own window.
-    Windows with no arcs get no row (their ``windows[j]`` reads as None
-    values) and are excluded from trend fits; a tracked d_i is undefined
-    wherever |Q| <= ``DEFAULT_D_TOLERANCE``. Trend x coordinates are window
-    ordinals (0, 1, ...), so slopes read as change per window.
+    Each row is computed from the arcs inside its own window; arcs outside
+    the grid count in none. Windows with no arcs get no row (their
+    ``windows[j]`` reads as None values) and are excluded from trend fits;
+    a tracked d_i is undefined wherever |Q| <= ``DEFAULT_D_TOLERANCE``.
+    Trend x coordinates are window ordinals, so slopes are per window.
 
     Arcs are put in time order once: by an argsort, skipped when the stamps
     are already nondecreasing, as in a log-like file. A window's edges are
     the *set* of distinct unordered pairs in its slice, so the order of arcs
     with equal timestamps cannot matter and the sort need not be stable.
     Pairs are int32 keys ``min·n + max`` when they fit (see
-    ``graph._pair_keys``). A window's own work is one in-place sort of its
-    slice's keys; the dedup, group lookups, e_i and D_i (bincounts over
-    row·k + group), every Q_i and q as the row sums of a rows×k array are
-    whole-array passes over all windows that hold arcs, written straight
-    into the report's columns. With A arcs, F windows holding arcs and k
-    groups, that is O(A log A) plus the slice sorts and O(F·k) for the
-    rows, with no graph and no object built per window. Windows are taken
-    in runs whose slices hold at most 2A arcs, so temporaries stay
-    O(A + F·k) even when windows overlap.
+    ``graph._pair_keys``). One ``searchsorted`` of the grid's boundaries
+    finds every window's slice, each right after the one before. A window's
+    own work is one in-place sort of its slice's keys; the dedup, group
+    lookups, e_i and D_i (bincounts over row·k + group), every Q_i and q as
+    the row sums of a rows×k array are whole-array passes over the grid's
+    arcs, written straight into the report's columns. With A arcs, W
+    windows, F of them holding arcs, and k groups, that is O(A log A) plus
+    the slice sorts and O(W + F·k), with no object built per window.
     """
     p.check_cover(edges.n_vertices)
     tracked = tuple(p.check_group(i) for i in tracked_groups)
@@ -224,44 +222,35 @@ def window_series(
     if len(times) > 1 and (times[1:] < times[:-1]).any():
         order = np.argsort(times)
         times, keys = times[order], keys[order]
-    begins = np.searchsorted(times, [w.start for w in windows])
-    ends = np.searchsorted(times, [w.end for w in windows])
-    filled = np.flatnonzero(ends > begins)  # the windows that get a row
-    begins, ends = begins[filled], ends[filled]
-    lens = ends - begins
-    # rows are taken in runs whose slices hold about A arcs together, so
-    # overlapping windows never hold more than O(A) arcs at once
-    before = np.cumsum(lens) - lens
-    runs = np.flatnonzero(np.diff(before // max(len(keys), 1), prepend=-1)).tolist()
-
-    a = p.assignment
+    # boundary j is first + j·length; those past int64, which a one-window
+    # grid of any length reaches, lie past every stamp
+    held = range(windows.first, min(windows.first + (len(windows) + 1) * windows.length, 2**63), windows.length)
+    bounds = np.full(len(windows) + 1, len(times))
+    bounds[:len(held)] = np.searchsorted(times, np.fromiter(held, dtype=np.int64, count=len(held)))
+    filled = np.flatnonzero(np.diff(bounds))  # the windows that get a row
+    begins = bounds[filled]
+    for b, c in zip(begins.tolist(), bounds[filled + 1].tolist()):
+        keys[b:c].sort()
+    inside = keys[bounds[0]:bounds[-1]]
+    begins -= bounds[0]
+    # a pair is new where its key differs from the previous one or where
+    # its window's slice begins
+    new = np.ones(len(inside), dtype=bool)
+    np.not_equal(inside[1:], inside[:-1], out=new[1:])
+    new[begins] = True
+    m = np.add.reduceat(new, begins, dtype=np.int64)
+    # split the pairs in the keys' dtype: numpy gathers by int32 as fast
+    pairs = inside[new]
+    u = pairs // n
     rows = len(filled)
-    m = np.zeros(rows, dtype=np.int64)
-    group_q = np.zeros((rows, k))
-    for lo, hi in zip(runs, runs[1:] + [rows]):
-        cat = np.concatenate([keys[b:c] for b, c in zip(begins[lo:hi].tolist(), ends[lo:hi].tolist())])
-        at = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(lens[lo:hi], out=at[1:])
-        for b, c in zip(at[:-1].tolist(), at[1:].tolist()):
-            cat[b:c].sort()
-        # a pair is new where its key differs from the previous one or where
-        # its window's slice begins
-        first = np.ones(len(cat), dtype=bool)
-        np.not_equal(cat[1:], cat[:-1], out=first[1:])
-        first[at[:-1]] = True
-        # no slice is empty, so reduceat counts each one's new pairs
-        m[lo:hi] = np.add.reduceat(first, at[:-1], dtype=np.int64)
-        # split the pairs in the keys' dtype: numpy gathers by int32 as fast
-        pairs = cat[first]
-        u = pairs // n
-        row = np.repeat(np.arange(0, (hi - lo) * k, k, dtype=np.int64), m[lo:hi])
-        cu = a[u]
-        cu += row
-        u *= n
-        pairs -= u
-        cv = a[pairs]
-        cv += row
-        group_q[lo:hi] = _contributions(cu, cv, m[lo:hi], k)
+    row = np.repeat(np.arange(0, rows * k, k, dtype=np.int64), m)
+    cu = p.assignment[u]
+    cu += row
+    u *= n
+    pairs -= u
+    cv = p.assignment[pairs]
+    cv += row
+    group_q = _contributions(cu, cv, m, k)
     qs = group_q.sum(axis=1)
     defined = np.abs(qs) > DEFAULT_D_TOLERANCE
     shares = np.divide(group_q[:, list(tracked)], qs[:, None], where=defined[:, None],
@@ -282,7 +271,7 @@ def window_series(
     row_of = np.full(len(windows), -1, dtype=np.int64)
     row_of[filled] = np.arange(rows)
     return PolarizationReport(
-        labels=tuple(w.label for w in windows), rows=row_of, m=m, q=qs, group_q=group_q,
+        labels=windows.labels, rows=row_of, m=m, q=qs, group_q=group_q,
         defined=defined, group_d=shares, k=k, tracked_groups=tracked, trends=trends,
     )
 

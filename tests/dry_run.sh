@@ -30,6 +30,9 @@ polarnet dominate --input demo/edges.csv --partition demo/detected.csv \
 polarnet polarization --input demo/edges.csv --partition demo/partition.csv --groups 0 \
     --window-seconds 3600 --format json --out demo/hourly.json
 
+# daily windows from 21:00 UTC, midnight in UTC-3: the first starts before the epoch
+polarnet polarization --input demo/edges.csv --partition demo/partition.csv --window-origin -10800
+
 # network domination by group at one rho
 polarnet dominate --input demo/edges.csv --partition demo/partition.csv \
     --mode network-by-group --groups 0 --rho 0.5

@@ -8,6 +8,7 @@ from the library's internals beyond the public graph containers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 
@@ -153,14 +154,16 @@ def _trend_reference(points):
 def window_series_reference(edges, p, windows, tracked_groups=()):
     """The per-window series as it was computed one window at a time.
 
-    A stable time sort, then for each window the distinct pairs of its
+    A stable time sort, then for each window j of the grid ``windows``,
+    [first + j·length, first + (j + 1)·length), the distinct pairs of its
     slice and its Q_i as one float array, q as that array's sum, and trends
     fitted from Python lists of points. ``np.unique`` stands in for the
     library's sort-based dedup (the same sorted values) and the two helpers
     above are the library's modularity and least-squares arithmetic of the
     time. The rows are then packed into a report's columns, as its
     docstring lays them out, so the result can be compared with ``==``,
-    float for float.
+    float for float. Each slice is found by ``bisect`` over the stamps as
+    Python ints, so a window ending past the int64 range needs no care.
     """
     tracked = tuple(int(i) for i in tracked_groups)
     n = np.int64(edges.n_vertices)
@@ -168,12 +171,13 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
     times = edges.timestamps[order]
     s, t = edges.sources[order], edges.targets[order]
     keys = np.minimum(s, t) * n + np.maximum(s, t)
-    begins = np.searchsorted(times, [w.start for w in windows])
-    ends = np.searchsorted(times, [w.end for w in windows])
+    stamps = times.tolist()
     a = p.assignment
 
     rows, ms, qs, group_qs, defined, group_ds = [], [], [], [], [], []
-    for begin, end in zip(begins, ends):
+    for j in range(len(windows)):
+        start = windows.first + j * windows.length
+        begin, end = bisect_left(stamps, start), bisect_left(stamps, start + windows.length)
         pairs = np.unique(keys[begin:end])
         if len(pairs) == 0:
             rows.append(-1)
@@ -201,7 +205,7 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
         fit(f"group_d_{i}", [(j, group_ds[r][c]) for j, r in filled if defined[r]])
 
     return PolarizationReport(
-        labels=tuple(w.label for w in windows),
+        labels=windows.labels,
         rows=np.asarray(rows, dtype=np.int64),
         m=np.asarray(ms, dtype=np.int64),
         q=np.asarray(qs, dtype=np.float64),

@@ -496,6 +496,18 @@ def test_polarization_labels_the_first_second_of_year_1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("1-01-01T00:00:00,1,")
 
 
+def test_polarization_one_window_longer_than_int64_counts_every_arc(tmp_path, capsys):
+    # one window from 0 of 10^20 s: its end passes 2^63 − 1, and every arc,
+    # the last one too, is in it
+    src = tmp_path / "edges.csv"
+    src.write_text("a,b,0\nb,c,5\nc,a,253402300799\n", encoding="utf-8")
+    part = tmp_path / "partition.csv"
+    write_partition(part, {"a": 0, "b": 0, "c": 1})
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part),
+                   "--window-seconds", "100000000000000000000") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1970-01-01T00:00:00,3,-0.222222,-0.111111,-0.111111"]
+
+
 def test_polarization_unknown_group_lists_known_names(tmp_path, capsys):
     out_dir = tmp_path / "fig2"
     run_cli("synth", "--family", "figure2", "--out", str(out_dir))
@@ -801,6 +813,21 @@ def test_partition_file_naming_an_unknown_group_is_a_format_error(tmp_path, caps
     assert capsys.readouterr().err == "error: meta names unknown group 7\n"
 
 
+@pytest.mark.parametrize("meta, message", [
+    ("#meta,0,red\n#meta,1,red\n", "groups 0 and 1 are both named 'red'"),
+    ("#meta,1,x\n#meta,1,y\n", "group 1 named twice (line 2)"),
+], ids=["one name, two groups", "two names, one group"])
+def test_partition_file_naming_a_group_twice_is_a_format_error(tmp_path, capsys, meta, message):
+    # either file once tracked one group silently: the last named red, or y
+    src = tmp_path / "edges.csv"
+    write_two_triangles(src)
+    part_file = tmp_path / "part.csv"
+    part_file.write_text(meta + "".join(f"{c},{int(c > 'c')}\n" for c in "abcdef"), encoding="utf-8")
+    assert run_cli("polarization", "--input", str(src), "--partition", str(part_file),
+                   "--groups", "red,x") == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_dominate_rejects_bad_rho(tmp_path, capsys):
     src = tmp_path / "edges.csv"
     write_two_triangles(src)
@@ -819,7 +846,7 @@ _STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
 VALUE_RULES = {
     "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
                    ["communities", "--input", "IN", "--resolution"]),
-    "window-length": (int, [lambda v: graph.slice_windows(_STAMPED, v)],
+    "window-length": (int, [lambda v: graph.slice_windows(_STAMPED, v), lambda v: graph.WindowGrid(0, v, ())],
                       ["polarization", "--input", "IN", "--partition", "PART", "--window-seconds"]),
     "rho": (float, [lambda v: domination.coverage_target(v, 10),
                     lambda v: domination.greedy_pdds(_ARCS, v),

@@ -17,7 +17,11 @@ so the aggregated levels are pinned too. The
 `polarization windows` cases run five hourly windows (one of them empty) over
 three groups, tracked by name and by index; their bytes were captured from the
 per-window series and the `json.dump` writer that preceded the all-window
-series and the direct report writer. The two `synth configuration-model tab`
+series and the direct report writer. The `polarization origin` cases run
+five daily windows at `--window-origin -10800`, days from 21:00 UTC as in
+data kept in UTC-3, with `--exclude-from/--exclude-to` emptying the third;
+their bytes were captured from the series over `TimeWindow` lists, before
+`slice_windows` returned one window grid. The two `synth configuration-model tab`
 cases read the same base as a tab-separated file with a header line, through
 `--delimiter` and `--header`, and must equal their comma twins byte for byte.
 The two `synth planted-partition` cases were recaptured when `synth` stopped
@@ -74,6 +78,18 @@ WINDOWS = (
     "h,i,16000\nd,f,17000\n"
 )
 PARTITION3 = "#meta,0,left\n#meta,2,right\na,0\nb,0\nc,0\nd,1\ne,1\nf,1\ng,2\nh,2\ni,2\n"
+# polarization over days that start at 21:00 UTC (UTC-3 midnights), read
+# with --window-origin -10800: the first window starts before the epoch,
+# stamps sit on both sides of each boundary, and the arcs of the third day
+# (162000 .. 248399) are all excluded, which leaves that window empty
+DAYS = (
+    "a,b,0\nb,c,100\nd,e,500\ne,f,75599\ng,h,1000\nh,i,2000\na,d,3000\n"
+    "a,b,75600\na,c,80000\nd,f,90000\ng,i,100000\nc,g,161999\nb,a,120000\n"
+    "a,e,162000\nb,f,200000\nc,i,248399\n"
+    "d,e,250000\na,b,248400\ng,h,260000\na,g,270000\nf,i,300000\n"
+    "b,c,334800\ne,f,340000\nh,i,350000\nc,f,360000\na,c,421199\n"
+)
+DAYS_EXCLUDED = ["--exclude-from", "162000", "--exclude-to", "248400"]
 
 DOMINATE_RUNS = {
     "rho": ["--rho", "0.5", "--rho", "1.0"],  # 1.0 is out of reach for some groups
@@ -120,6 +136,12 @@ def _cases() -> dict[str, list[str]]:
             if dest == "out":
                 argv += ["--out", f"out/report.{fmt}"]
             cases[f"polarization windows {fmt} {dest}"] = argv
+            argv = ["polarization", "--input", "days.csv", "--partition", "part3.csv",
+                    "--groups", "right,1", "--window-seconds", "86400", "--window-origin", "-10800",
+                    *DAYS_EXCLUDED, "--format", fmt]
+            if dest == "out":
+                argv += ["--out", f"out/report.{fmt}"]
+            cases[f"polarization origin {fmt} {dest}"] = argv
     for family, args in SYNTH_RUNS.items():
         for days in ("0", "3"):
             cases[f"synth {family} days {days}"] = [
@@ -147,6 +169,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "ring.csv").write_text(RING, encoding="utf-8")
         (case_dir / "windows.csv").write_text(WINDOWS, encoding="utf-8")
         (case_dir / "part3.csv").write_text(PARTITION3, encoding="utf-8")
+        (case_dir / "days.csv").write_text(DAYS, encoding="utf-8")
         out = case_dir / "out"
         out.mkdir()
         stdout = io.StringIO()

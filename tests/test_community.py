@@ -487,6 +487,9 @@ def _loaded(text: str, labels: list[str]):
 @example(("a,0\na,0\n", ["a", "b"]))
 @example(("a,0\nzz,0\n", ["a", "b"]))
 @example(("a,0\nb," + "9" * 19 + "\n", ["a", "b"]))
+# one name for two groups, and two #meta lines for one group, are refused
+@example(("#meta,0,red\n#meta,1,red\na,0\nb,1\n", ["a", "b"]))
+@example(("#meta,1,x\n#meta,1,y\na,0\nb,1\n", ["a", "b"]))
 def test_partition_file_bulk_read_equals_the_per_line_read(case):
     text, labels = case
     with mock.patch.object(community, "_bulk_rows", return_value=None):

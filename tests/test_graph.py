@@ -19,7 +19,7 @@ from polarnet.errors import ParseError
 from polarnet.graph import (
     IngestOptions,
     TemporalEdgeSet,
-    TimeWindow,
+    WindowGrid,
     _distinct_keys,
     build_directed_graph,
     directed_from_arcs,
@@ -37,9 +37,9 @@ def _ingest(text, **kwargs):
     return ingest_edge_list(io.StringIO(text), IngestOptions(**kwargs))
 
 
-def _in_window(edges, window):
-    """The arcs at ``window.start <= t < window.end``, over the same universe."""
-    keep = (window.start <= edges.timestamps) & (edges.timestamps < window.end)
+def _in_window(edges, start, end):
+    """The arcs at ``start <= t < end``, over the same universe."""
+    keep = (start <= edges.timestamps) & (edges.timestamps < end)
     return TemporalEdgeSet(
         sources=edges.sources[keep],
         targets=edges.targets[keep],
@@ -500,7 +500,7 @@ def test_build_directed_graph_collapses_duplicates():
 
 def test_build_directed_graph_window_filter():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 100), ("a", "b", 120), ("b", "c", 130)])
-    inside = _in_window(edges, TimeWindow(110, 125))
+    inside = _in_window(edges, 110, 125)
     assert inside.n_arcs == 1
     g = build_directed_graph(inside)
     assert g.m == 1
@@ -516,10 +516,9 @@ def test_build_directed_graph_matches_distinct_pair_count():
     ]
     arcs = [(s, t, ts) for s, t, ts in arcs if s != t]
     edges = TemporalEdgeSet.from_arcs(arcs)
-    window = TimeWindow(100, 400)
-    inside = _in_window(edges, window)
-    distinct = {(s, t) for s, t, ts in arcs if window.start <= ts < window.end}
-    in_window = sum(1 for _, _, ts in arcs if window.start <= ts < window.end)
+    inside = _in_window(edges, 100, 400)
+    distinct = {(s, t) for s, t, ts in arcs if 100 <= ts < 400}
+    in_window = sum(1 for _, _, ts in arcs if 100 <= ts < 400)
     assert build_directed_graph(inside).m == len(distinct)
     assert inside.n_arcs == in_window
 
@@ -573,21 +572,18 @@ def test_symmetric_arc_set_halves_on_undirected_view():
 
 def test_slice_windows_day_arithmetic():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 90000)])
-    windows = slice_windows(edges, 86400, origin=0)
-    assert [(w.start, w.end) for w in windows] == [(0, 86400), (86400, 172800)]
-    assert windows[0].label == "1970-01-01"
-    assert windows[1].label == "1970-01-02"
+    assert slice_windows(edges, 86400, origin=0) == WindowGrid(0, 86400, ("1970-01-01", "1970-01-02"))
 
 
 def test_slice_windows_single_timestamp():
     edges = TemporalEdgeSet.from_arcs([("a", "b", 50)])
     windows = slice_windows(edges, 86400)
     assert len(windows) == 1
-    assert windows[0].start <= 50 < windows[0].end
+    assert windows.first <= 50 < windows.first + windows.length
 
 
 def test_slice_windows_empty_edge_set():
-    assert slice_windows(TemporalEdgeSet.from_arcs([]), 86400) == []
+    assert slice_windows(TemporalEdgeSet.from_arcs([]), 86400, origin=-10800) == WindowGrid(-10800, 86400, ())
 
 
 def test_slice_windows_rejects_bad_granularity():
@@ -603,7 +599,8 @@ def test_slice_windows_bound_counts_windows_from_first_to_last_start(monkeypatch
     with pytest.raises(ValueError, match="span 4 windows of 10 s, more than 3"):
         slice_windows(edges, 10)
     # origin 4 aligns them to 4, 14, 24: three windows, at the bound
-    assert [w.start for w in slice_windows(edges, 10, origin=4)] == [4, 14, 24]
+    windows = slice_windows(edges, 10, origin=4)
+    assert (windows.first, len(windows)) == (4, 3)
 
 
 def test_slice_windows_partition_all_arcs():
@@ -615,9 +612,10 @@ def test_slice_windows_partition_all_arcs():
     edges = TemporalEdgeSet.from_arcs(arcs)
     windows = slice_windows(edges, 86400)
     assert len(windows) == 44
-    membership = [sum(1 for w in windows if w.start <= ts < w.end) for ts in edges.timestamps]
+    starts = [windows.first + j * windows.length for j in range(len(windows))]
+    membership = [sum(1 for s in starts if s <= ts < s + windows.length) for ts in edges.timestamps]
     assert all(count == 1 for count in membership)
-    assert sum(_in_window(edges, w).n_arcs for w in windows) == edges.n_arcs
+    assert sum(_in_window(edges, s, s + windows.length).n_arcs for s in starts) == edges.n_arcs
 
 
 def test_window_label_sub_day_granularity():
@@ -728,9 +726,8 @@ def test_builders_match_lexsort_reference(graph, data):
         timestamps=np.asarray(times, dtype=np.int64),
         labels=tuple(str(v) for v in range(n)),
     )
-    window = TimeWindow(3, 7)
-    inside = [a for a, t in zip(arcs, times) if window.start <= t < window.end]
-    built_inside = build_directed_graph(_in_window(edges, window))
+    inside = [a for a, t in zip(arcs, times) if 3 <= t < 7]
+    built_inside = build_directed_graph(_in_window(edges, 3, 7))
     for built, want in ((build_directed_graph(edges), arcs), (built_inside, inside)):
         _same_csr((built.indptr, built.indices), oracles.csr_reference(n, want))
 

@@ -17,7 +17,7 @@ from polarnet.domination import group_spreaders
 from polarnet.errors import DegenerateModularityError, UndefinedModularityError
 from polarnet.graph import (
     TemporalEdgeSet,
-    TimeWindow,
+    WindowGrid,
     directed_from_arcs,
     slice_windows,
     underlying_undirected,
@@ -48,7 +48,7 @@ COMPONENTS = Partition.from_assignment([0, 0, 0, 1, 1, 1])
     lambda: d_modularity(TWO_TRIANGLES, COMPONENTS, 2),
     lambda: window_series(
         TemporalEdgeSet.from_arcs([(str(v), str(v + 1), 0) for v in range(5)]),
-        COMPONENTS, [TimeWindow(0, 1)], tracked_groups=[2],
+        COMPONENTS, WindowGrid(0, 1, ("0",)), tracked_groups=[2],
     ),
 ], ids=["members", "d_modularity", "window_series"])
 def test_group_index_k_is_out_of_range_everywhere(call):
@@ -61,7 +61,7 @@ def test_group_index_k_is_out_of_range_everywhere(call):
     lambda: modularity(TWO_TRIANGLES, Partition.from_assignment([0, 0, 1])),
     lambda: window_series(
         TemporalEdgeSet.from_arcs([(str(v), str(v + 1), 0) for v in range(5)]),
-        Partition.from_assignment([0, 0, 1]), [TimeWindow(0, 1)],
+        Partition.from_assignment([0, 0, 1]), WindowGrid(0, 1, ("0",)),
     ),
     lambda: group_spreaders(directed_from_arcs(6, [(0, 1)]), Partition.from_assignment([0, 0, 1]), 0),
 ], ids=["modularity", "window_series", "group_spreaders"])
@@ -364,12 +364,16 @@ def test_report_json_shape():
 
 @st.composite
 def windowed_inputs(draw):
-    """Unsorted timed arcs with duplicates and reciprocals, a grouping,
-    windows that may be empty, overlap, come out of order or miss the arcs,
-    and an ordered subset of groups to track.
+    """Unsorted timed arcs with duplicates and reciprocals, a grouping, a
+    grid of windows, and an ordered subset of groups to track.
 
-    Stamps and windows are sometimes scaled by 2^56, so times near the int64
-    limit are covered too."""
+    The grid is the one ``slice_windows`` aligns to a drawn origin, or one
+    built directly, which may hold no window, start after some arcs or end
+    before them, so arcs outside it and empty windows are covered. Stamps
+    and grids are sometimes scaled by 2^56, so times near the int64 limit,
+    and grid boundaries past it, are covered too; ``slice_windows`` refuses
+    such stamps, which no label can name, so those grids are built
+    directly."""
     n = draw(st.integers(2, 12))
     vertex = st.integers(0, n - 1)
     stamp = st.integers(0, 40)
@@ -384,8 +388,11 @@ def windowed_inputs(draw):
     k = draw(st.integers(1, n))
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     assignment = draw(st.permutations(list(range(k)) + extra))
-    spans = draw(st.lists(st.tuples(st.integers(-10, 60), st.integers(1, 25)), max_size=8))
-    windows = [TimeWindow(s * scale, (s + w) * scale, label=str(j)) for j, (s, w) in enumerate(spans)]
+    length, origin = draw(st.integers(1, 25)) * scale, draw(st.integers(-10, 60)) * scale
+    if scale == 1 and draw(st.booleans()):
+        windows = slice_windows(_edge_set(n, arcs), length, origin=origin)
+    else:
+        windows = WindowGrid(origin, length, tuple(str(j) for j in range(draw(st.integers(0, 8)))))
     tracked = draw(st.lists(st.integers(0, k - 1), unique=True))
     return n, arcs, assignment, windows, tracked
 
@@ -405,9 +412,10 @@ def test_window_series_matches_per_window_pair_oracle(inputs):
     edges = _edge_set(n, arcs)
     part = Partition.from_assignment(assignment)
     report = window_series(edges, part, windows, tracked_groups=range(part.k))
-    assert [row.label for row in report.windows] == [w.label for w in windows]
-    for w, row in zip(windows, report.windows):
-        m, _, _, contributions = oracles.window_reference(arcs, assignment, part.k, w.start, w.end)
+    assert tuple(row.label for row in report.windows) == windows.labels
+    for j, row in enumerate(report.windows):
+        start = windows.first + j * windows.length
+        m, _, _, contributions = oracles.window_reference(arcs, assignment, part.k, start, start + windows.length)
         assert row.m == m
         if m == 0:
             assert row.q is None and row.group_q is None
@@ -429,10 +437,8 @@ def test_window_series_equals_per_window_reference(inputs):
 
 
 @given(windowed_inputs())
-@example((3, [(0, 1, 5)], [0, 1, 1], [TimeWindow(0, 10, "0"), TimeWindow(5, 6, "1"), TimeWindow(0, 3, "2")], [1]))
 def test_time_ordered_arcs_give_the_report_of_shuffled_ones(inputs):
-    # stamps already in order skip the time sort; ties, overlapping and
-    # out-of-order windows must not notice
+    # stamps already in order skip the time sort; ties must not notice
     n, arcs, assignment, windows, tracked = inputs
     part = Partition.from_assignment(assignment)
     in_order = _edge_set(n, sorted(arcs, key=lambda arc: arc[2]))
@@ -452,7 +458,7 @@ def test_window_series_equals_reference_on_either_side_of_int32_keys(n):
     stamps = rng.integers(0, 50, len(pairs))
     edges = _edge_set(n, [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, stamps)])
     part = Partition.from_assignment(rng.permutation(np.arange(n) % 4))
-    windows = slice_windows(edges, 10) + [TimeWindow(5, 35, label="overlap")]
+    windows = slice_windows(edges, 10)
     report = window_series(edges, part, windows, tracked_groups=[3, 0])
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[3, 0])
 
@@ -468,10 +474,10 @@ def test_window_series_equals_reference_with_many_groups():
     arcs = [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, rng.integers(0, 6 * 3600, len(pairs)))]
     edges = _edge_set(n, arcs)
     part = Partition.from_assignment(rng.permutation(np.arange(n) % k))
-    windows = slice_windows(edges, 3600) + [TimeWindow(1800, 9000, label="overlap")]
+    windows = slice_windows(edges, 3600)
     tracked = [0, 199, 57]
     report = window_series(edges, part, windows, tracked_groups=tracked)
-    assert [row.m > 0 for row in report.windows] == [True] * 7
+    assert [row.m > 0 for row in report.windows] == [True] * 6
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=tracked)
 
 
@@ -486,7 +492,7 @@ def test_window_series_sparse_windows_cost_only_their_rows():
     stamps = rng.choice([60 * 7, 60 * 4000, 60 * 9999], len(pairs)) + rng.integers(0, 60, len(pairs))
     edges = _edge_set(n, [(int(u), int(v), int(t)) for (u, v), t in zip(pairs, stamps)])
     part = Partition.from_assignment(rng.permutation(np.arange(n) % k))
-    windows = [TimeWindow(60 * j, 60 * (j + 1), label=str(j)) for j in range(10000)]
+    windows = WindowGrid(0, 60, tuple(str(j) for j in range(10000)))
     tracemalloc.start()
     try:
         report = window_series(edges, part, windows, tracked_groups=[0, 149])
@@ -496,6 +502,34 @@ def test_window_series_sparse_windows_cost_only_their_rows():
     assert [j for j, row in enumerate(report.windows) if row.m > 0] == [7, 4000, 9999]
     assert peak < 16 * 2**20
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[0, 149])
+
+
+def test_window_series_of_no_arcs_has_no_window():
+    # slice_windows gives a grid of no windows, and the report has no row
+    edges = _edge_set(3, [])
+    part = Partition.from_assignment([0, 1, 1])
+    windows = slice_windows(edges, 86400)
+    assert len(windows) == 0
+    report = window_series(edges, part, windows, tracked_groups=[1])
+    assert len(report.windows) == 0 and report.trends == {}
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[1])
+
+
+@pytest.mark.parametrize("windows", [WindowGrid(0, 10**20, ("0",)), WindowGrid(2**63 - 6, 5, ("0", "1", "2"))],
+                         ids=["one window", "boundaries past int64"])
+def test_window_series_counts_a_stamp_at_the_int64_limit(windows):
+    # a window ending past 2^63 − 1 holds the arcs stamped 2^63 − 1, the
+    # largest stamp int64 holds; with one window, every arc from its start
+    top = 2**63 - 1
+    arcs = [(0, 1, top), (1, 2, top), (2, 0, top - 2), (0, 3, top - 9)]
+    edges = _edge_set(4, arcs)
+    part = Partition.from_assignment([0, 0, 1, 1])
+    report = window_series(edges, part, windows, tracked_groups=[0])
+    if len(windows) == 1:
+        assert report.windows[0].m == 4
+    else:
+        assert [row.m for row in report.windows] == [1, 2, 0]
+    assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[0])
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True)
