@@ -239,11 +239,15 @@ def _greedy_run(
     """
     n = g.n
     rev_ptr, rev_indices = g.in_csr
-    # each vertex's span: its out-arcs into T, counted per CSR row through
-    # a running count over all arcs, plus itself when it is a target
-    arcs_into_t = np.zeros(g.m + 1, dtype=_INT)
-    np.cumsum(target_mask[g.indices], out=arcs_into_t[1:])
-    spans = arcs_into_t[g.indptr[1:]] - arcs_into_t[g.indptr[:-1]] + target_mask
+    # each vertex's span: its out-arcs into T, plus itself when it is a
+    # target. With every vertex a target that is its out-degree + 1; else
+    # only the arcs into T are counted, from T's rows of the reversed CSR
+    targets = np.flatnonzero(target_mask)
+    if len(targets) == n:
+        spans = g.out_degrees + 1
+    else:
+        into = _gather(rev_ptr, rev_indices, targets) if len(targets) else targets
+        spans = np.bincount(into, minlength=n) + target_mask
 
     # at least one block, so an empty graph needs no special case
     n_blocks = n // _BLOCK + 1

@@ -7,7 +7,6 @@ marked read-only), so they can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -115,9 +114,12 @@ class TemporalEdgeSet:
 
         Ids, self-loops and labels follow the rules of :func:`ingest_edge_list`.
         """
-        sources, targets, stamps = tuple(zip(*arcs)) or ((), (), ())
+        arcs = list(arcs)
+        kept = [arc for arc in arcs if arc[0] != arc[1]]
+        sources, targets, stamps = tuple(zip(*kept)) or ((), (), ())
         names, _, (src, tgt) = _merge_labels([], sources, targets)
-        return _edge_set(names, src, tgt, np.asarray(stamps, dtype=_INT))
+        return cls(sources=src, targets=tgt, timestamps=np.asarray(stamps, dtype=_INT), labels=tuple(names),
+                   dropped_self_loops=len(arcs) - len(kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +221,19 @@ _TOP_MASKS = ~_WORD_MASKS[::-1]
 _NEWLINE = ord("\n")
 # a line whose stripped text starts with this is a comment
 _COMMENT = "#"
-# The zero bytes around a block's text in its padded copy: a timestamp's
-# two words start up to 16 bytes before its newline, and a label word may
-# start at any byte of the text.
-_FRONT = bytes(16)
+# The bytes around a block's text in its padded copy: a timestamp's two
+# words start up to 16 bytes before its newline, and a label word may start
+# at any byte of the text. _FRONT ends in a newline, which stands for the
+# end of the line before the block.
+_FRONT = bytes(15) + b"\n"
 _BACK = bytes(7)
 # "0", 0x76 and 0x80 in every byte of a word
 _ZERO_DIGITS, _PLUS_118, _HIGH_BITS = (np.uint64(byte * 0x0101010101010101) for byte in (0x30, 0x76, 0x80))
-# (multiplier, shift, mask) of each step that merges pairs of decimal fields
-_MERGES = tuple((np.uint64(10**k), np.uint64(8 * k), np.uint64(mask)) for k, mask in (
+# (multiplier, shift, mask) of each step that merges neighbouring decimal
+# fields of a word: digits into pairs, pairs into fours, fours into eights.
+# Multiplying by 10**k << 8k | 1 adds 10**k times each field to the one
+# above it, and the shift and the mask keep every other merged field.
+_MERGES = tuple((np.uint64(10**k << (8 * k) | 1), np.uint64(8 * k), np.uint64(mask)) for k, mask in (
     (1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF)))
 
 
@@ -286,12 +292,10 @@ def _decimal_words(words: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, n
     bad = v + _PLUS_118
     bad |= v
     bad &= _HIGH_BITS
-    # the lower byte holds the higher digit: merge digits into pairs, pairs
-    # into fours, fours into eights
+    # the lower byte holds the higher digit
     for multiplier, shift, mask in _MERGES:
-        high = v >> shift
         v *= multiplier
-        v += high
+        v >>= shift
         v &= mask
     return v, bad
 
@@ -308,65 +312,95 @@ def _scan(padded: np.ndarray, delimiter: int, width: int):
     it does not start with ``#``; and its timestamp is 1 to 16 ASCII
     digits. Stripping such a line or its fields changes nothing, and
     splitting it gives its three fields, so it is a valid record as it
-    stands. Returns the lines' start and end (newline) offsets in the
-    block, the indices of the fast lines, their label words (sources, then
-    targets; at least ``width`` words each) and their timestamps.
+    stands.
+
+    A fast line whose two labels are one is a self-loop: it is dropped and
+    counted here, so its label never reaches the label table. Returns the
+    line bounds (line i is bytes ``bounds[i]`` to ``bounds[i + 1] - 2`` of
+    the block, and ``bounds[i + 1] - 1`` its newline); the indices of the
+    lines that are not fast; those of the other fast lines, their label
+    words (sources, then targets: one array of at least ``width`` rows,
+    into which :func:`_label_words` wrote both halves) and their
+    timestamps; and the number of fast self-loops.
+
+    Each pass is over the block's bytes, its special bytes or its lines
+    with two special bytes, and only the self-loops and the lines that are
+    not fast are dropped by a copy, after the label words are written.
     """
-    front = len(_FRONT)
+    # offsets count from _FRONT's newline, so line i starts right after
+    # newline i and the offsets of the newlines are the line bounds
+    front = len(_FRONT) - 1
     b = padded[front : len(padded) - len(_BACK)]
     # bytes <= 0x20 or >= 0x7F wrap to >= 0x5E after subtracting 0x21
     special = np.flatnonzero((b - np.uint8(0x21) >= 0x5E) | (b == delimiter))
     kinds = b[special]
-    k = np.flatnonzero(kinds == _NEWLINE)  # one per line, in line order
-    ends = special[k]
-    starts = _starts(ends)
-    rows = np.flatnonzero(np.diff(k, prepend=-1) == 3)
-    k = k[rows]
-    s, d1, d2, e = starts[rows], special[k - 2], special[k - 1], ends[rows]
+    k = np.flatnonzero(kinds == _NEWLINE)  # _FRONT's, then one per line
+    bounds = special[k]
+    # lines with two special bytes before their newline
+    rows = np.flatnonzero(k[1:] - k[:-1] == 3)
+    k = k[1:][rows]
+    k -= 1
+    d2, second = special[k], kinds[k]
+    k -= 1
+    d1, first = special[k], kinds[k]
+    s, e = bounds[rows], bounds[1:][rows]  # each line's start - 1 and newline
     # the lengths of the two labels and of the timestamp
-    n1, n2, digits = d1 - s, d2 - d1 - 1, e - d2 - 1
+    n1, n2, digits = d1 - s, d2 - d1, e - d2
+    n1 -= 1
+    n2 -= 1
+    digits -= 1
 
     # the little-endian uint64 that starts at each byte of the padded block
     view = np.ndarray((len(padded) - len(_BACK),), dtype="<u8", buffer=padded, strides=(1,))
     # the 8 bytes that end at the newline hold the last 8 digits
-    stamps, bad = _decimal_words(view[e + (front - 8)], np.minimum(digits, 8))
+    stamps, bad = _decimal_words(view[front - 8 :][e], np.minimum(digits, 8))
     # the 8 bytes before them hold digits 9 to 16, on the lines that have them
     long = np.flatnonzero(digits > 8)
     if len(long):
         high, high_bad = _decimal_words(view[e[long] + (front - 16)], np.minimum(digits[long] - 8, 8))
         stamps[long] += high * np.uint64(10**8)
         bad[long] |= high_bad
-    ok = (
-        (kinds[k - 2] == delimiter) & (kinds[k - 1] == delimiter)
-        & (n1 > 0) & (n2 > 0) & (digits > 0) & (digits <= _FAST_DIGITS) & (bad == 0)
-    )
-    ok &= b[s] != ord(_COMMENT)
-    rows, s, d1, n1, n2, stamps = rows[ok], s[ok], d1[ok], n1[ok], n2[ok], stamps[ok]
-    words = _label_words(view, np.concatenate([s + front, d1 + (front + 1)]),
-                         np.concatenate([n1, n2]), width)
-    return starts, ends, rows, words, stamps.view(_INT)
+    ok = (first == delimiter) & (second == delimiter) & (np.minimum(np.minimum(n1, n2), digits) > 0)
+    ok &= (digits <= _FAST_DIGITS) & (bad == 0) & (b[1:][s] != ord(_COMMENT))
+    fast = np.zeros(len(bounds) - 1, dtype=bool)
+    fast[rows] = ok
+    # the label words of every row: complete on the fast ones, the only
+    # ones read
+    needed = -(-int(max(n1.max(initial=0, where=ok), n2.max(initial=0, where=ok))) // 8)
+    words = np.empty((max(width, needed), 2 * len(rows)), dtype=np.uint64)
+    words[needed:] = 0
+    sources, targets = words[:needed, : len(rows)], words[:needed, len(rows) :]
+    # each label starts right after the special byte before it
+    _label_words(view[front + 1 :], s, n1, sources)
+    _label_words(view[front + 1 :], d1, n2, targets)
+    # a fast self-loop is dropped here, before its label reaches the table
+    loop = np.ones(len(rows), dtype=bool)
+    for source, target in zip(sources, targets):
+        loop &= source == target
+    keep = ok & ~loop
+    loops = int(np.count_nonzero(ok)) - int(np.count_nonzero(keep))
+    if not keep.all():
+        rows, stamps = rows[keep], stamps[keep]
+        # row by row: a boolean index of a 2-D array's second axis is several times slower
+        both = np.concatenate((keep, keep))
+        words = np.array([row[both] for row in words])
+    return bounds, np.flatnonzero(~fast), rows, words, stamps.view(_INT), loops
 
 
-def _starts(ends: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], ends + 1])[:-1]
-
-
-def _label_words(view: np.ndarray, start: np.ndarray, length: np.ndarray, width: int) -> np.ndarray:
-    """The byte strings ``length[i]`` bytes long at ``start[i]`` in the buffer
-    of ``view`` (the uint64 at every byte offset, see :func:`_scan`)
-    as columns of little-endian uint64 words, zero-padded: row ``j`` holds
-    bytes ``8j`` to ``8j + 7`` of every string. There are ``width`` rows, or
-    more if the longest string needs them.
+def _label_words(view: np.ndarray, start: np.ndarray, length: np.ndarray, out: np.ndarray) -> None:
+    """Write the byte strings ``length[i]`` bytes long at ``start[i]`` in the
+    buffer of ``view`` (the uint64 at every byte offset, see :func:`_scan`)
+    into the columns of ``out`` as little-endian uint64 words, zero-padded:
+    row ``j`` gets bytes ``8j`` to ``8j + 7`` of every string, and a string
+    longer than the rows of ``out`` hold is cut short.
     """
-    needed = -(-int(length.max(initial=0)) // 8)
-    words = np.zeros((max(width, needed), len(start)), dtype=np.uint64)
-    if needed:
-        np.bitwise_and(view[start], _WORD_MASKS[np.minimum(length, 8)], out=words[0])
-    last = len(view) - 1
-    for j in range(1, needed):
-        rest = np.clip(length - 8 * j, 0, 8)
-        np.bitwise_and(view[np.minimum(start + 8 * j, last)], _WORD_MASKS[rest], out=words[j])
-    return words
+    for j, row in enumerate(out):
+        if j == 0:
+            np.bitwise_and(view[start], _WORD_MASKS[np.minimum(length, 8)], out=row)
+            continue
+        # a string that ended in an earlier row reads inside the buffer, and gets no bytes
+        at = np.minimum(start, len(view) - 1 - 8 * j)
+        np.bitwise_and(view[8 * j :][at], _WORD_MASKS[np.clip(length - 8 * j, 0, 8)], out=row)
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,6 +416,10 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(len(order), dtype=_INT)
     ids[order] = np.cumsum(new) - 1
     return ids, ordered[:, new]
+
+
+# 2**64 divided by the golden ratio, odd: word j of a label adds 2j + 1 times it to the hash
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class _LabelTable:
@@ -404,21 +442,24 @@ class _LabelTable:
         """The first slot each column of label words probes: the top bits of
         a multiplicative hash. A zero word adds nothing to the hash, so a
         label keeps its slot when the table widens."""
-        h = np.zeros(words.shape[1], dtype=np.uint64)
-        for j, word in enumerate(words):
-            h += word * np.uint64(((2 * j + 1) * 0x9E3779B97F4A7C15) & (2**64 - 1))
+        h = words[0] * np.uint64(_GOLDEN)
+        for j in range(1, len(words)):
+            h += words[j] * np.uint64((2 * j + 1) * _GOLDEN & (2**64 - 1))
         # fold the high half into the low one and multiply again, so that
         # labels that differ only in a few bits of a few bytes still spread
         h ^= h >> np.uint64(32)
         h *= np.uint64(0xBF58476D1CE4E5B9)
-        return (h >> np.uint64(65 - len(self.slots).bit_length())).astype(np.intp)
+        # the top bits are below 2**63, so they read the same as int64
+        h >>= np.uint64(65 - len(self.slots).bit_length())
+        return h.view(_INT)
 
     def _holds(self, found: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each of the ids ``found`` in slots (-1: empty) is the
         label in that column of ``words``."""
         same = found >= 0
         for j, word in enumerate(words):
-            same &= self.words[j][found] == word
+            # take() is quicker than indexing with int32 ids; "clip" reads column 0 for -1
+            same &= self.words[j].take(found, mode="clip") == word
         return same
 
     def ids(self, words: np.ndarray) -> np.ndarray:
@@ -429,19 +470,19 @@ class _LabelTable:
             self.words = np.concatenate([self.words, pad])
         mask = len(self.slots) - 1
         at = self._home(words)
-        found = self.slots[at]
-        same = self._holds(found, words)
-        ids = np.where(same, found, -1)
-        # the columns whose home slot holds another label walk on from there
-        todo = np.flatnonzero((found >= 0) ^ same)
-        at = at[todo]
+        ids = self.slots[at]  # the id in each column's home slot, -1 when empty
+        todo = np.flatnonzero(~self._holds(ids, words))
+        at, found = at[todo], ids[todo]
+        ids[todo] = -1
+        # a column whose slot holds another label walks on to the next slot;
+        # one whose slot is empty keeps -1, a label the table does not hold
         while len(todo):
-            at = (at + 1) & mask
+            step = found >= 0
+            todo, at = todo[step], (at[step] + 1) & mask
             found = self.slots[at]
             same = self._holds(found, words[:, todo])
             ids[todo[same]] = found[same]
-            step = (found >= 0) ^ same
-            todo, at = todo[step], at[step]
+            todo, at, found = todo[~same], at[~same], found[~same]
         new = np.flatnonzero(ids < 0)
         if len(new):
             fresh, distinct = _distinct_rows(words[:, new])
@@ -500,36 +541,6 @@ def _merge_labels(names: list[str], *columns: Iterable[str]
     return merged, remap, ids
 
 
-def _edge_set(names: list[str], src: np.ndarray, tgt: np.ndarray, ts: np.ndarray,
-              malformed: int = 0) -> TemporalEdgeSet:
-    """The arcs ``src[i] -> tgt[i]`` over ids into ``names`` (sorted), with
-    self-loops dropped and counted, and the labels no kept arc touches
-    dropped.
-
-    The arrays become the edge set's own when nothing is dropped."""
-    kept = src != tgt
-    loops = len(kept) - int(np.count_nonzero(kept))
-    if loops:
-        src, tgt, ts = src[kept], tgt[kept], ts[kept]
-    used = np.zeros(len(names), dtype=bool)
-    used[src] = True
-    used[tgt] = True
-    if used.all():
-        labels = tuple(names)
-    else:
-        remap = np.cumsum(used) - 1
-        labels = tuple(itertools.compress(names, used.tolist()))
-        src, tgt = remap[src], remap[tgt]
-    return TemporalEdgeSet(
-        sources=src,
-        targets=tgt,
-        timestamps=ts,
-        labels=labels,
-        dropped_self_loops=loops,
-        malformed_lines=malformed,
-    )
-
-
 def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> TemporalEdgeSet:
     """Parse a delimited ``source,target,timestamp`` stream into a TemporalEdgeSet.
 
@@ -552,44 +563,50 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
     of more than one byte turns this off. Every other line (blank,
     comment, padded, non-ASCII, malformed, or with a longer timestamp) goes
     through the per-line rules of ``_parse_line``. On a 2-core x86-64 VM
-    that is about 0.3 µs per fast line and 2.5 µs per other line. Fast
-    labels are looked up by their 8-byte words in a hash table of the
-    distinct labels read so far, and only the block's new labels are
-    sorted; one sort of the table by its big-endian words at the end puts
-    the labels in byte order: code-point order, for UTF-8. Labels from the
-    per-line rules are merged in by a string sort. Besides one block,
-    ingest holds while it reads: for each distinct fast label, 8 to 16
-    bytes per 8-byte word of the longest one and 32 to 64 bytes of hash
-    slots; 24 bytes per fast record line (two 4-byte label ids, a line
-    number and a timestamp); and four Python objects per other record line.
+    that is about 0.15 µs per fast line and 1.5 µs per other line. A
+    self-loop is dropped where its line is read, before its labels are
+    looked up. Fast labels are looked up by their 8-byte words in a hash
+    table of the distinct labels read so far, and only the block's new
+    labels are sorted; one sort of the table by its big-endian words at the
+    end puts the labels in byte order: code-point order, for UTF-8. Labels
+    from the per-line rules are merged in by a string sort, and their
+    records inserted among the fast ones by the count of fast records
+    before each. Besides one block, ingest holds while it reads: for each
+    distinct fast label, 8 to 16 bytes per 8-byte word of the longest one
+    and 32 to 64 bytes of hash slots; 16 bytes per fast record (two 4-byte
+    label ids and a timestamp); and four Python objects per other record.
+    The result's three int64 columns are then written once each, and once
+    more when per-line records are inserted among the fast ones.
     """
     opts = options or IngestOptions()
     d = opts.delimiter
     delimiter = ord(d) if len(d) == 1 and d.isascii() else -1
     table = _LabelTable()
-    # per block: the line numbers, source and target label ids (in the
-    # table's order of insertion) and timestamps of the fast records
-    lines, sources, targets, stamps = [], [], [], []
+    # per block: the source and target label ids (in the table's order of
+    # insertion) and the timestamps of the fast records that are no self-loops
+    sources, targets, stamps = [], [], []
     # records from the per-line rules, kept as flat columns: a tuple per
     # record would be tracked by the garbage collector and rescanned
-    slow_lines: list[int] = []
+    slow_at: list[int] = []  # the fast records before each one
     slow_src: list[str] = []
     slow_tgt: list[str] = []
     slow_ts: list[int] = []
-    malformed = 0
+    malformed = loops = 0
     base = 0  # lines before the current block
+    fast = 0  # fast records before the current block
     for text in _blocks(stream):
         if opts.skip_header and base == 0:
             text = text[text.index("\n") + 1 :]
             base = 1
         buf = text.encode("utf-8", "surrogatepass")
-        starts, ends, rows, words, ts = _scan(
+        bounds, rest, rows, words, ts, fast_loops = _scan(
             np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), delimiter, table.width)
-        rest = np.ones(len(ends), dtype=bool)
-        rest[rows] = False
-        rest = np.flatnonzero(rest)
-        for i, lo, hi in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
-            raw = buf[lo:hi].decode("utf-8", "surrogatepass")
+        loops += fast_loops
+        ids = table.ids(words)
+        before = np.searchsorted(rows, rest) + fast
+        for i, at, lo, hi in zip(rest.tolist(), before.tolist(),
+                                 bounds[rest].tolist(), bounds[rest + 1].tolist()):
+            raw = buf[lo : hi - 1].decode("utf-8", "surrogatepass")
             record = _parse_line(raw, opts)
             if record is None:
                 if opts.strict:
@@ -601,32 +618,43 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
                 malformed += 1
             elif record:
                 source, target, stamp = record
-                slow_lines.append(base + i + 1)
+                if source == target:
+                    loops += 1
+                    continue
+                slow_at.append(at)
                 slow_src.append(source)
                 slow_tgt.append(target)
                 slow_ts.append(stamp)
-        ids = table.ids(words)
-        lines.append(base + 1 + rows)
         sources.append(ids[: len(rows)])
         targets.append(ids[len(rows) :])
         stamps.append(ts)
-        base += len(ends)
+        base += len(bounds) - 1
+        fast += len(rows)
 
     names, rank = table.in_byte_order()
-    none = [np.zeros(0, dtype=_INT)]
-    src = np.concatenate(none + [rank[a] for a in sources])
-    tgt = np.concatenate(none + [rank[a] for a in targets])
-    ts = np.concatenate(none + stamps)
-    if slow_lines:
-        names, remap, (src_ids, tgt_ids) = _merge_labels(names, slow_src, slow_tgt)
-        line_no = np.concatenate(lines + [np.asarray(slow_lines, dtype=_INT)])
-        src = np.concatenate([remap[src], src_ids])
-        tgt = np.concatenate([remap[tgt], tgt_ids])
-        ts = np.concatenate([ts, np.asarray(slow_ts, dtype=_INT)])
-        # back to line order
-        order = np.argsort(line_no, kind="stable")
-        src, tgt, ts = src[order], tgt[order], ts[order]
-    return _edge_set(names, src, tgt, ts, malformed)
+    if slow_at:
+        names, remap, (slow_src, slow_tgt) = _merge_labels(names, slow_src, slow_tgt)
+        rank = remap[rank]
+    src, tgt = _ranked(rank, sources, fast), _ranked(rank, targets, fast)
+    ts = np.concatenate([np.zeros(0, dtype=_INT), *stamps])
+    if slow_at:
+        # each per-line record goes before the fast records that follow its line
+        src = np.insert(src, slow_at, slow_src)
+        tgt = np.insert(tgt, slow_at, slow_tgt)
+        ts = np.insert(ts, slow_at, slow_ts)
+    return TemporalEdgeSet(sources=src, targets=tgt, timestamps=ts, labels=tuple(names),
+                           dropped_self_loops=loops, malformed_lines=malformed)
+
+
+def _ranked(rank: np.ndarray, parts: list[np.ndarray], total: int) -> np.ndarray:
+    """``rank`` at the ids of all ``parts`` (``total`` ids in all), in one int64 array."""
+    out = np.empty(total, dtype=_INT)
+    at = 0
+    for part in parts:
+        # "clip" lets take write straight into ``out``; the ids are in range
+        np.take(rank, part, out=out[at : at + len(part)], mode="clip")
+        at += len(part)
+    return out
 
 
 # Padded bytes write_edge_list assembles at a time. Its block, the block's

@@ -222,11 +222,15 @@ def window_series(
     if len(times) > 1 and (times[1:] < times[:-1]).any():
         order = np.argsort(times)
         times, keys = times[order], keys[order]
-    # boundary j is first + j·length; those past int64, which a one-window
-    # grid of any length reaches, lie past every stamp
-    held = range(windows.first, min(windows.first + (len(windows) + 1) * windows.length, 2**63), windows.length)
+    # boundary j is first + j·length. Those outside int64, which a grid of
+    # few long windows reaches, lie before or past every stamp: the ones
+    # below j = low (0 unless first < -2**63) and the ones past 2**63 - 1
+    first, length = windows.first, windows.length
+    low = max(0, -((first + 2**63) // length))
+    held = range(first + low * length, min(first + (len(windows) + 1) * length, 2**63), length)
     bounds = np.full(len(windows) + 1, len(times))
-    bounds[:len(held)] = np.searchsorted(times, np.fromiter(held, dtype=np.int64, count=len(held)))
+    bounds[:low] = 0
+    bounds[low : low + len(held)] = np.searchsorted(times, np.fromiter(held, dtype=np.int64, count=len(held)))
     filled = np.flatnonzero(np.diff(bounds))  # the windows that get a row
     begins = bounds[filled]
     for b, c in zip(begins.tolist(), bounds[filled + 1].tolist()):

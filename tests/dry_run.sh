@@ -40,6 +40,15 @@ polarnet dominate --input demo/edges.csv --partition demo/partition.csv \
 # summary of the planted edge list
 polarnet ingest-check --input demo/edges.csv
 
+# ingest's counters: "loop" is named only by a self-loop, so it is no vertex;
+# the comment is skipped and the two-field line is malformed
+printf '# a comment\na,b,1\nloop,loop,2\nb,c,3\na,b\n' > demo/counters.csv
+counters=$(polarnet ingest-check --input demo/counters.csv)
+echo "$counters"
+echo "$counters" | grep -qx "vertices: 3"
+echo "$counters" | grep -qx "self-loops dropped: 1"
+echo "$counters" | grep -qx "malformed lines: 1"
+
 # the null model: a degree-preserving rewire of the planted graph
 synth_out=$(polarnet synth --family configuration-model --input demo/edges.csv \
     --swaps 2000 --out demo/null/)

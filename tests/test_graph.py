@@ -153,6 +153,15 @@ def edge_list_texts(draw):
 )
 @example(case=("a,b,1\nb,c,2", ","), skip_header=True, strict=False, block=3)
 @example(case=("a,,5\n,b,6\na,b,\n b,c,7\nc,a,8\n", ","), skip_header=False, strict=False, block=1 << 20)
+# blocks of 6 characters hold one record each: x is named only by a
+# self-loop in one block and by a kept arc in a later one, or the reverse
+@example(case=("x,x,1\na,b,2\nx,a,3\n", ","), skip_header=False, strict=False, block=6)
+@example(case=("x,a,1\na,b,2\nx,x,3\n", ","), skip_header=False, strict=False, block=6)
+# the middle block of 12 characters is self-loops only, and c and d no vertices
+@example(case=("a,b,1\nb,a,2\nc,c,3\nd,d,4\na,b,5\n", ","), skip_header=False, strict=False, block=12)
+# every record a self-loop, fast or by the per-line rules
+@example(case=("a,a,1\nb,b,2\n", ","), skip_header=False, strict=False, block=6)
+@example(case=("a,a,1\n b,b ,2\né,é,3\n", ","), skip_header=False, strict=False, block=1 << 20)
 def test_ingest_matches_per_line_reference(case, skip_header, strict, block):
     text, delimiter = case
     opts = dict(delimiter=delimiter, skip_header=skip_header, strict=strict)

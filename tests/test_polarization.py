@@ -532,6 +532,19 @@ def test_window_series_counts_a_stamp_at_the_int64_limit(windows):
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[0])
 
 
+@pytest.mark.parametrize(("windows", "m"), [
+    (WindowGrid(-2**64, 2**63, ("x", "y", "z")), [0, 0, 1]),
+    (WindowGrid(-2**64 - 5, 2**64, ("x", "y")), [0, 1]),
+    (WindowGrid(-2**65, 1, ("x",)), [0]),
+], ids=["two boundaries below int64", "one boundary below int64", "every boundary below int64"])
+def test_window_series_takes_boundaries_below_int64_as_before_every_stamp(windows, m):
+    edges = TemporalEdgeSet.from_arcs([("a", "b", 5)])
+    part = Partition.from_assignment([0, 1])
+    report = window_series(edges, part, windows)
+    assert [row.m for row in report.windows] == m
+    assert report == oracles.window_series_reference(edges, part, windows)
+
+
 _floats = st.floats(allow_nan=True, allow_infinity=True)
 _labels = st.one_of(
     st.text(st.characters(exclude_categories=())),
