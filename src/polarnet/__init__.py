@@ -46,7 +46,6 @@ from .graph import (
     slice_windows,
     underlying_undirected,
     undirected_from_edges,
-    window_label,
     write_edge_list,
 )
 from .polarization import (
@@ -121,7 +120,6 @@ __all__ = [
     "star",
     "underlying_undirected",
     "undirected_from_edges",
-    "window_label",
     "window_series",
     "write_edge_list",
 ]

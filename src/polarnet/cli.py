@@ -198,9 +198,9 @@ def cmd_polarization(args: argparse.Namespace) -> int:
         if args.format == "csv":
             write_report_csv(report, fh)
         else:
-            write_report_json(report, fh, extra={"config": _config_dict(args)})
+            write_report_json(report, fh, config=_config_dict(args))
     if args.out:
-        print(f"windows: {len(report.windows)}")
+        print(f"windows: {len(report.labels)}")
         for name, trend in sorted(report.trends.items()):
             print(f"trend {name}: slope {trend.slope:+.6f} per window")
         print(f"report written to {args.out}")

@@ -154,21 +154,23 @@ def check_seed(seed: int) -> None:
 
 def _local_move(
     nbrs: list[list[int]],
-    strength: list[float],
+    strength: np.ndarray,
     comm: list[int],
-    sigma_tot: list[float],
-    two_m: float,
     resolution: float,
     order_source: np.random.Generator,
 ) -> int:
-    """One level of queue-driven local moving, as detect_communities
-    describes it; returns the number of moves.
+    """One level of queue-driven local moving from the assignment ``comm``,
+    as detect_communities describes it; returns the number of moves.
 
     ``nbrs[v]`` lists v's neighbours in adjacency order, each repeated by
     its edge weight, so counting their groups gives the weight from v into
-    each group.
+    each group. The group totals and 2m are sums of the strengths, integers
+    below 2⁵³, so they are exact in any order.
     """
     n = len(strength)
+    two_m = float(strength.sum())
+    sigma_tot = np.bincount(comm, weights=strength, minlength=n).tolist()
+    strength_of = strength.tolist()
     queue = deque(order_source.permutation(n).tolist())
     queued = [True] * n
     n_moves = 0
@@ -176,7 +178,7 @@ def _local_move(
         v = queue.popleft()
         queued[v] = False
         c_old = comm[v]
-        kv = strength[v]
+        kv = strength_of[v]
         sigma_tot[c_old] -= kv
         acc: dict[int, int] = {}
         # Counter's C counting loop; Counter(...) itself adds about 1.5 us
@@ -246,15 +248,7 @@ def _louvain(g: UndirectedView, resolution: float, seed: int) -> tuple[np.ndarra
 
     while True:
         comm = ids[: len(self_w)].tolist()
-        n_moves = _local_move(
-            _neighbour_lists(indptr, indices, weights, ids),
-            strength.tolist(),
-            comm,
-            strength.tolist(),
-            two_m,
-            resolution,
-            rng,
-        )
+        n_moves = _local_move(_neighbour_lists(indptr, indices, weights, ids), strength, comm, resolution, rng)
         comm_arr = np.asarray(comm, dtype=_INT)
         used = _distinct_keys(comm_arr)
         dense = np.searchsorted(used, comm_arr)

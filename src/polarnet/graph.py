@@ -213,6 +213,10 @@ _BLOCK_CHARS = 1 << 18
 # A fast timestamp is read from two 8-byte words, and 16 digits stay below
 # 2**63, so it never overflows int64.
 _FAST_DIGITS = 16
+# A fast label is at most this many 8-byte words: 64 bytes hold 15-character
+# handles, 19-digit ids, UUIDs and SHA-256 hex. Longer labels take the
+# per-line rules, so one of them costs no block or table a row per 8 bytes.
+_FAST_WORDS = 8
 _INT64_MAX = int(np.iinfo(_INT).max)
 # _WORD_MASKS[k] keeps the low k bytes of a little-endian uint64 word, and
 # _TOP_MASKS[k] its high k bytes
@@ -300,7 +304,7 @@ def _decimal_words(words: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, n
     return v, bad
 
 
-def _scan(padded: np.ndarray, delimiter: int, width: int):
+def _scan(padded: np.ndarray, delimiter: int):
     """Split a block of whole lines and parse the lines that need none of
     the per-line rules.
 
@@ -308,20 +312,21 @@ def _scan(padded: np.ndarray, delimiter: int, width: int):
     ``delimiter`` the delimiter's byte, or -1 (no byte) when it is not one
     ASCII character. A line is fast when its only bytes that are the
     delimiter, ASCII whitespace or control (<= 0x20, 0x7F) or non-ASCII
-    (>= 0x80) are delimiter, delimiter, newline; both labels are non-empty;
-    it does not start with ``#``; and its timestamp is 1 to 16 ASCII
-    digits. Stripping such a line or its fields changes nothing, and
-    splitting it gives its three fields, so it is a valid record as it
-    stands.
+    (>= 0x80) are delimiter, delimiter, newline; both labels are 1 to
+    ``8 * _FAST_WORDS`` bytes; it does not start with ``#``; and its
+    timestamp is 1 to 16 ASCII digits. Stripping such a line or its fields
+    changes nothing, and splitting it gives its three fields, so it is a
+    valid record as it stands.
 
     A fast line whose two labels are one is a self-loop: it is dropped and
     counted here, so its label never reaches the label table. Returns the
     line bounds (line i is bytes ``bounds[i]`` to ``bounds[i + 1] - 2`` of
     the block, and ``bounds[i + 1] - 1`` its newline); the indices of the
     lines that are not fast; those of the other fast lines, their label
-    words (sources, then targets: one array of at least ``width`` rows,
-    into which :func:`_label_words` wrote both halves) and their
-    timestamps; and the number of fast self-loops.
+    words (sources, then targets: one array with a row per word of the
+    block's longest fast label, and at least one, into which
+    :func:`_label_words` wrote both halves) and their timestamps; and the
+    number of fast self-loops.
 
     Each pass is over the block's bytes, its special bytes or its lines
     with two special bytes, and only the self-loops and the lines that are
@@ -362,14 +367,14 @@ def _scan(padded: np.ndarray, delimiter: int, width: int):
         bad[long] |= high_bad
     ok = (first == delimiter) & (second == delimiter) & (np.minimum(np.minimum(n1, n2), digits) > 0)
     ok &= (digits <= _FAST_DIGITS) & (bad == 0) & (b[1:][s] != ord(_COMMENT))
+    ok &= np.maximum(n1, n2) <= 8 * _FAST_WORDS
     fast = np.zeros(len(bounds) - 1, dtype=bool)
     fast[rows] = ok
     # the label words of every row: complete on the fast ones, the only
     # ones read
-    needed = -(-int(max(n1.max(initial=0, where=ok), n2.max(initial=0, where=ok))) // 8)
-    words = np.empty((max(width, needed), 2 * len(rows)), dtype=np.uint64)
-    words[needed:] = 0
-    sources, targets = words[:needed, : len(rows)], words[:needed, len(rows) :]
+    needed = max(1, -(-int(max(n1.max(initial=0, where=ok), n2.max(initial=0, where=ok))) // 8))
+    words = np.empty((needed, 2 * len(rows)), dtype=np.uint64)
+    sources, targets = words[:, : len(rows)], words[:, len(rows) :]
     # each label starts right after the special byte before it
     _label_words(view[front + 1 :], s, n1, sources)
     _label_words(view[front + 1 :], d1, n2, targets)
@@ -455,16 +460,19 @@ class _LabelTable:
 
     def _holds(self, found: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each of the ids ``found`` in slots (-1: empty) is the
-        label in that column of ``words``."""
+        label in that column of ``words``: equal in the rows ``words`` has,
+        and zero in the table's rows past them."""
         same = found >= 0
         for j, word in enumerate(words):
             # take() is quicker than indexing with int32 ids; "clip" reads column 0 for -1
             same &= self.words[j].take(found, mode="clip") == word
+        for row in self.words[len(words) :]:
+            same &= row.take(found, mode="clip") == 0
         return same
 
     def ids(self, words: np.ndarray) -> np.ndarray:
-        """The id of every column of ``words`` (label words, at least as many
-        rows as the table has), adding the labels the table does not hold."""
+        """The id of every column of ``words`` (label words, one row or more),
+        adding the labels the table does not hold."""
         if len(words) > self.width:
             pad = np.zeros((len(words) - self.width, self.words.shape[1]), dtype=np.uint64)
             self.words = np.concatenate([self.words, pad])
@@ -497,7 +505,7 @@ class _LabelTable:
             grown = np.zeros((self.width, 1 << (self.count - 1).bit_length()), dtype=np.uint64)
             grown[:, :old] = self.words[:, :old]
             self.words = grown
-        self.words[:, old : self.count] = distinct
+        self.words[: len(distinct), old : self.count] = distinct
         if 8 * self.count <= len(self.slots):
             self._place(np.arange(old, self.count, dtype=_INT))
             return
@@ -557,26 +565,29 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
     order.
 
     The stream is read in blocks of about 256 KiB. Lines that are records as
-    they stand (no padding, ASCII, two single-byte delimiters, a timestamp
-    of at most 16 digits) are parsed as whole numpy columns, a timestamp
-    from the one or two 8-byte words that end at its newline; a delimiter
-    of more than one byte turns this off. Every other line (blank,
-    comment, padded, non-ASCII, malformed, or with a longer timestamp) goes
-    through the per-line rules of ``_parse_line``. On a 2-core x86-64 VM
-    that is about 0.15 µs per fast line and 1.5 µs per other line. A
-    self-loop is dropped where its line is read, before its labels are
-    looked up. Fast labels are looked up by their 8-byte words in a hash
-    table of the distinct labels read so far, and only the block's new
-    labels are sorted; one sort of the table by its big-endian words at the
-    end puts the labels in byte order: code-point order, for UTF-8. Labels
-    from the per-line rules are merged in by a string sort, and their
-    records inserted among the fast ones by the count of fast records
-    before each. Besides one block, ingest holds while it reads: for each
-    distinct fast label, 8 to 16 bytes per 8-byte word of the longest one
-    and 32 to 64 bytes of hash slots; 16 bytes per fast record (two 4-byte
-    label ids and a timestamp); and four Python objects per other record.
-    The result's three int64 columns are then written once each, and once
-    more when per-line records are inserted among the fast ones.
+    they stand (no padding, ASCII, two single-byte delimiters, labels of at
+    most 64 bytes, a timestamp of at most 16 digits) are parsed as whole
+    numpy columns, a timestamp from the one or two 8-byte words that end at
+    its newline; a delimiter of more than one byte turns this off. Every
+    other line (blank, comment, padded, non-ASCII, malformed, with a longer
+    label or a longer timestamp) goes through the per-line rules of
+    ``_parse_line``. On a 2-core x86-64 VM that is about 0.15 µs per fast
+    line and 1.5 µs per other line. A self-loop is dropped where its line
+    is read, before its labels are looked up. Fast labels are looked up by
+    their 8-byte words in a hash table of the distinct labels read so far,
+    and only the block's new labels are sorted; one sort of the table by
+    its big-endian words at the end puts the labels in byte order:
+    code-point order, for UTF-8. Labels from the per-line rules are merged
+    in by a string sort, and their records inserted among the fast ones by
+    the count of fast records before each. Besides one block and its label
+    words (one row of 8-byte words per 8 bytes of that block's own longest
+    fast label), ingest holds while it reads: for each distinct fast
+    label, 8 to 16 bytes per 8-byte word of the longest one read so far,
+    which is at most 8 words, and 32 to 64 bytes of hash slots; 16 bytes
+    per fast record (two 4-byte label ids and a timestamp); and four Python
+    objects per other record. The result's three int64 columns are then
+    written once each, and once more when per-line records are inserted
+    among the fast ones.
     """
     opts = options or IngestOptions()
     d = opts.delimiter
@@ -600,7 +611,7 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
             base = 1
         buf = text.encode("utf-8", "surrogatepass")
         bounds, rest, rows, words, ts, fast_loops = _scan(
-            np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), delimiter, table.width)
+            np.frombuffer(b"".join((_FRONT, buf, _BACK)), dtype=np.uint8), delimiter)
         loops += fast_loops
         ids = table.ids(words)
         before = np.searchsorted(rows, rest) + fast
@@ -936,7 +947,9 @@ MAX_WINDOWS = 1_000_000
 
 def _window_labels(starts: np.ndarray, granularity: int) -> list[str]:
     """Labels of windows starting at the ascending int64 ``starts``, all in
-    one ``np.datetime_as_string`` call.
+    one ``np.datetime_as_string`` call: each window's UTC start as
+    ``YYYY-MM-DD`` for day-multiple granularities, else as
+    ``YYYY-MM-DDTHH:MM:SS``.
 
     Years keep no leading zeros, as glibc's ``strftime("%Y")`` writes them:
     numpy pads year 276 to ``0276``, so labels before year 1000 lose those
@@ -948,13 +961,6 @@ def _window_labels(starts: np.ndarray, granularity: int) -> list[str]:
     early = int(np.searchsorted(starts, _FIRST_FOUR_DIGIT_SECOND))
     labels[:early] = [label.lstrip("0") for label in labels[:early]]
     return labels
-
-
-def window_label(start: int, granularity: int) -> str:
-    """Human label for a window: its UTC start as ``YYYY-MM-DD`` for
-    day-multiple granularities, else as ``YYYY-MM-DDTHH:MM:SS``, with years
-    before 1000 unpadded (``1-01-01``)."""
-    return _window_labels(np.array([start], dtype=_INT), granularity)[0]
 
 
 def _check_integer(value: int, name: str) -> None:
@@ -982,7 +988,7 @@ def slice_windows(edges: TemporalEdgeSet, granularity: int, origin: int = 0) -> 
     ``LAST_LABELLED_SECOND``, which no label can name, or when the stamps
     span more than ``MAX_WINDOWS`` windows; all three are checked before
     any label is built. Every label comes from one vectorised call (see
-    ``window_label`` for the format).
+    ``_window_labels`` for the format).
     """
     check_granularity(granularity)
     span = edges.time_span()

@@ -9,6 +9,7 @@ meaningful when Q is safely away from zero.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -121,9 +122,10 @@ class PolarizationReport:
     (|q| > ``DEFAULT_D_TOLERANCE``) and ``group_d`` (rows × tracked, d_i in
     the order of ``tracked_groups``, 0 where not ``defined``). An empty
     window costs no row, so memory grows with the windows that hold arcs
-    times k, not with all windows times k.
+    times k, not with all windows times k. Each tracked group appears once.
 
-    ``windows[j]`` is window j as a :class:`WindowStats`, built on access.
+    ``windows`` is every window as a :class:`WindowStats`, built on first
+    access.
     """
 
     labels: tuple[str, ...]
@@ -133,11 +135,12 @@ class PolarizationReport:
     group_q: np.ndarray
     defined: np.ndarray
     group_d: np.ndarray
-    k: int
     tracked_groups: tuple[int, ...]
     trends: dict[str, TrendFit]
 
     def __post_init__(self):
+        if len(set(self.tracked_groups)) < len(self.tracked_groups):
+            raise ValueError(f"tracked groups repeat: {list(self.tracked_groups)}")
         for a in self._columns():
             a.setflags(write=False)
 
@@ -155,32 +158,22 @@ class PolarizationReport:
         )
 
     @property
-    def windows(self) -> "_WindowRows":
-        return _WindowRows(self)
+    def k(self) -> int:
+        return self.group_q.shape[1]
 
-
-class _WindowRows(Sequence):
-    """The windows of a report as a sequence of :class:`WindowStats`."""
-
-    def __init__(self, report: PolarizationReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.labels)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        r = self._report
-        label, row = r.labels[j], int(r.rows[j])
-        if row < 0:
-            return WindowStats(label=label, m=0, q=None, group_q=None, group_d=dict.fromkeys(r.tracked_groups))
-        if r.defined[row]:
-            group_d = dict(zip(r.tracked_groups, r.group_d[row].tolist()))
-        else:
-            group_d = dict.fromkeys(r.tracked_groups)
-        return WindowStats(label=label, m=int(r.m[row]), q=float(r.q[row]),
-                           group_q=tuple(r.group_q[row].tolist()), group_d=group_d)
+    @functools.cached_property
+    def windows(self) -> tuple[WindowStats, ...]:
+        tracked = self.tracked_groups
+        m, q, group_q = self.m.tolist(), self.q.tolist(), self.group_q.tolist()
+        defined, group_d = self.defined.tolist(), self.group_d.tolist()
+        stats = []
+        for label, row in zip(self.labels, self.rows.tolist()):
+            if row < 0:
+                stats.append(WindowStats(label, 0, None, None, dict.fromkeys(tracked)))
+            else:
+                shares = dict(zip(tracked, group_d[row])) if defined[row] else dict.fromkeys(tracked)
+                stats.append(WindowStats(label, m[row], q[row], tuple(group_q[row]), shares))
+        return tuple(stats)
 
 
 def window_series(
@@ -195,7 +188,8 @@ def window_series(
     the grid count in none. Windows with no arcs get no row (their
     ``windows[j]`` reads as None values) and are excluded from trend fits;
     a tracked d_i is undefined wherever |Q| <= ``DEFAULT_D_TOLERANCE``.
-    Trend x coordinates are window ordinals, so slopes are per window.
+    Trend x coordinates are window ordinals, so slopes are per window. A
+    group tracked more than once is tracked at its first place.
 
     Arcs are put in time order once: by an argsort, skipped when the stamps
     are already nondecreasing, as in a log-like file. A window's edges are
@@ -212,7 +206,7 @@ def window_series(
     the slice sorts and O(W + F·k), with no object built per window.
     """
     p.check_cover(edges.n_vertices)
-    tracked = tuple(p.check_group(i) for i in tracked_groups)
+    tracked = tuple(dict.fromkeys(p.check_group(i) for i in tracked_groups))
 
     n, k = edges.n_vertices, p.k
     s, t, times = edges.sources, edges.targets, edges.timestamps
@@ -276,7 +270,7 @@ def window_series(
     row_of[filled] = np.arange(rows)
     return PolarizationReport(
         labels=windows.labels, rows=row_of, m=m, q=qs, group_q=group_q,
-        defined=defined, group_d=shares, k=k, tracked_groups=tracked, trends=trends,
+        defined=defined, group_d=shares, tracked_groups=tracked, trends=trends,
     )
 
 
@@ -344,14 +338,14 @@ def _json_windows(report: PolarizationReport) -> str:
     Rows with arcs fill one ``%`` template, empty rows another. Their
     numbers are rendered in bulk, one ``repr`` for all, and rows whose
     shares are undefined get ``null`` in their share slots."""
-    # group_d keys are the distinct tracked groups, in the order json sorts them
-    last = {i: j for j, i in enumerate(report.tracked_groups)}
-    keys = sorted(last, key=str)
+    # group_d keys are the tracked groups, in the order json sorts them
+    tracked = report.tracked_groups
+    keys = sorted(tracked, key=str)
     nd, k = len(keys), report.k
     empty = _json_window(keys, ["null"] * nd, None, "%s", "0", "null")
     filled = _json_window(keys, ["%s"] * nd, ["%s"] * k, "%s", "%s", "%s")
     width = nd + k + 1
-    text = _json_numbers(np.column_stack([report.group_d[:, [last[i] for i in keys]],
+    text = _json_numbers(np.column_stack([report.group_d[:, [tracked.index(i) for i in keys]],
                                           report.group_q, report.q]))
     for row in np.flatnonzero(~report.defined).tolist():
         text[row * width:row * width + nd] = ["null"] * nd
@@ -367,8 +361,8 @@ def _json_windows(report: PolarizationReport) -> str:
     return ("[\n" + ",\n".join(items) + "\n  ]") if items else "[]"
 
 
-def write_report_json(report: PolarizationReport, stream: TextIO, extra: dict | None = None) -> None:
-    """Write the report, with the keys of ``extra`` added or overriding, as
+def write_report_json(report: PolarizationReport, stream: TextIO, config: dict | None = None) -> None:
+    """Write the report, with ``config`` under ``"config"`` when given, as
     one JSON object in a single write.
 
     The bytes are exactly ``json.dumps(payload, indent=2, sort_keys=True)``
@@ -380,20 +374,19 @@ def write_report_json(report: PolarizationReport, stream: TextIO, extra: dict | 
     ``json.dumps`` with an indent runs the pure-Python encoder, which took
     about 2.5 times as long over a report of 1440 windows.
     """
-    windows: list = []
     payload = {
         "k": report.k,
         "tracked_groups": list(report.tracked_groups),
-        "windows": windows,
+        "windows": [],
         "trends": {
             name: {"slope": t.slope, "intercept": t.intercept}
             for name, t in report.trends.items()
         },
     }
-    if extra:
-        payload.update(extra)
+    if config is not None:
+        payload["config"] = config
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if payload["windows"] is windows and report.labels:
+    if report.labels:
         # top-level keys alone sit two spaces in, and no JSON string holds a
         # raw line break, so this text is the placeholder's and nothing else's
         head, _, tail = text.partition('\n  "windows": []')

@@ -49,6 +49,14 @@ echo "$counters" | grep -qx "vertices: 3"
 echo "$counters" | grep -qx "self-loops dropped: 1"
 echo "$counters" | grep -qx "malformed lines: 1"
 
+# a 1,000-character label among short ones: a record like any other
+long_label=$(printf '%01000d' 0)
+printf 'a,b,1\n%s,a,2\nb,c,3\n' "$long_label" > demo/long-label.csv
+long_out=$(polarnet ingest-check --input demo/long-label.csv)
+echo "$long_out"
+echo "$long_out" | grep -qx "vertices: 4"
+echo "$long_out" | grep -qx "malformed lines: 0"
+
 # the null model: a degree-preserving rewire of the planted graph
 synth_out=$(polarnet synth --family configuration-model --input demo/edges.csv \
     --swaps 2000 --out demo/null/)

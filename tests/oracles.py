@@ -163,9 +163,10 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
     time. The rows are then packed into a report's columns, as its
     docstring lays them out, so the result can be compared with ``==``,
     float for float. Each slice is found by ``bisect`` over the stamps as
-    Python ints, so a window ending past the int64 range needs no care.
+    Python ints, so a window ending past the int64 range needs no care. A
+    group tracked twice is tracked at its first place.
     """
-    tracked = tuple(int(i) for i in tracked_groups)
+    tracked = tuple(dict.fromkeys(int(i) for i in tracked_groups))
     n = np.int64(edges.n_vertices)
     order = np.argsort(edges.timestamps, kind="stable")
     times = edges.timestamps[order]
@@ -212,7 +213,6 @@ def window_series_reference(edges, p, windows, tracked_groups=()):
         group_q=np.asarray(group_qs, dtype=np.float64).reshape(len(ms), p.k),
         defined=np.asarray(defined, dtype=bool),
         group_d=np.asarray(group_ds, dtype=np.float64).reshape(len(ms), len(tracked)),
-        k=p.k,
         tracked_groups=tracked,
         trends=trends,
     )

@@ -426,6 +426,16 @@ def test_polarization_tracked_group_columns(tmp_path, capsys):
     assert abs(d_black - 0.448276) < 2e-3
 
 
+def test_polarization_groups_skip_empty_selectors_and_refuse_none(tmp_path, capsys):
+    write_two_triangles(tmp_path / "edges.csv")
+    write_partition(tmp_path / "part.csv", {c: int(c > "c") for c in "abcdef"})
+    inputs = ["polarization", "--input", str(tmp_path / "edges.csv"), "--partition", str(tmp_path / "part.csv")]
+    assert run_cli(*inputs, "--groups", "0,,1") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "label,m,q,q_0,q_1,d_0,d_1"
+    assert run_cli(*inputs, "--groups", ",") == 2
+    assert capsys.readouterr().err == "error: no groups selected\n"
+
+
 @pytest.mark.parametrize("stamp, start", [
     (1_000_000_000_000, 999_999_993_600),
     (9_200_000_000_000_000_000, 9_199_999_999_999_958_400),

@@ -367,6 +367,20 @@ def test_partition_file_refuses_line_breaks_before_writing(labels, bad):
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("meta, labels, message", [
+    ({0: "left"}, ["a", "b"], "expected 3 labels, got 2"),
+    ({0: "le,ft"}, ["a", "b", "c"], "group name 'le,ft' contains reserved characters"),
+    ({0: "le\nft"}, ["a", "b", "c"], "group name 'le\\nft' contains reserved characters"),
+    ({0: "le\rft"}, ["a", "b", "c"], "group name 'le\\rft' contains reserved characters"),
+], ids=["label count", "comma", "line feed", "carriage return"])
+def test_partition_file_refuses_a_wrong_label_count_or_a_reserved_name(meta, labels, message):
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        save_partition(Partition.from_assignment([0, 1, 1], meta), buf, labels)
+    assert str(info.value) == message
+    assert buf.getvalue() == ""
+
+
 @pytest.mark.parametrize("name", ["left ", "left\t", "left\u00a0", " "])
 def test_partition_file_refuses_group_names_ending_in_whitespace(name):
     # loading strips each line, so such a name would not come back as written

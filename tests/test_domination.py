@@ -70,6 +70,22 @@ def test_brute_force_infeasible_sentinel():
     assert brute_force_pdds(g, 1.0, [1, 2]) is None
 
 
+def test_brute_force_needs_no_pick_for_a_target_of_none():
+    assert brute_force_pdds(star(3), 0.5, [1], cover_targets=[]) == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: greedy_pdds(star(3), 0.5, candidates=[0, 4]), "candidate id 4 out of range for graph with 4 vertices"),
+    (lambda: brute_force_pdds(star(3), 0.5, [-1, 0]), "candidate id -1 out of range for graph with 4 vertices"),
+    (lambda: solve_task(star(3), "everyone", rhos=[0.5]),
+     "unknown mode 'everyone'; modes are unrestricted, network-by-group, in-group"),
+], ids=["candidate past n", "negative candidate", "unknown mode"])
+def test_out_of_range_ids_and_unknown_modes_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_brute_force_rejects_large_pools():
     g = directed_from_arcs(30, [(0, 1)])
     with pytest.raises(ValueError):

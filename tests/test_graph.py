@@ -28,7 +28,6 @@ from polarnet.graph import (
     slice_windows,
     underlying_undirected,
     undirected_from_edges,
-    window_label,
     write_edge_list,
 )
 
@@ -101,9 +100,13 @@ def test_ingest_strict_rejects_out_of_range_timestamp():
 
 
 _PADS = (" ", "\t", "\r", "\xa0", "\x85")
+# a label of the most bytes a fast line carries, and one byte more
+_LONGEST_FAST = "w" * (8 * graph._FAST_WORDS)
+_TOO_LONG = _LONGEST_FAST + "w"
 # labels a fast line can carry, and labels only the per-line rules accept
-_PLAIN_LABELS = ("a", "b", "bb", "#a", "a#", "abcdefghi", "abcdefgXi", "a-label-longer-than-16-bytes")
-_ODD_LABELS = ("a,b", "a b", "a\x00", "é", "日本", "")
+_PLAIN_LABELS = ("a", "b", "bb", "#a", "a#", "abcdefghi", "abcdefgXi", "a-label-longer-than-16-bytes",
+                 _LONGEST_FAST)
+_ODD_LABELS = ("a,b", "a b", "a\x00", "é", "日本", "", _TOO_LONG)
 _ODD_STAMPS = ("-0", "-3", "+4", "1_0", "٣", "", "x", "1.5", "9" * 18, str(2**63 - 1), str(2**63),
                "9" * 19, "9" * 20)
 _DELIMITERS = (",", ";", "\t", " ", "::", "5", "\x00", "\x7f", "\x0b", "#")
@@ -162,6 +165,15 @@ def edge_list_texts(draw):
 # every record a self-loop, fast or by the per-line rules
 @example(case=("a,a,1\nb,b,2\n", ","), skip_header=False, strict=False, block=6)
 @example(case=("a,a,1\n b,b ,2\né,é,3\n", ","), skip_header=False, strict=False, block=1 << 20)
+# a label too long for the fast lines in the first block, in a later one,
+# and as the only label of its block; and a 10-byte label read into the
+# table before a block whose 8-byte label is its first word and hashes to
+# its slot
+@example(case=(f"{_TOO_LONG},a,1\na,{_LONGEST_FAST},2\n", ","), skip_header=False, strict=False, block=16)
+@example(case=(f"a,b,1\nb,{_TOO_LONG},2\nc,a,3\n", ","), skip_header=False, strict=False, block=6)
+@example(case=(f"a,b,1\n{_TOO_LONG},{_TOO_LONG},2\n{_TOO_LONG},a,3\n", ","), skip_header=False, strict=False,
+         block=6)
+@example(case=("abcdefghah,a,1\nabcdefgh,a,2\n", ","), skip_header=False, strict=False, block=16)
 def test_ingest_matches_per_line_reference(case, skip_header, strict, block):
     text, delimiter = case
     opts = dict(delimiter=delimiter, skip_header=skip_header, strict=strict)
@@ -218,6 +230,31 @@ def test_ingest_ids_are_labels_in_byte_order(per_line, block):
     for built in (edges, from_arcs):
         # an id is the label's place in the sorted, distinct labels
         assert built.labels == tuple(sorted(set(built.labels)))
+
+
+def test_one_long_label_leaves_the_fast_lines_and_their_memory_alone():
+    # before the per-line rules took it, a 20,000-byte label gave its block
+    # and every later one 2,500 rows of label words: 1.2 GB at its peak
+    rng = np.random.default_rng(3)
+    lines = [f"v{a},w{b},{t}\n" for a, b, t in rng.integers(0, 500, size=(10000, 3)).tolist()]
+    lines[5] = f"{'y' * 20000},v3,7\n"
+    text = "".join(lines)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        edges = _ingest(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
+    want = oracles.ingest_reference(text)
+    for name in ("sources", "targets", "timestamps"):
+        assert getattr(edges, name).tolist() == want[name]
+    for name in ("labels", "dropped_self_loops", "malformed_lines"):
+        assert getattr(edges, name) == want[name]
 
 
 @pytest.mark.parametrize("delimiter", ("\t", " "))
@@ -334,6 +371,28 @@ def test_edge_set_refuses_duplicate_labels():
     arcs = np.array([0], dtype=np.int64)
     with pytest.raises(ValueError, match="vertex labels must be distinct"):
         TemporalEdgeSet(sources=arcs, targets=arcs + 1, timestamps=arcs, labels=("a", "b", "a"))
+
+
+def _ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TemporalEdgeSet(sources=_ints(0, 1), targets=_ints(1), timestamps=_ints(0, 0), labels=("a", "b")),
+     "must have equal length"),
+    (lambda: _edge_set("ab", [(0, 2, 0)]), "arc endpoint outside the vertex index"),
+    (lambda: _edge_set("ab", [(-1, 1, 0)]), "arc endpoint outside the vertex index"),
+    (lambda: _edge_set("ab", [(0, 1, -1)]), "timestamps must be non-negative"),
+    (lambda: graph.DirectedGraph(2, _ints(0, 0), _ints()), "indptr length must be n [+] 1"),
+    (lambda: graph.UndirectedView(2, _ints(0, 0), _ints(), 0), "indptr length must be n [+] 1"),
+    (lambda: graph.UndirectedView(2, _ints(0, 1, 2), _ints(1, 0), 2), "edge count inconsistent"),
+    (lambda: directed_from_arcs(3, [(0, 3)]), "arc endpoint out of range"),
+    (lambda: undirected_from_edges(3, [(-1, 2)]), "edge endpoint out of range"),
+], ids=["unequal lengths", "endpoint past n", "negative endpoint", "negative stamp", "directed indptr",
+        "undirected indptr", "undirected edge count", "arc out of range", "edge out of range"])
+def test_graph_containers_refuse_inconsistent_arrays(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @given(
@@ -627,12 +686,16 @@ def test_slice_windows_partition_all_arcs():
     assert sum(_in_window(edges, s, s + windows.length).n_arcs for s in starts) == edges.n_arcs
 
 
+def _window_label(start, granularity):
+    return graph._window_labels(np.array([start], dtype=np.int64), granularity)[0]
+
+
 def test_window_label_sub_day_granularity():
-    assert window_label(3600, 3600) == "1970-01-01T01:00:00"
+    assert _window_label(3600, 3600) == "1970-01-01T01:00:00"
 
 
 def test_window_label_first_labelled_day_has_an_unpadded_year():
-    assert window_label(graph.FIRST_LABELLED_SECOND, 86400) == "1-01-01"
+    assert _window_label(graph.FIRST_LABELLED_SECOND, 86400) == "1-01-01"
 
 
 def _strftime_label(start, granularity):
@@ -654,12 +717,12 @@ _YEAR_DIGITS = [-59926608000, -59926608001, -59042995200, -59042995201, -3061022
 @example(_BOUNDS + _YEAR_DIGITS, 7)
 @example(_BOUNDS + _YEAR_DIGITS, 86400)
 def test_window_labels_match_strftime_over_the_labelled_range(starts, granularity):
-    # one vectorised call for many starts, and window_label for each, from
+    # one vectorised call for many starts, and one call for each, from
     # year 1 (unpadded, as glibc writes it) to the last second of year 9999
     starts = sorted(starts)
     want = [_strftime_label(start, granularity) for start in starts]
     assert graph._window_labels(np.asarray(starts, dtype=np.int64), granularity) == want
-    assert [window_label(start, granularity) for start in starts] == want
+    assert [_window_label(start, granularity) for start in starts] == want
 
 
 @pytest.mark.parametrize("granularity, origin, stamps, message", [

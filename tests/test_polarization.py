@@ -353,7 +353,7 @@ def test_report_json_shape():
     )
     report = window_series(edges, part, slice_windows(edges, 86400), tracked_groups=[0])
     buf = io.StringIO()
-    write_report_json(report, buf, extra={"config": {"seed": 0}})
+    write_report_json(report, buf, config={"seed": 0})
     doc = json.loads(buf.getvalue())
     assert doc["k"] == 2
     assert doc["tracked_groups"] == [0]
@@ -512,6 +512,8 @@ def test_window_series_of_no_arcs_has_no_window():
     assert len(windows) == 0
     report = window_series(edges, part, windows, tracked_groups=[1])
     assert len(report.windows) == 0 and report.trends == {}
+    # group_q is 0 × k, and k still reads from it
+    assert report.group_q.shape == (0, 2) and report.k == 2
     assert report == oracles.window_series_reference(edges, part, windows, tracked_groups=[1])
 
 
@@ -552,25 +554,25 @@ _labels = st.one_of(
 )
 
 
-def _column_report(labels, rows, m, q, group_q, defined, group_d, k, tracked, trends=None):
-    """A report from plain per-window and per-row lists."""
-    count = len(m)
+def _column_report(labels, rows, m, q, group_q, defined, group_d, tracked, trends=None):
+    """A report from plain per-window and per-row lists; ``group_q`` is
+    rows × k."""
     return PolarizationReport(
         labels=tuple(labels), rows=np.asarray(rows, dtype=np.int64), m=np.asarray(m, dtype=np.int64),
-        q=np.asarray(q, dtype=np.float64), group_q=np.asarray(group_q, dtype=np.float64).reshape(count, k),
+        q=np.asarray(q, dtype=np.float64), group_q=np.asarray(group_q, dtype=np.float64),
         defined=np.asarray(defined, dtype=bool),
-        group_d=np.asarray(group_d, dtype=np.float64).reshape(count, len(tracked)),
-        k=k, tracked_groups=tuple(tracked), trends=trends or {},
+        group_d=np.asarray(group_d, dtype=np.float64).reshape(len(m), len(tracked)),
+        tracked_groups=tuple(tracked), trends=trends or {},
     )
 
 
 @st.composite
 def reports(draw):
     """Random column-shaped reports: no windows or many, empty rows, rows
-    whose shares are undefined, up to 16 groups and up to 13 tracked ones,
-    repeats allowed, non-finite and signed-zero floats, any labels."""
+    whose shares are undefined, up to 16 groups and up to 13 distinct
+    tracked ones, non-finite and signed-zero floats, any labels."""
     k = draw(st.integers(0, 16))
-    tracked = draw(st.lists(st.integers(0, k - 1), max_size=13)) if k else []
+    tracked = draw(st.lists(st.integers(0, k - 1), max_size=13, unique=True)) if k else []
     has_row = draw(st.lists(st.booleans(), max_size=6))
     count = sum(has_row)
 
@@ -579,18 +581,14 @@ def reports(draw):
 
     rows = np.cumsum(has_row, dtype=np.int64) - 1
     rows[~np.asarray(has_row, dtype=bool)] = -1
-    # a group tracked twice has one share column, as window_series fills it
-    distinct = sorted(set(tracked))
-    shares = np.asarray(values(count * len(distinct), _floats)).reshape(count, len(distinct))
     return _column_report(
         labels=values(len(has_row), _labels),
         rows=rows,
         m=values(count, st.integers(0, 10**6)),
         q=values(count, _floats),
-        group_q=values(count * k, _floats),
+        group_q=np.asarray(values(count * k, _floats), dtype=np.float64).reshape(count, k),
         defined=values(count, st.booleans()),
-        group_d=shares[:, [distinct.index(i) for i in tracked]],
-        k=k,
+        group_d=values(count * len(tracked), _floats),
         tracked=tracked,
         trends=draw(st.dictionaries(
             st.sampled_from(["q", "group_q_0", "group_d_10", "group_d_2"]),
@@ -606,25 +604,22 @@ _json_values = st.recursive(
 )
 
 
-@given(reports(), st.dictionaries(
-    st.sampled_from(["a", "config", "k", "trends", "tracked_groups", "w", "windows", "zz"]),
-    _json_values,
-    max_size=3,
-))
-def test_report_json_bytes_equal_json_dumps(report, extra):
+@given(reports(), st.none() | _json_values)
+def test_report_json_bytes_equal_json_dumps(report, config):
     buf = io.StringIO()
-    write_report_json(report, buf, extra=extra)
+    write_report_json(report, buf, config=config)
     payload = oracles.report_payload(report)
-    payload.update(extra)
+    if config is not None:
+        payload["config"] = config
     assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_json_special_floats_and_wide_shares():
     # eleven tracked keys put "10" before "2"; NaN and infinities are spelled as json spells them
     report = _column_report(labels=["nan\u00e9"], rows=[0], m=[3], q=[float("nan")],
-                            group_q=[-0.0, float("inf")], defined=[True],
+                            group_q=[[-0.0, float("inf")]], defined=[True],
                             group_d=[float("-inf") if i == 2 else i / 3 for i in range(11)],
-                            k=2, tracked=range(11))
+                            tracked=range(11))
     buf = io.StringIO()
     write_report_json(report, buf)
     text = buf.getvalue()
@@ -645,13 +640,32 @@ def test_report_csv_renders_every_row_shape_as_row_by_row(report):
 def test_report_windows_view_reads_each_row_shape():
     report = _column_report(labels=["a", "b", "c"], rows=[0, -1, 1], m=[4, 2], q=[0.5, 1e-13],
                             group_q=[[0.25, 0.25], [1e-13, 0.0]], defined=[True, False],
-                            group_d=[[0.5], [0.0]], k=2, tracked=[1])
-    assert list(report.windows) == [
+                            group_d=[[0.5], [0.0]], tracked=[1])
+    assert report.windows == (
         WindowStats(label="a", m=4, q=0.5, group_q=(0.25, 0.25), group_d={1: 0.5}),
         WindowStats(label="b", m=0, q=None, group_q=None, group_d={1: None}),
         WindowStats(label="c", m=2, q=1e-13, group_q=(1e-13, 0.0), group_d={1: None}),
-    ]
-    assert report.windows[-1] == report.windows[2] and report.windows[1:] == list(report.windows)[1:]
-    assert len(report.windows) == 3
+    )
+    # built once, on first access
+    assert report.windows is report.windows
+    assert report.k == 2
     with pytest.raises(ValueError):
         report.q[0] = 1.0
+
+
+def test_a_group_tracked_twice_is_tracked_once_at_its_first_place():
+    edges = _five_day_edge_set()
+    part = Partition.from_assignment([0 if lbl.startswith("a") else 1 for lbl in edges.labels])
+    windows = slice_windows(edges, 86400)
+    report = window_series(edges, part, windows, tracked_groups=[1, 0, 1])
+    assert report.tracked_groups == (1, 0)
+    assert report == window_series(edges, part, windows, tracked_groups=[1, 0])
+    buf = io.StringIO()
+    write_report_csv(report, buf)
+    assert buf.getvalue().splitlines()[0] == "label,m,q,q_1,q_0,d_1,d_0"
+
+
+def test_report_refuses_a_repeated_tracked_group():
+    with pytest.raises(ValueError, match="tracked groups repeat"):
+        _column_report(labels=["a"], rows=[0], m=[1], q=[0.5], group_q=[[0.25, 0.25]], defined=[True],
+                       group_d=[[1.0, 1.0]], tracked=[1, 1])

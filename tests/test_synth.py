@@ -108,6 +108,12 @@ def test_planted_determinism():
     assert not np.array_equal(a.indices, c.indices) or a.m != c.m
 
 
+@pytest.mark.parametrize("sizes", [[], [3, 0], [-2]])
+def test_disjoint_cliques_refuses_a_size_that_is_not_positive(sizes):
+    with pytest.raises(ValueError, match="clique sizes must be positive integers"):
+        disjoint_cliques(sizes)
+
+
 def test_planted_rejects_bad_parameters():
     with pytest.raises(ValueError):
         planted_partition([], 0.5, 0.1)
