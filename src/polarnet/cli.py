@@ -321,7 +321,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     check_seed(args.seed)
     base = None
     if args.input is not None:
-        base = underlying_undirected(build_directed_graph(_load_edges(args)))
+        base = _load_edges(args)
     else:
         given = [flag for flag, on in (("--delimiter", args.delimiter != ","), ("--header", args.header),
                                        ("--strict", args.strict)) if on]

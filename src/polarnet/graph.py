@@ -69,7 +69,9 @@ class TemporalEdgeSet:
     distinct external label of vertex ``i``. Ingest and :meth:`from_arcs`
     sort the labels by code point, so there a label's id is its place in
     ``labels``. ``dropped_self_loops`` and ``malformed_lines`` carry
-    ingestion counters.
+    ingestion counters. An arc from a vertex to itself raises ValueError:
+    ingest and :meth:`from_arcs` drop them, and no graph built from an edge
+    set holds one.
     """
 
     sources: np.ndarray
@@ -89,6 +91,9 @@ class TemporalEdgeSet:
             lowest = min(self.sources.min(), self.targets.min())
             if lowest < 0 or max(self.sources.max(), self.targets.max()) >= n:
                 raise ValueError("arc endpoint outside the vertex index")
+            loops = np.flatnonzero(self.sources == self.targets)
+            if len(loops):
+                raise ValueError(f"arc {loops[0]} is a self-loop on {self.labels[self.sources[loops[0]]]!r}")
             if self.timestamps.min() < 0:
                 raise ValueError("timestamps must be non-negative")
         for a in (self.sources, self.targets, self.timestamps):
@@ -832,7 +837,8 @@ def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     keys of ``_directed`` and ``_undirected``, ``DirectedGraph.in_csr``,
     ``polarization.window_series``, the supervertex keys of
     ``community._louvain`` (n is the level's group count) and the edge keys
-    of ``synth.configuration_rewire`` and ``synth._swapped``.
+    of the rewire (``synth._configuration_model``, ``synth.configuration_rewire``
+    and ``synth._swapped``).
     """
     keys = u.astype(np.int32 if n * n < 2**31 - 1 else _INT)
     keys *= n

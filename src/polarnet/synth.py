@@ -8,7 +8,7 @@ default_rng, making every family reproducible bit for bit.
 
 ``FAMILIES`` is the one table of families: each
 name maps to its builder, its required and optional parameters, and whether
-it rewires a base graph. ``generate`` and the ``synth`` command both check
+it rewires an observed edge set. ``generate`` and the ``synth`` command both check
 their arguments against it with ``check_parameters``, and ``generate``
 returns what ``synth`` writes: the arcs as a ``TemporalEdgeSet`` over labels
 ``v{i}``, and the ground-truth partition (or None), which covers exactly the
@@ -30,7 +30,9 @@ from .graph import (
     UndirectedView,
     _check_integer,
     _csr_rows,
+    _distinct_keys,
     _pair_keys,
+    _run_firsts,
     _undirected,
     directed_from_arcs,
     undirected_from_edges,
@@ -151,8 +153,9 @@ def _swapped(ke: np.ndarray, kf: np.ndarray, flip: np.ndarray,
 
 
 def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
-                j: np.ndarray, flip: np.ndarray) -> int:
-    """Run proposals ``(i, j, flip)`` of the swap chain in order.
+                j: np.ndarray, flip: np.ndarray, wanted: int) -> tuple[int, int]:
+    """Run proposals ``(i, j, flip)`` of the swap chain in order, up to the
+    ``wanted``-th accepted one.
 
     ``keys[e]`` is edge e as ``lo * n + hi`` and is updated in place;
     ``present`` holds the same keys sorted, then their dtype's largest value
@@ -171,7 +174,13 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     that key, or demoted the fast swap the fate comes from; only then does
     it search for the key again.
 
-    Returns how many proposals were accepted.
+    When more than ``wanted`` proposals were accepted, the chain is cut at
+    the ``wanted``-th: a proposal's fate depends only on earlier rows, so
+    undoing every later accepted row gives the state at the cut. Each edge
+    those rows changed gets back the key it had before the first of them.
+
+    Returns how many proposals were accepted and how many were run: all of
+    them, or those up to and including the cut.
     """
     k = len(i)
     t = np.arange(k)
@@ -230,22 +239,23 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     ke, kf, flipped = keys[i[slow_rows]], keys[j[slow_rows]], flip[slow_rows]
     x, y, shaped = _swapped(ke, kf, flipped, n)
     x[~shaped] = -1
-    wanted = np.concatenate([x, y])
-    at = change_keys.searchsorted(wanted)
-    hit = change_keys[at] == wanted
-    fate = np.where(present[present.searchsorted(wanted)] == wanted, _TAKEN, _FREE)
+    sought = np.concatenate([x, y])
+    at = change_keys.searchsorted(sought)
+    hit = change_keys[at] == sought
+    fate = np.where(present[present.searchsorted(sought)] == sought, _TAKEN, _FREE)
     when, added = np.divmod(change_codes[at[hit]], 2)
     earlier = when < np.tile(slow_rows, 2)[hit]
     # added earlier: taken; added later: claimed by that swap; removed
     # earlier: free; removed later: still taken
     fate[hit] = np.where(added == 1, np.where(earlier, _TAKEN, when), np.where(earlier, _FREE, _TAKEN))
-    by = np.full(len(wanted), -1)  # the fast swap a fate comes from
+    by = np.full(len(sought), -1)  # the fast swap a fate comes from
     by[hit] = when
 
     state: dict[int, bool] = {}  # keys changed by slow swaps: present or not
     current: dict[int, int] = {}  # edges changed by slow swaps: their key
     demoted: set[int] = set()  # fast swaps made slow
     waiting: list[int] = []  # demoted rows not yet run, a heap
+    done: list[tuple[int, int, int, int, int]] = []  # rows accepted below: row, edges, their keys before
 
     # a Python int needle would make searchsorted copy int32 keys to int64
     needle = keys.dtype.type
@@ -301,6 +311,7 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
         state[ke] = state[kf] = False
         state[x] = state[y] = True
         current[e], current[f] = x, y
+        done.append((row, e, f, ke, kf))
         accepted += 1
         for later in {fate_x, fate_y} - {_FREE}:
             # it must run after this swap, from its batch-start edges
@@ -311,55 +322,66 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
 
     if current:
         keys[np.fromiter(current, dtype=_INT, count=len(current))] = list(current.values())
-    return accepted
+    if accepted <= wanted:
+        return accepted, k
+
+    if demoted:
+        fast = fast[~np.isin(fast, np.fromiter(demoted, dtype=_INT, count=len(demoted)))]
+    rows, e, f, ke, kf = np.array(done, dtype=_INT).reshape(-1, 5).T
+    rows = np.concatenate([fast, rows])
+    cut = np.partition(rows, wanted - 1)[wanted - 1]
+    later = rows > cut
+    # every edge of a later row, ordered by edge, then by row
+    edges = np.concatenate([i[fast], e, j[fast], f])[np.tile(later, 2)]
+    before = np.concatenate([ki[fast], ke, kj[fast], kf])[np.tile(later, 2)]
+    order = np.lexsort((np.tile(rows[later], 2), edges))
+    first = order[_run_firsts(edges[order])]
+    keys[edges[first]] = before[first]
+    return wanted, int(cut) + 1
 
 
-def check_swaps(swaps: int) -> None:
-    """Raise ValueError unless ``swaps``, a count of accepted swaps, is a non-negative integer."""
+# the most accepted swaps per edge a rewire takes: a hundred times the
+# ``synth`` default of 10·m, and a bound on the chain's run time
+MAX_SWAPS_PER_EDGE = 1000
+
+
+def check_swaps(swaps: int, edges: int | None = None) -> None:
+    """Raise ValueError unless ``swaps``, a count of accepted swaps, is a
+    non-negative integer and, over a graph of ``edges`` edges when given,
+    either 0 or at most ``MAX_SWAPS_PER_EDGE * edges`` with at least two
+    edges to swap."""
     if not swaps >= 0:
         raise ValueError(f"swaps must be non-negative, got {swaps}")
     _check_integer(swaps, "swaps")
+    if edges is None or swaps == 0:
+        return
+    if edges < 2:
+        raise ValueError("rewiring needs at least two edges")
+    if swaps > MAX_SWAPS_PER_EDGE * edges:
+        raise ValueError(f"swaps must be at most {MAX_SWAPS_PER_EDGE * edges} "
+                         f"({MAX_SWAPS_PER_EDGE} per edge of {edges}), got {swaps}")
 
 
-def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> UndirectedView:
-    """Degree-preserving randomization by repeated double-edge swaps.
+def _rewire_keys(keys: np.ndarray, n: int, swaps: int, seed: int) -> np.ndarray:
+    """The double-edge swap chain over edge keys ``lo * n + hi``, sorted and
+    distinct as ``graph._distinct_keys`` gives them; ``keys[e]`` is edge e
+    and is rewired in place. Returns ``keys``.
 
-    A proposal picks two edge indices ``i``, ``j`` and a coin; with edges
-    ``(a, b)`` and ``(c, d)`` (reversed to ``(d, c)`` when the coin is set)
-    it swaps them to ``(a, d)`` and ``(c, b)``. Proposals with ``i == j``,
-    or that would create a self-loop or a duplicate edge, are rejected;
-    ``swaps`` counts accepted ones. The proposals come from a stream seeded
-    by ``seed``, so a seed always gives the same graph. Zero swaps returns
-    the graph unchanged. Raises ValueError if ``max(1000, 200 * swaps)``
-    proposals leave the swaps unfinished (e.g. on a complete graph, where
-    no legal swap exists).
-
-    The proposals run in batches of ``max(256, m // 16)``, checked against
-    the sorted edge keys all at once; only those that share an edge or a key
-    with an earlier one of their batch are decided in order, in Python, most
-    of them from one lookup made for all of them (see ``_swap_batch``). The
-    keys are sorted afresh before each batch after the first. The result
-    equals the sequential chain fed the same proposals (see ``_proposals``).
-    That stream is new with the batched chain, so a seed gives a different
-    graph than it did in earlier versions. Cost, on a shared 2-core x86-64
-    VM (AVX-512, numpy 2.4) with a 254k-edge graph on 3,000 vertices: about
-    0.1 s for 30k swaps and 3.2-3.5 s for the 10·m swaps ``generate``
-    defaults to, about 1.2 µs per proposal. Memory is a few arrays of m
-    keys, int32 whenever n² < 2³¹ − 1 (the dtype ``graph._pair_keys`` chooses).
-    A negative or non-integral ``swaps`` (infinity too) raises ValueError
-    (``check_swaps``), and so does such a ``seed`` (``check_seed``).
+    The proposals run in batches, checked against the sorted keys all at
+    once (see ``_swap_batch``). A batch holds ``_batch_size(m)`` proposals
+    until the acceptance rate seen so far says fewer will do: then it holds
+    about an eighth more than that rate needs to finish, and is cut at the
+    ``swaps``-th acceptance, so the chain ends in one short batch rather
+    than a tail of shrinking ones. The keys are sorted afresh before each
+    batch after the first. See ``configuration_rewire`` for the rules.
     """
-    check_swaps(swaps)
+    m = len(keys)
+    check_swaps(swaps, m)
     check_seed(seed)
     if swaps == 0:
-        return g
-    if g.m < 2:
-        raise ValueError("rewiring needs at least two edges")
-    n = g.n
-    pairs = g.edge_pairs()
-    keys = _pair_keys(n, pairs[:, 0], pairs[:, 1])
-    present = _ended(keys)  # edge_pairs are sorted
-    stream = _proposals(g.m, seed)
+        return keys
+    present = _ended(keys)
+    stream = _proposals(m, seed)
     pending = np.zeros((3, 0), dtype=_INT)
     accepted = 0
     attempts = 0
@@ -370,7 +392,14 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
                 f"degree-preserving rewire stalled: {accepted}/{swaps} swaps "
                 f"accepted after {budget} attempts"
             )
-        size = min(_batch_size(g.m), swaps - accepted, budget - attempts)
+        left = swaps - accepted
+        size = min(_batch_size(m), budget - attempts)
+        if not attempts:
+            size = min(size, left)  # a proposal makes at most one swap: no cut
+        elif accepted:
+            # the proposals the rate so far needs to finish, and an eighth more
+            need = left * attempts // accepted
+            size = min(size, need + need // 8 + 16)
         while pending.shape[1] < size:
             pending = np.concatenate([pending, next(stream)], axis=1)
         if attempts:
@@ -378,11 +407,65 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
             # into present: fewer passes over m, and no searches
             present[:-1] = keys
             present[:-1].sort()
-        accepted += _swap_batch(keys, present, n, *pending[:, :size])
+        took, ran = _swap_batch(keys, present, n, *pending[:, :size], left)
+        accepted += took
         pending = pending[:, size:]
-        attempts += size
+        attempts += ran
+    return keys
+
+
+def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> UndirectedView:
+    """Degree-preserving randomization by repeated double-edge swaps.
+
+    A proposal picks two edge indices ``i``, ``j`` and a coin; with edges
+    ``(a, b)`` and ``(c, d)`` (reversed to ``(d, c)`` when the coin is set)
+    it swaps them to ``(a, d)`` and ``(c, b)``. Edge e is the e-th of
+    ``g.edge_pairs()``. Proposals with ``i == j``, or that would create a
+    self-loop or a duplicate edge, are rejected; ``swaps`` counts accepted
+    ones. The proposals come from a stream seeded by ``seed``, so a seed
+    always gives the same graph. Zero swaps returns the graph unchanged.
+    Raises ValueError if ``max(1000, 200 * swaps)`` proposals leave the
+    swaps unfinished (e.g. on a complete graph, where no legal swap exists).
+
+    The chain is ``_rewire_keys``, which ``generate`` runs on an edge set's
+    keys too. Only the proposals that share an edge or a key with an
+    earlier one of their batch are decided in order, in Python, most of
+    them from one lookup made for all of them (see ``_swap_batch``). The
+    result equals the sequential chain fed the same proposals (see
+    ``_proposals``). That stream is new with the batched chain, so a seed
+    gives a different graph than it did in earlier versions. Cost, on a
+    shared 2-core x86-64 VM (AVX-512, numpy 2.4) with a 254k-edge graph on
+    3,000 vertices: about 1 µs per proposal, so about 55 ms for 30k swaps
+    in 3 batches (66 ms in the 6 batches of a chain without the cut) and
+    2.4–3.4 s for the 10·m swaps ``generate`` defaults to.
+    Memory is a few arrays of m keys, int32 whenever n² < 2³¹ − 1 (the
+    dtype ``graph._pair_keys`` chooses). A negative or non-integral
+    ``swaps`` (infinity too), or more than ``MAX_SWAPS_PER_EDGE`` per edge,
+    raises ValueError (``check_swaps``), and so does such a ``seed``
+    (``check_seed``).
+    """
+    pairs = g.edge_pairs()
+    keys = _rewire_keys(_pair_keys(g.n, pairs[:, 0], pairs[:, 1]), g.n, swaps, seed)
+    if swaps == 0:
+        return g
+    lo, hi = np.divmod(keys, g.n)
+    return _undirected(g.n, lo, hi)
+
+
+def _configuration_model(parameters: Mapping, seed: int,
+                         base: TemporalEdgeSet) -> tuple[UndirectedView, None]:
+    """``configuration_rewire`` of the base's undirected edges, taken from
+    its arcs in one sort: ``10·m`` swaps unless ``parameters`` give
+    ``swaps``."""
+    n = base.n_vertices
+    # an arc's edge key lo * n + hi is the smaller of its two pair keys: no
+    # arc-length int64 columns of minima and maxima to fill
+    keys = _pair_keys(n, base.sources, base.targets)
+    np.minimum(keys, _pair_keys(n, base.targets, base.sources), out=keys)
+    keys = _distinct_keys(keys)
+    keys = _rewire_keys(keys, n, parameters.get("swaps", 10 * len(keys)), seed)
     lo, hi = np.divmod(keys, n)
-    return _undirected(n, lo, hi)
+    return _undirected(n, lo, hi), None
 
 
 def star(n_leaves: int) -> DirectedGraph:
@@ -423,17 +506,15 @@ def disjoint_cliques(sizes: Sequence[int]) -> tuple[DirectedGraph, Partition]:
 class Family:
     """How to build one family: ``build(parameters, seed, base)`` gives the
     graph and its ground-truth partition (or None). ``rewires`` families take
-    the base graph; no other family does."""
+    the base, an observed edge set; no other family does."""
 
-    build: Callable[[Mapping, int, UndirectedView | None],
+    build: Callable[[Mapping, int, TemporalEdgeSet | None],
                     tuple[DirectedGraph | UndirectedView, Partition | None]]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     rewires: bool = False
 
 
-# the builders look configuration_rewire up when called, so a wrapper put on
-# the module attribute sees every rewire
 FAMILIES: dict[str, Family] = {
     "figure2": Family(lambda p, seed, base: figure2_instance()),
     "planted-partition": Family(
@@ -441,8 +522,7 @@ FAMILIES: dict[str, Family] = {
         required=("block_sizes", "p_in", "p_out"),
     ),
     "configuration-model": Family(
-        lambda p, seed, base: (
-            configuration_rewire(base, swaps=p.get("swaps", 10 * base.m), seed=seed), None),
+        _configuration_model,
         optional=("swaps",),
         rewires=True,
     ),
@@ -481,7 +561,7 @@ def check_days(days: int) -> None:
     _check_integer(days, "days")
 
 
-def generate(family: str, parameters: Mapping, seed: int = 0, base: UndirectedView | None = None,
+def generate(family: str, parameters: Mapping, seed: int = 0, base: TemporalEdgeSet | None = None,
              days: int = 0) -> tuple[TemporalEdgeSet, Partition | None]:
     """Build a family into the arcs ``synth`` writes and its ground-truth
     partition, or None when it has none.
@@ -492,10 +572,11 @@ def generate(family: str, parameters: Mapping, seed: int = 0, base: UndirectedVi
     order, keeping their names, so the partition covers exactly the edge
     set's vertices. The arcs are stamped uniformly over ``days`` days by
     ``default_rng([seed, 1])``, or all at 0 for 0 days (``check_days``).
-    Only the configuration-model family takes ``base``, the graph it
-    rewires. Raises ValueError for an unknown family, parameters it does
-    not take (``check_parameters``), a seed that is not a non-negative
-    integer (``check_seed``), or a graph without arcs.
+    Only the configuration-model family takes ``base``: the observed edge
+    set, whose undirected edges it rewires over the same vertex ids.
+    Raises ValueError for an unknown family, parameters it does not take
+    (``check_parameters``), a seed that is not a non-negative integer
+    (``check_seed``), or a graph without arcs.
     """
     check_parameters(family, parameters, base is not None)
     check_days(days)

@@ -38,7 +38,8 @@ polarnet dominate --input demo/edges.csv --partition demo/partition.csv \
     --mode network-by-group --groups 0 --rho 0.5
 
 # summary of the planted edge list
-polarnet ingest-check --input demo/edges.csv
+base_out=$(polarnet ingest-check --input demo/edges.csv)
+echo "$base_out"
 
 # ingest's counters: "loop" is named only by a self-loop, so it is no vertex;
 # the comment is skipped and the two-field line is malformed
@@ -62,11 +63,13 @@ synth_out=$(polarnet synth --family configuration-model --input demo/edges.csv \
     --swaps 2000 --out demo/null/)
 echo "$synth_out"
 
-# its edges.csv reads back with no malformed line and as many arcs as synth printed
+# its edges.csv reads back with no malformed line, as many arcs as synth
+# printed and, as every planted vertex has an edge, the base's vertex count
 check_out=$(polarnet ingest-check --input demo/null/edges.csv)
 echo "$check_out"
 echo "$check_out" | grep -qx "malformed lines: 0"
 test "$(echo "$check_out" | grep '^arcs:')" = "$(echo "$synth_out" | grep '^arcs:')"
+test "$(echo "$check_out" | grep '^vertices:')" = "$(echo "$base_out" | grep '^vertices:')"
 
 # a coverage curve
 polarnet dominate --input demo/edges.csv --partition demo/partition.csv \

@@ -335,6 +335,28 @@ def test_synth_configuration_model_without_a_legal_swap_is_an_argument_error(tmp
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("swaps", [2**63 - 1, 2**63, 10**30])
+def test_synth_refuses_more_swaps_than_its_bound_per_edge(tmp_path, capsys, swaps):
+    # two triangles and a bridge, 7 edges with legal swaps: a count this
+    # large would keep the chain running for ages, so it is refused up front
+    base = tmp_path / "base.csv"
+    base.write_text("a,b,1\nb,c,1\nc,a,1\nd,e,1\ne,f,1\nf,d,1\nc,d,1\n", encoding="utf-8")
+    message = f"swaps must be at most 7000 (1000 per edge of 7), got {swaps}"
+    edges = graph.TemporalEdgeSet.from_arcs([line.split(",") for line in base.read_text().split()])
+    for call in (lambda: synth.generate("configuration-model", {"swaps": swaps}, base=edges),
+                 lambda: synth.configuration_rewire(graph.underlying_undirected(graph.build_directed_graph(edges)),
+                                                    swaps)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    out_dir = tmp_path / "null"
+    assert run_cli("synth", "--family", "configuration-model", "--input", str(base), "--out", str(out_dir),
+                   "--swaps", str(swaps)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+    assert run_cli("synth", "--family", "configuration-model", "--input", str(base), "--out", str(out_dir),
+                   "--swaps", "7000") == 0
+
+
 @pytest.mark.parametrize("family, given, flag, text", [
     ("planted-partition", ["--blocks", "3,x", "--p-in", "0.5", "--p-out", "0.1"], "--blocks", "3,x"),
     ("disjoint-cliques", ["--sizes", "4,,y"], "--sizes", "4,,y"),
@@ -852,6 +874,7 @@ _TRIANGLES = graph.undirected_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4,
 _ARCS = graph.directed_from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 _GROUPS = community.Partition.from_assignment([0, 0, 0, 1, 1, 1])
 _STAMPED = graph.TemporalEdgeSet.from_arcs([("a", "b", 0), ("b", "c", 7)])
+_TRIANGLE_ARCS = graph.TemporalEdgeSet.from_arcs([(u, v, 0) for u, v in ("ab", "bc", "ca", "de", "ef", "fd")])
 
 VALUE_RULES = {
     "resolution": (float, [lambda v: community.detect_communities(_TRIANGLES, resolution=v)],
@@ -867,7 +890,7 @@ VALUE_RULES = {
                            lambda v: domination.solve_task(_ARCS, "network-by-group", _GROUPS, 0, max_picks=v)],
                      ["dominate", "--input", "IN", "--curve", "--max-spreaders"]),
     "swaps": (int, [lambda v: synth.configuration_rewire(_TRIANGLES, v),
-                    lambda v: synth.generate("configuration-model", {"swaps": v}, base=_TRIANGLES)],
+                    lambda v: synth.generate("configuration-model", {"swaps": v}, base=_TRIANGLE_ARCS)],
               ["synth", "--family", "configuration-model", "--input", "IN", "--out", "OUT", "--swaps"]),
     "days": (int, [lambda v: synth.generate("star", {"n_leaves": 1}, days=v)],
              ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--days"]),

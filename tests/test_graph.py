@@ -383,12 +383,13 @@ def _ints(*values):
     (lambda: _edge_set("ab", [(0, 2, 0)]), "arc endpoint outside the vertex index"),
     (lambda: _edge_set("ab", [(-1, 1, 0)]), "arc endpoint outside the vertex index"),
     (lambda: _edge_set("ab", [(0, 1, -1)]), "timestamps must be non-negative"),
+    (lambda: _edge_set("abc", [(0, 1, 1), (2, 2, 1)]), "arc 1 is a self-loop on 'c'"),
     (lambda: graph.DirectedGraph(2, _ints(0, 0), _ints()), "indptr length must be n [+] 1"),
     (lambda: graph.UndirectedView(2, _ints(0, 0), _ints(), 0), "indptr length must be n [+] 1"),
     (lambda: graph.UndirectedView(2, _ints(0, 1, 2), _ints(1, 0), 2), "edge count inconsistent"),
     (lambda: directed_from_arcs(3, [(0, 3)]), "arc endpoint out of range"),
     (lambda: undirected_from_edges(3, [(-1, 2)]), "edge endpoint out of range"),
-], ids=["unequal lengths", "endpoint past n", "negative endpoint", "negative stamp", "directed indptr",
+], ids=["unequal lengths", "endpoint past n", "negative endpoint", "negative stamp", "self-loop arc", "directed indptr",
         "undirected indptr", "undirected edge count", "arc out of range", "edge out of range"])
 def test_graph_containers_refuse_inconsistent_arrays(build, message):
     with pytest.raises(ValueError, match=message):
@@ -401,9 +402,11 @@ def test_graph_containers_refuse_inconsistent_arrays(build, message):
     st.data(),
 )
 def test_edge_list_writer_equals_per_arc_text(labels, data):
-    arc = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
+    # the target is the source moved on by 1 to len(labels) - 1: no self-loop
+    arc = st.tuples(st.integers(0, len(labels) - 1), st.integers(1, max(1, len(labels) - 1)),
                     st.integers(0, 2**63 - 1) | st.integers(0, 1000))
-    arcs = data.draw(st.lists(arc, max_size=40))
+    arcs = [(s, (s + step) % len(labels), stamp)
+            for s, step, stamp in data.draw(st.lists(arc, max_size=40 if len(labels) > 1 else 0))]
     edges = _edge_set(labels, arcs)
     buf = io.StringIO()
     bad = oracles.unwritable_label(labels, arcs)
@@ -492,7 +495,8 @@ def test_edge_list_writer_equals_per_arc_text_at_scale(seed, chunk):
     stamps = _random_stamps(rng, 3000)
     hashed = np.array([label.startswith("#") for label in labels])
     sources = rng.choice(np.flatnonzero(~hashed), len(stamps))
-    arcs = list(zip(sources.tolist(), rng.integers(0, len(labels), len(stamps)).tolist(), stamps))
+    targets = (sources + rng.integers(1, len(labels), len(stamps))) % len(labels)
+    arcs = list(zip(sources.tolist(), targets.tolist(), stamps))
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("polarnet.graph._WRITE_CHUNK", chunk)
@@ -538,7 +542,8 @@ def test_edge_list_writer_peak_memory_stays_below_huge_pages():
     rng = np.random.default_rng(0)
     n = 200_000
     labels = tuple(f"user{i:06d}" for i in range(5000))
-    edges = TemporalEdgeSet(sources=rng.integers(0, 5000, n), targets=rng.integers(0, 5000, n),
+    sources = rng.integers(0, 5000, n)
+    edges = TemporalEdgeSet(sources=sources, targets=(sources + rng.integers(1, 5000, n)) % 5000,
                             timestamps=rng.integers(10**9, 2 * 10**9, n), labels=labels)
 
     class Discard:

@@ -11,13 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polarnet import graph
+from polarnet import graph, synth
 from polarnet.community import load_partition, save_partition
-from polarnet.graph import ingest_edge_list, underlying_undirected, undirected_from_edges, write_edge_list
+from polarnet.graph import (
+    TemporalEdgeSet,
+    build_directed_graph,
+    ingest_edge_list,
+    underlying_undirected,
+    undirected_from_edges,
+    write_edge_list,
+)
 from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
     FAMILIES,
     MAX_DAYS,
+    _batch_size,
     _proposals,
     configuration_rewire,
     directed_cycle,
@@ -196,8 +204,9 @@ def random_graphs(draw):
     return undirected_from_edges(n, pairs)
 
 
-# a batch never holds more proposals than swaps are left to accept, so any
-# rejection starts another batch
+# small graphs run many short batches: the first holds as many proposals as
+# there are swaps, each later one is sized from the acceptance rate so far,
+# and the last is cut at the final acceptance or ends at the stall budget
 @settings(max_examples=100)
 @given(random_graphs(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_rewire_equals_sequential_chain_over_its_proposals(g, swaps, seed):
@@ -232,6 +241,61 @@ def test_rewire_equals_sequential_chain_when_a_batch_mixes_every_kind_of_slow_ro
     g = undirected_from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
     expected = oracles.rewire_reference(g, 1000, _proposal_stream(g.m, 0))
     assert configuration_rewire(g, 1000, seed=0).edge_pairs().tolist() == [list(e) for e in expected]
+
+
+def _batches(monkeypatch):
+    """(proposals, swaps wanted, (accepted, run)) of every ``_swap_batch`` call."""
+    calls = []
+    inner = synth._swap_batch
+
+    def recorded(keys, present, n, i, j, flip, wanted):
+        result = inner(keys, present, n, i, j, flip, wanted)
+        calls.append((len(i), wanted, result))
+        return result
+
+    monkeypatch.setattr(synth, "_swap_batch", recorded)
+    return calls
+
+
+def test_rewire_equals_sequential_chain_when_its_last_batch_is_cut(monkeypatch):
+    # 382 edges on 40 vertices: the last batch holds 124 proposals for the
+    # 23 swaps left. Its 23rd acceptance is row 102; past it, six slow rows,
+    # a fast row, and a demoted fast row run again are accepted, then undone
+    calls = _batches(monkeypatch)
+    rng = np.random.default_rng(1818)
+    g = undirected_from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
+    expected = oracles.rewire_reference(g, 1000, _proposal_stream(g.m, 1))
+    assert configuration_rewire(g, 1000, seed=1).edge_pairs().tolist() == [list(e) for e in expected]
+    assert calls[-1] == (124, 23, (23, 103))
+
+
+def test_rewire_stall_in_a_batch_sized_from_the_rate_matches_the_sequential_chain(monkeypatch):
+    # K9 without three edges: legal swaps are rare. After the first batches,
+    # the rate sizes two batches below the 256 of _batch_size, and the stall
+    # budget cuts the last one shorter still
+    calls = _batches(monkeypatch)
+    gone = {(0, 4), (2, 5), (6, 7)}
+    g = undirected_from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) not in gone])
+    with pytest.raises(ValueError) as stalled:
+        oracles.rewire_reference(g, 8, _proposal_stream(g.m, 41))
+    with pytest.raises(ValueError) as err:
+        configuration_rewire(g, 8, seed=41)
+    assert str(err.value) == str(stalled.value)
+    assert str(err.value) == "degree-preserving rewire stalled: 7/8 swaps accepted after 1600 attempts"
+    assert [size for size, _, _ in calls] == [8, 256, 256, 256, 256, 181, 210, 177]
+
+
+def test_rewire_ends_in_one_short_batch_on_a_dense_graph(monkeypatch):
+    # dense-daily's shape: 3,000 vertices in three planted blocks, about
+    # 254k edges. 30k swaps take two full batches and one rate-sized batch
+    calls = _batches(monkeypatch)
+    g = underlying_undirected(planted_partition([1000] * 3, 0.08, 0.004, seed=1)[0])
+    shuffled = configuration_rewire(g, 30_000, seed=1)
+    assert np.array_equal(shuffled.degrees, g.degrees)
+    sizes = [size for size, _, _ in calls]
+    assert sum(size < _batch_size(g.m) for size in sizes) <= 1
+    assert len(sizes) == 3
+    assert sum(accepted for _, _, (accepted, _) in calls) == 30_000
 
 
 @pytest.mark.parametrize("n, key_dtype", [(46340, np.int32), (46342, np.int64)])
@@ -334,8 +398,15 @@ def test_generate_names_each_missing_parameter(family, missing):
         generate(family, absent)
 
 
+def _arcs(g):
+    """The edges of ``g`` as one arc each, low id to high, over labels ``v{i}``."""
+    lo, hi = g.edge_pairs().T
+    return TemporalEdgeSet(sources=lo, targets=hi, timestamps=np.zeros(len(lo), dtype=np.int64),
+                           labels=tuple(f"v{i}" for i in range(g.n)))
+
+
 def test_generate_refuses_another_familys_parameters_and_base():
-    base, _ = figure2_instance()
+    base = _arcs(figure2_instance()[0])
     with pytest.raises(ValueError, match=re.escape("star does not take 'n'")):
         generate("star", {"n_leaves": 3, "n": 9})
     with pytest.raises(ValueError, match=re.escape("figure2 does not take 'base'")):
@@ -367,7 +438,7 @@ def test_temporal_edges_days_stop_at_the_int64_seconds_limit():
 
 def test_generate_configuration_model_from_base():
     g, _ = figure2_instance()
-    edges, part = generate("configuration-model", {"swaps": 40}, seed=2, base=g)
+    edges, part = generate("configuration-model", {"swaps": 40}, seed=2, base=_arcs(g))
     assert edges.n_vertices == 12
     assert edges.n_arcs == 38
     assert part is None
@@ -394,18 +465,34 @@ _SIZES = st.lists(st.integers(1, 5), min_size=1, max_size=4)
 
 
 @st.composite
+def _edge_sets(draw, fewest, most, arcs):
+    """An edge set on ``fewest`` to ``most`` distinct labels in any order,
+    with up to ``arcs`` arcs, then a few of them again, as they are or reversed."""
+    labels = draw(st.lists(st.text(max_size=3), min_size=fewest, max_size=most, unique=True))
+    n = len(labels)
+    # the target is the source moved on by 1 to n - 1: no self-loop
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(0, 10)),
+                          max_size=arcs))
+    drawn = [(s, (s + step) % n, stamp) for s, step, stamp in steps]
+    if drawn:
+        for s, t, stamp in draw(st.lists(st.sampled_from(drawn), max_size=4)):
+            drawn.append((t, s, stamp) if draw(st.booleans()) else (s, t, stamp + 1))
+    src, tgt, stamps = (np.array([arc[k] for arc in drawn], dtype=np.int64) for k in range(3))
+    return TemporalEdgeSet(sources=src, targets=tgt, timestamps=stamps, labels=tuple(labels))
+
+
+@st.composite
 def _family_calls(draw):
     """A family, parameters it takes at small values, a seed and, for the
-    rewire, a small base graph, possibly with vertices without edges."""
+    rewire, a small base edge set, possibly with vertices without arcs."""
     family = draw(st.sampled_from(sorted(FAMILIES)))
     params, base = {}, None
     if family == "planted-partition":
         probability = st.sampled_from([0.0, 0.05, 0.3, 1.0])
         params = {"block_sizes": draw(_SIZES), "p_in": draw(probability), "p_out": draw(probability)}
     elif family == "configuration-model":
-        n = draw(st.integers(4, 9))
-        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
-        base = undirected_from_edges(n, draw(st.lists(pairs, min_size=2, max_size=12, unique=True)))
+        base = draw(_edge_sets(4, 9, 12))
+        assume(underlying_undirected(build_directed_graph(base)).m >= 2)
         params = {"swaps": draw(st.integers(0, 6))}
     elif family == "star":
         params = {"n_leaves": draw(st.integers(1, 6))}
@@ -441,3 +528,26 @@ def test_generated_partition_covers_the_edge_list_and_loads_back(call):
     groups = dict(zip(edges.labels, part.assignment.tolist()))
     assert dict(zip(read.labels, loaded.assignment.tolist())) == groups
     assert loaded.group_meta == part.group_meta
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_sets(2, 12, 40), st.integers(0, 60), st.integers(0, 3))
+def test_generate_rewires_the_undirected_view_of_its_base(edges, swaps, seed):
+    und = underlying_undirected(build_directed_graph(edges))
+    try:
+        expected = configuration_rewire(und, swaps, seed)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as err:
+            generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+        assert str(err.value) == str(refused)
+        return
+    if expected.m == 0:
+        with pytest.raises(ValueError, match="configuration-model made no arcs"):
+            generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+        return
+    arcs, part = generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+    assert part is None
+    ids = np.array([int(label[1:]) for label in arcs.labels])
+    assert ids.tolist() == np.flatnonzero(expected.degrees).tolist()
+    pairs = sorted(zip(ids[arcs.sources].tolist(), ids[arcs.targets].tolist()))
+    assert pairs == sorted(zip(graph._csr_rows(expected.indptr).tolist(), expected.indices.tolist()))
