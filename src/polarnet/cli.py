@@ -176,7 +176,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
     q = modularity(und, part)
     print(f"groups: {part.k}")
     print(f"modularity: {q:.6f}")
-    for i in range(min(part.k, args.top)):
+    for i in range(min(part.k, 10)):  # the ten largest groups
         print(f"group {i}: {int(part.group_sizes[i])} vertices")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -315,20 +315,20 @@ _SYNTH_PARAMETERS = (
 def cmd_synth(args: argparse.Namespace) -> int:
     flags = {name: flag for flag, name, _, _ in _SYNTH_PARAMETERS}
     params = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
-    check_parameters(args.family, params, args.input is not None, spell={**flags, "base": "--input"}.get)
+    names = [*params, "base"] if args.input is not None else params
+    check_parameters(args.family, names, spell={**flags, "base": "--input"}.get)
     check_swaps(params.get("swaps", 0))
     check_days(args.days)
     check_seed(args.seed)
-    base = None
     if args.input is not None:
-        base = _load_edges(args)
+        params["base"] = _load_edges(args)
     else:
         given = [flag for flag, on in (("--delimiter", args.delimiter != ","), ("--header", args.header),
                                        ("--strict", args.strict)) if on]
         if given:
             raise ValueError(f"{', '.join(given)} {'needs' if len(given) == 1 else 'need'} --input")
 
-    arcs, part = generate(args.family, params, args.seed, base, args.days)
+    arcs, part = generate(args.family, params, args.seed, args.days)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="partition file to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--top", type=int, default=10, help="how many group sizes to print")
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("polarization", help="per-window modularity and group shares")

@@ -56,7 +56,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import FormatError
-from .graph import UndirectedView, _check_integer, _distinct_keys, _key_counts, _key_csr, _pair_keys
+from .graph import UndirectedView, _check_int_arrays, _check_integer, _distinct_keys, _key_counts, _key_csr, _pair_keys
 
 _INT = np.int64
 # A vertex moves only when that raises modularity by more than this.
@@ -79,6 +79,7 @@ class Partition:
     group_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_int_arrays(assignment=self.assignment)
         if len(self.assignment) == 0:
             raise ValueError("partition must cover at least one vertex")
         lowest = int(self.assignment.min())

@@ -262,16 +262,12 @@ def _greedy_run(
     f = 0
 
     while f < stop_covered and len(selected) < max_picks:
-        b = int(top.argmax())
-        s = int(top[b])
+        s = int(top.max())
         if s <= 0:
             break
         held = np.flatnonzero(top == s)
-        if len(held) == 1:
-            cand = np.flatnonzero(blocks[b] == s) + b * _BLOCK
-        else:
-            rows, cols = np.nonzero(blocks[held] == s)
-            cand = held[rows] * _BLOCK + cols
+        rows, cols = np.nonzero(blocks[held] == s)
+        cand = held[rows] * _BLOCK + cols
         if len(cand) == 1:
             closed = np.concatenate((g.indices[g.indptr[cand[0]]: g.indptr[cand[0] + 1]], cand))
             picks, newly = cand, closed[uncovered[closed]]

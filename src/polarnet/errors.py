@@ -15,10 +15,9 @@ class PolarnetError(Exception):
 class ParseError(PolarnetError):
     """A delimited input stream contained a malformed record (strict mode)."""
 
-    def __init__(self, message: str, line_number: int | None = None, line: str | None = None):
+    def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message)
         self.line_number = line_number
-        self.line = line
 
 
 class FormatError(PolarnetError):

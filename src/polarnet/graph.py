@@ -24,6 +24,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_int_arrays(**columns: object) -> None:
+    """Raise ValueError naming the first of ``columns`` that is not a numpy
+    integer array: the type check of every container's columns, made before
+    any of them is read."""
+    for name, a in columns.items():
+        if not (isinstance(a, np.ndarray) and np.issubdtype(a.dtype, np.integer)):
+            got = f"{a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+            raise ValueError(f"{name} must be a numpy integer array, got {got}")
+
+
 @dataclass(frozen=True)
 class IngestOptions:
     """How :func:`ingest_edge_list` reads a file: the CLI's ``--delimiter``,
@@ -82,6 +92,7 @@ class TemporalEdgeSet:
     malformed_lines: int = 0
 
     def __post_init__(self):
+        _check_int_arrays(sources=self.sources, targets=self.targets, timestamps=self.timestamps)
         n = len(self.labels)
         if not (len(self.sources) == len(self.targets) == len(self.timestamps)):
             raise ValueError("sources, targets and timestamps must have equal length")
@@ -140,6 +151,7 @@ class DirectedGraph:
     indices: np.ndarray
 
     def __post_init__(self):
+        _check_int_arrays(indptr=self.indptr, indices=self.indices)
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr length must be n + 1")
         for a in (self.indptr, self.indices):
@@ -190,6 +202,7 @@ class UndirectedView:
     m: int
 
     def __post_init__(self):
+        _check_int_arrays(indptr=self.indptr, indices=self.indices)
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr length must be n + 1")
         if len(self.indices) != 2 * self.m:
@@ -626,11 +639,8 @@ def ingest_edge_list(stream: TextIO, options: IngestOptions | None = None) -> Te
             record = _parse_line(raw, opts)
             if record is None:
                 if opts.strict:
-                    line = raw.strip()
                     lineno = base + i + 1
-                    raise ParseError(
-                        f"malformed record at line {lineno}: {line!r}", line_number=lineno, line=line
-                    )
+                    raise ParseError(f"malformed record at line {lineno}: {raw.strip()!r}", line_number=lineno)
                 malformed += 1
             elif record:
                 source, target, stamp = record

@@ -7,9 +7,10 @@ against ground truth. All randomness flows through numpy's seeded
 default_rng, making every family reproducible bit for bit.
 
 ``FAMILIES`` is the one table of families: each
-name maps to its builder, its required and optional parameters, and whether
-it rewires an observed edge set. ``generate`` and the ``synth`` command both check
-their arguments against it with ``check_parameters``, and ``generate``
+name maps to its builder and its required and optional parameters, the
+configuration model's observed edge set ``base`` among them. ``generate``
+and the ``synth`` command both check their arguments against it with
+``check_parameters``, and ``generate``
 returns what ``synth`` writes: the arcs as a ``TemporalEdgeSet`` over labels
 ``v{i}``, and the ground-truth partition (or None), which covers exactly the
 vertices that the arcs name.
@@ -18,6 +19,7 @@ vertices that the arcs name.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +46,11 @@ _INT = np.int64
 _TAKEN, _FREE = -2, -1
 # the most days whose seconds an int64 timestamp still holds
 MAX_DAYS = np.iinfo(_INT).max // 86400
+# the most vertices a family built from sizes has: planted-partition, and
+# disjoint-cliques through it, draw a number for each of the n² ordered
+# pairs of their n vertices and make at most n² − n arcs (one 8,192-clique
+# makes 67.1M); star and directed-cycle make one arc per vertex
+MAX_VERTICES = 2**13
 
 # three groups of four: a clique plus two cycles, lightly tied together
 _FIG2_EDGES = (
@@ -68,16 +75,29 @@ def figure2_instance() -> tuple[UndirectedView, Partition]:
     return und, part
 
 
+def check_sizes(sizes: Sequence[int], name: str) -> list[int]:
+    """``sizes``, the vertex counts of a family's parts (``name`` names
+    them), as ints. Raise ValueError unless there is at least one, each is
+    a positive integer, and they total at most ``MAX_VERTICES``: every
+    family checks this before it allocates anything."""
+    bad = next((s for s in sizes if not (isinstance(s, numbers.Integral) and s > 0)), None)
+    if bad is not None or not len(sizes):
+        raise ValueError(f"{name} must be positive integers, got {'none' if bad is None else bad}")
+    sizes = list(map(int, sizes))
+    if sum(sizes) > MAX_VERTICES:
+        raise ValueError(f"a family has at most {MAX_VERTICES} vertices, got {sum(sizes)}")
+    return sizes
+
+
 def planted_partition(
     block_sizes: Sequence[int], p_in: float, p_out: float, seed: int = 0
 ) -> tuple[DirectedGraph, Partition]:
     """Directed blocks: each ordered pair gets an arc independently, with
     probability p_in inside a block and p_out across blocks. Raises
-    ValueError unless ``seed`` is a non-negative integer (``check_seed``)."""
+    ValueError unless ``seed`` is a non-negative integer (``check_seed``)
+    and the block sizes pass ``check_sizes``."""
     check_seed(seed)
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s <= 0 for s in sizes):
-        raise ValueError("block sizes must be positive integers")
+    sizes = check_sizes(block_sizes, "block sizes")
     for name, prob in (("p_in", p_in), ("p_out", p_out)):
         if not (0.0 <= prob <= 1.0):
             raise ValueError(f"{name} must be in [0, 1], got {prob}")
@@ -394,9 +414,7 @@ def _rewire_keys(keys: np.ndarray, n: int, swaps: int, seed: int) -> np.ndarray:
             )
         left = swaps - accepted
         size = min(_batch_size(m), budget - attempts)
-        if not attempts:
-            size = min(size, left)  # a proposal makes at most one swap: no cut
-        elif accepted:
+        if accepted:
             # the proposals the rate so far needs to finish, and an eighth more
             need = left * attempts // accepted
             size = min(size, need + need // 8 + 16)
@@ -452,11 +470,11 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     return _undirected(g.n, lo, hi)
 
 
-def _configuration_model(parameters: Mapping, seed: int,
-                         base: TemporalEdgeSet) -> tuple[UndirectedView, None]:
-    """``configuration_rewire`` of the base's undirected edges, taken from
-    its arcs in one sort: ``10·m`` swaps unless ``parameters`` give
-    ``swaps``."""
+def _configuration_model(parameters: Mapping, seed: int) -> tuple[UndirectedView, None]:
+    """``configuration_rewire`` of the undirected edges of ``parameters["base"]``,
+    taken from its arcs in one sort: ``10·m`` swaps unless ``parameters``
+    give ``swaps``."""
+    base: TemporalEdgeSet = parameters["base"]
     n = base.n_vertices
     # an arc's edge key lo * n + hi is the smaller of its two pair keys: no
     # arc-length int64 columns of minima and maxima to fill
@@ -470,14 +488,14 @@ def _configuration_model(parameters: Mapping, seed: int,
 
 def star(n_leaves: int) -> DirectedGraph:
     """Hub vertex 0 with an arc to each of n_leaves leaves."""
-    if n_leaves < 1:
-        raise ValueError("a star needs at least one leaf")
+    check_sizes([1, n_leaves], "leaf counts")  # the hub and its leaves
     arcs = [(0, i) for i in range(1, n_leaves + 1)]
     return directed_from_arcs(n_leaves + 1, arcs)
 
 
 def directed_cycle(n: int) -> DirectedGraph:
     """Arcs i -> (i+1) mod n; every vertex spans exactly itself plus one."""
+    check_sizes([n], "cycle lengths")
     if n < 2:
         raise ValueError("a directed cycle needs at least two vertices")
     arcs = [(i, (i + 1) % n) for i in range(n)]
@@ -485,68 +503,45 @@ def directed_cycle(n: int) -> DirectedGraph:
 
 
 def disjoint_cliques(sizes: Sequence[int]) -> tuple[DirectedGraph, Partition]:
-    """Bidirectional cliques with no arcs between them, one group each."""
-    block_sizes = [int(s) for s in sizes]
-    if not block_sizes or any(s <= 0 for s in block_sizes):
-        raise ValueError("clique sizes must be positive integers")
-    n = sum(block_sizes)
-    arcs = []
-    start = 0
-    for size in block_sizes:
-        vs = range(start, start + size)
-        arcs.extend((u, v) for u in vs for v in vs if u != v)
-        start += size
-    assignment = np.repeat(np.arange(len(block_sizes), dtype=_INT), block_sizes)
-    meta = {i: f"clique{i}" for i in range(len(block_sizes))}
-    g = directed_from_arcs(n, arcs)
-    return g, Partition.from_assignment(assignment, meta)
+    """Bidirectional cliques with no arcs between them, one group each: the
+    planted blocks with every arc inside a block and none across."""
+    g, blocks = planted_partition(check_sizes(sizes, "clique sizes"), 1.0, 0.0)
+    return g, Partition(blocks.assignment, {i: f"clique{i}" for i in range(blocks.k)})
 
 
 @dataclass(frozen=True)
 class Family:
-    """How to build one family: ``build(parameters, seed, base)`` gives the
-    graph and its ground-truth partition (or None). ``rewires`` families take
-    the base, an observed edge set; no other family does."""
+    """How to build one family: ``build(parameters, seed)`` gives the graph
+    and its ground-truth partition (or None)."""
 
-    build: Callable[[Mapping, int, TemporalEdgeSet | None],
-                    tuple[DirectedGraph | UndirectedView, Partition | None]]
+    build: Callable[[Mapping, int], tuple[DirectedGraph | UndirectedView, Partition | None]]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
-    rewires: bool = False
 
 
 FAMILIES: dict[str, Family] = {
-    "figure2": Family(lambda p, seed, base: figure2_instance()),
+    "figure2": Family(lambda p, seed: figure2_instance()),
     "planted-partition": Family(
-        lambda p, seed, base: planted_partition(p["block_sizes"], p["p_in"], p["p_out"], seed=seed),
+        lambda p, seed: planted_partition(p["block_sizes"], p["p_in"], p["p_out"], seed=seed),
         required=("block_sizes", "p_in", "p_out"),
     ),
-    "configuration-model": Family(
-        _configuration_model,
-        optional=("swaps",),
-        rewires=True,
-    ),
-    "star": Family(lambda p, seed, base: (star(p["n_leaves"]), None), required=("n_leaves",)),
-    "directed-cycle": Family(lambda p, seed, base: (directed_cycle(p["n"]), None), required=("n",)),
-    "disjoint-cliques": Family(lambda p, seed, base: disjoint_cliques(p["sizes"]), required=("sizes",)),
+    "configuration-model": Family(_configuration_model, required=("base",), optional=("swaps",)),
+    "star": Family(lambda p, seed: (star(p["n_leaves"]), None), required=("n_leaves",)),
+    "directed-cycle": Family(lambda p, seed: (directed_cycle(p["n"]), None), required=("n",)),
+    "disjoint-cliques": Family(lambda p, seed: disjoint_cliques(p["sizes"]), required=("sizes",)),
 }
 
 
-def check_parameters(family: str, given: Iterable[str], has_base: bool,
-                     spell: Callable[[str], str] = repr) -> None:
+def check_parameters(family: str, given: Iterable[str], spell: Callable[[str], str] = repr) -> None:
     """Raise ValueError unless ``family`` is in ``FAMILIES`` and takes the
-    ``given`` parameter names and, exactly when ``has_base``, a base graph
-    (named ``"base"``).
-    ``spell`` renders each name in the message."""
+    ``given`` parameter names. ``spell`` renders each name in the message."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     entry = FAMILIES[family]
     unknown = sorted(set(given) - {*entry.required, *entry.optional})
-    unknown += ["base"] if has_base and not entry.rewires else []
     if unknown:
         raise ValueError(f"{family} does not take {', '.join(map(spell, unknown))}")
     missing = [name for name in entry.required if name not in given]
-    missing += ["base"] if entry.rewires and not has_base else []
     if missing:
         raise ValueError(f"{family} requires {', '.join(map(spell, missing))}")
 
@@ -561,7 +556,7 @@ def check_days(days: int) -> None:
     _check_integer(days, "days")
 
 
-def generate(family: str, parameters: Mapping, seed: int = 0, base: TemporalEdgeSet | None = None,
+def generate(family: str, parameters: Mapping, seed: int = 0,
              days: int = 0) -> tuple[TemporalEdgeSet, Partition | None]:
     """Build a family into the arcs ``synth`` writes and its ground-truth
     partition, or None when it has none.
@@ -572,16 +567,17 @@ def generate(family: str, parameters: Mapping, seed: int = 0, base: TemporalEdge
     order, keeping their names, so the partition covers exactly the edge
     set's vertices. The arcs are stamped uniformly over ``days`` days by
     ``default_rng([seed, 1])``, or all at 0 for 0 days (``check_days``).
-    Only the configuration-model family takes ``base``: the observed edge
-    set, whose undirected edges it rewires over the same vertex ids.
+    The configuration-model family takes the parameter ``base``: the
+    observed edge set, whose undirected edges it rewires over the same
+    vertex ids.
     Raises ValueError for an unknown family, parameters it does not take
     (``check_parameters``), a seed that is not a non-negative integer
     (``check_seed``), or a graph without arcs.
     """
-    check_parameters(family, parameters, base is not None)
+    check_parameters(family, parameters)
     check_days(days)
     check_seed(seed)
-    g, part = FAMILIES[family].build(parameters, seed, base)
+    g, part = FAMILIES[family].build(parameters, seed)
     if g.indices.size == 0:
         raise ValueError(f"{family} made no arcs, so the edge list would have no vertices")
     # a CSR row per vertex: an undirected view holds each edge in both rows

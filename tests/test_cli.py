@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,9 @@ import pytest
 from polarnet import community, domination, graph, synth
 from polarnet.cli import main
 from polarnet.community import load_partition
-from polarnet.synth import MAX_DAYS
+from polarnet.synth import MAX_DAYS, MAX_VERTICES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv: str) -> int:
@@ -26,6 +29,24 @@ def run_cli(*argv: str) -> int:
         return main(list(argv))
     except SystemExit as stop:
         return stop.code
+
+
+# the address space and the time a child run of the CLI may take
+_CHILD_MEMORY = 2 << 30
+_CHILD_SECONDS = 20
+
+
+def run_cli_child(cwd, *argv: str) -> tuple[int, str]:
+    """The exit code and stderr of ``python -m polarnet argv`` run in ``cwd``,
+    in a child process capped at 2 GiB of address space and 20 s: a run that
+    would allocate without a bound fails there, not in the test process."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "polarnet", *argv], cwd=cwd, env=env, preexec_fn=cap,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=_CHILD_SECONDS)
+    return run.returncode, run.stderr
 
 
 def write_two_triangles(path) -> None:
@@ -343,7 +364,7 @@ def test_synth_refuses_more_swaps_than_its_bound_per_edge(tmp_path, capsys, swap
     base.write_text("a,b,1\nb,c,1\nc,a,1\nd,e,1\ne,f,1\nf,d,1\nc,d,1\n", encoding="utf-8")
     message = f"swaps must be at most 7000 (1000 per edge of 7), got {swaps}"
     edges = graph.TemporalEdgeSet.from_arcs([line.split(",") for line in base.read_text().split()])
-    for call in (lambda: synth.generate("configuration-model", {"swaps": swaps}, base=edges),
+    for call in (lambda: synth.generate("configuration-model", {"swaps": swaps, "base": edges}),
                  lambda: synth.configuration_rewire(graph.underlying_undirected(graph.build_directed_graph(edges)),
                                                     swaps)):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -355,6 +376,26 @@ def test_synth_refuses_more_swaps_than_its_bound_per_edge(tmp_path, capsys, swap
     assert not out_dir.exists()
     assert run_cli("synth", "--family", "configuration-model", "--input", str(base), "--out", str(out_dir),
                    "--swaps", "7000") == 0
+
+
+# sizes past the vertex bound, each refused before anything is allocated;
+# run in a child process, so that a size rule that went missing could not
+# exhaust this one
+_HUGE = (2**63 - 1, 2**63, 10**30)
+# (family, its size flags, the vertex count they ask for): a star adds its hub
+_OVERSIZED = [
+    *[("star", ["--leaves", str(v)], v + 1) for v in _HUGE],
+    *[("directed-cycle", ["--n", str(v)], v) for v in _HUGE],
+    *[("disjoint-cliques", ["--sizes", str(v)], v) for v in _HUGE],
+    *[("planted-partition", ["--blocks", f"{v},3", "--p-in", "0.5", "--p-out", "0.1"], v + 3) for v in _HUGE[1:]],
+]
+
+
+@pytest.mark.parametrize("family, given, total", _OVERSIZED, ids=[" ".join(given[:2]) for _, given, _ in _OVERSIZED])
+def test_synth_refuses_sizes_past_the_vertex_bound(tmp_path, family, given, total):
+    code, err = run_cli_child(tmp_path, "synth", "--family", family, *given, "--out", "out")
+    assert (code, err) == (2, f"error: a family has at most {MAX_VERTICES} vertices, got {total}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("family, given, flag, text", [
@@ -890,7 +931,7 @@ VALUE_RULES = {
                            lambda v: domination.solve_task(_ARCS, "network-by-group", _GROUPS, 0, max_picks=v)],
                      ["dominate", "--input", "IN", "--curve", "--max-spreaders"]),
     "swaps": (int, [lambda v: synth.configuration_rewire(_TRIANGLES, v),
-                    lambda v: synth.generate("configuration-model", {"swaps": v}, base=_TRIANGLE_ARCS)],
+                    lambda v: synth.generate("configuration-model", {"swaps": v, "base": _TRIANGLE_ARCS})],
               ["synth", "--family", "configuration-model", "--input", "IN", "--out", "OUT", "--swaps"]),
     "days": (int, [lambda v: synth.generate("star", {"n_leaves": 1}, days=v)],
              ["synth", "--family", "configuration-model", "--input", "IN", "--swaps", "0", "--out", "OUT", "--days"]),

@@ -2,8 +2,9 @@
 
 Every combination of dominate mode, run kind, format and destination is run
 on one small graph, every synth family is run at fixed seeds, `communities`
-is run at four seeds and one lower resolution, and every byte the CLI
-produces (exit code, stdout, each written file) is compared with
+is run at four seeds and one lower resolution on a ring of triangles and once
+on twelve disjoint triangles, and every byte the CLI produces (exit code,
+stdout, each written file) is compared with
 `cli_outputs.json`. The expected bytes were captured from the CLI before its
 output path was consolidated, so any change to them is a change of the file
 formats. The configuration-model bytes are those of the batched swap chain.
@@ -68,6 +69,9 @@ RING = "".join(
 ) + "".join(f"r{3 * c + 2},r{3 * (c + 1) % 30},0\n" for c in range(10)) + (
     "r4,r17,0\nr9,r25,0\nr1,r22,0\nr13,r28,0\n"
 )
+# twelve disjoint triangles: twelve groups, so `communities` prints only the
+# ten largest
+TRIANGLES = "".join(f"t{3 * c + i},t{3 * c + j},0\n" for c in range(12) for i, j in ((0, 1), (0, 2), (1, 2)))
 # polarization over hourly windows: lines out of time order, repeated and
 # reciprocal arcs, hour 2 empty, hour 3 mostly across groups
 WINDOWS = (
@@ -153,6 +157,8 @@ def _cases() -> dict[str, list[str]]:
     for run, args in COMMUNITIES_RUNS.items():
         cases[f"communities {run}"] = [
             "communities", "--input", "ring.csv", "--out", "out/partition.csv", *args]
+    cases["communities twelve triangles"] = [
+        "communities", "--input", "triangles.csv", "--out", "out/partition.csv"]
     return cases
 
 
@@ -167,6 +173,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "base.csv").write_text(BASE, encoding="utf-8")
         (case_dir / "base.tsv").write_text(BASE_TAB, encoding="utf-8")
         (case_dir / "ring.csv").write_text(RING, encoding="utf-8")
+        (case_dir / "triangles.csv").write_text(TRIANGLES, encoding="utf-8")
         (case_dir / "windows.csv").write_text(WINDOWS, encoding="utf-8")
         (case_dir / "part3.csv").write_text(PARTITION3, encoding="utf-8")
         (case_dir / "days.csv").write_text(DAYS, encoding="utf-8")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polarnet import graph
+from polarnet.community import Partition
 from polarnet.errors import ParseError
 from polarnet.graph import (
     IngestOptions,
@@ -389,8 +390,17 @@ def _ints(*values):
     (lambda: graph.UndirectedView(2, _ints(0, 1, 2), _ints(1, 0), 2), "edge count inconsistent"),
     (lambda: directed_from_arcs(3, [(0, 3)]), "arc endpoint out of range"),
     (lambda: undirected_from_edges(3, [(-1, 2)]), "edge endpoint out of range"),
+    (lambda: TemporalEdgeSet(sources=[0, 0, 1], targets=_ints(1, 2, 2), timestamps=_ints(0, 0, 0),
+                             labels=("a", "b", "c")),
+     "sources must be a numpy integer array, got list"),
+    (lambda: TemporalEdgeSet(sources=_ints(0), targets=_ints(1), timestamps=np.zeros(1), labels=("a", "b")),
+     "timestamps must be a numpy integer array, got float64 array"),
+    (lambda: Partition(assignment=[0, 1]), "assignment must be a numpy integer array, got list"),
+    (lambda: graph.DirectedGraph(2, [0, 1, 1], [1]), "indptr must be a numpy integer array, got list"),
+    (lambda: graph.UndirectedView(2, _ints(0, 1, 2), [1, 0], 1), "indices must be a numpy integer array, got list"),
 ], ids=["unequal lengths", "endpoint past n", "negative endpoint", "negative stamp", "self-loop arc", "directed indptr",
-        "undirected indptr", "undirected edge count", "arc out of range", "edge out of range"])
+        "undirected indptr", "undirected edge count", "arc out of range", "edge out of range", "edge set of lists",
+        "float stamps", "partition of a list", "directed graph of lists", "undirected view of a list"])
 def test_graph_containers_refuse_inconsistent_arrays(build, message):
     with pytest.raises(ValueError, match=message):
         build()

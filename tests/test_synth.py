@@ -25,6 +25,7 @@ from polarnet.polarization import group_contributions, modularity
 from polarnet.synth import (
     FAMILIES,
     MAX_DAYS,
+    MAX_VERTICES,
     _batch_size,
     _proposals,
     configuration_rewire,
@@ -131,6 +132,32 @@ def test_planted_rejects_bad_parameters():
         planted_partition([5, 0], 0.5, 0.1)
 
 
+def _past_bound(n):
+    return f"a family has at most {MAX_VERTICES} vertices, got {n}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: planted_partition([2.5, 3], 0.5, 0.1), "block sizes must be positive integers, got 2.5"),
+    (lambda: disjoint_cliques([2.5]), "clique sizes must be positive integers, got 2.5"),
+    (lambda: star(2.5), "leaf counts must be positive integers, got 2.5"),
+    (lambda: directed_cycle(np.float64(3.0)), "cycle lengths must be positive integers, got 3.0"),
+    (lambda: planted_partition([MAX_VERTICES, 1], 0.5, 0.1), _past_bound(MAX_VERTICES + 1)),
+    (lambda: disjoint_cliques([MAX_VERTICES // 2 + 1] * 2), _past_bound(MAX_VERTICES + 2)),
+    (lambda: star(MAX_VERTICES), _past_bound(MAX_VERTICES + 1)),
+    (lambda: directed_cycle(MAX_VERTICES + 1), _past_bound(MAX_VERTICES + 1)),
+], ids=["fractional block", "fractional clique", "fractional star", "float cycle", "blocks past the bound",
+        "cliques past the bound", "star past the bound", "cycle past the bound"])
+def test_families_refuse_sizes_that_are_not_integers_or_pass_the_vertex_bound(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_families_take_sizes_up_to_the_vertex_bound():
+    assert star(MAX_VERTICES - 1).n == directed_cycle(MAX_VERTICES).n == MAX_VERTICES
+    g, part = planted_partition([MAX_VERTICES - 1, np.int64(1)], 0.0, 0.0)
+    assert (g.n, g.m, part.group_sizes.tolist()) == (MAX_VERTICES, 0, [MAX_VERTICES - 1, 1])
+
+
 def test_rewire_zero_swaps_is_identity():
     g, _ = figure2_instance()
     assert configuration_rewire(g, 0) is g
@@ -204,9 +231,9 @@ def random_graphs(draw):
     return undirected_from_edges(n, pairs)
 
 
-# small graphs run many short batches: the first holds as many proposals as
-# there are swaps, each later one is sized from the acceptance rate so far,
-# and the last is cut at the final acceptance or ends at the stall budget
+# small graphs: the first batch holds 256 proposals, each later one is sized
+# from the acceptance rate so far, and the last, often the first itself, is
+# cut at the final acceptance or ends at the stall budget
 @settings(max_examples=100)
 @given(random_graphs(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_rewire_equals_sequential_chain_over_its_proposals(g, swaps, seed):
@@ -285,7 +312,7 @@ def test_rewire_stall_in_a_batch_sized_from_the_rate_matches_the_sequential_chai
         configuration_rewire(g, 8, seed=41)
     assert str(err.value) == str(stalled.value)
     assert str(err.value) == "degree-preserving rewire stalled: 7/8 swaps accepted after 1600 attempts"
-    assert [size for size, _, _ in calls] == [8, 256, 256, 256, 256, 181, 210, 177]
+    assert [size for size, _, _ in calls] == [256, 256, 256, 256, 180, 209, 187]
 
 
 def test_rewire_ends_in_one_short_batch_on_a_dense_graph(monkeypatch):
@@ -381,9 +408,17 @@ def test_generate_rejects_unknown_family_and_params():
         generate("configuration-model", {})  # needs a base graph
 
 
+def _arcs(g):
+    """The edges of ``g`` as one arc each, low id to high, over labels ``v{i}``."""
+    lo, hi = g.edge_pairs().T
+    return TemporalEdgeSet(sources=lo, targets=hi, timestamps=np.zeros(len(lo), dtype=np.int64),
+                           labels=tuple(f"v{i}" for i in range(g.n)))
+
+
 # parameters each family with required ones accepts
 VALID_PARAMETERS = {
     "planted-partition": {"block_sizes": [3, 3], "p_in": 0.5, "p_out": 0.1},
+    "configuration-model": {"base": _arcs(figure2_instance()[0])},
     "star": {"n_leaves": 3},
     "directed-cycle": {"n": 4},
     "disjoint-cliques": {"sizes": [3, 3]},
@@ -401,19 +436,12 @@ def test_generate_names_each_missing_parameter(family, missing):
         generate(family, absent)
 
 
-def _arcs(g):
-    """The edges of ``g`` as one arc each, low id to high, over labels ``v{i}``."""
-    lo, hi = g.edge_pairs().T
-    return TemporalEdgeSet(sources=lo, targets=hi, timestamps=np.zeros(len(lo), dtype=np.int64),
-                           labels=tuple(f"v{i}" for i in range(g.n)))
-
-
 def test_generate_refuses_another_familys_parameters_and_base():
     base = _arcs(figure2_instance()[0])
     with pytest.raises(ValueError, match=re.escape("star does not take 'n'")):
         generate("star", {"n_leaves": 3, "n": 9})
     with pytest.raises(ValueError, match=re.escape("figure2 does not take 'base'")):
-        generate("figure2", {}, base=base)
+        generate("figure2", {"base": base})
     with pytest.raises(ValueError, match=re.escape("configuration-model requires 'base'")):
         generate("configuration-model", {"swaps": 2})
 
@@ -441,7 +469,7 @@ def test_temporal_edges_days_stop_at_the_int64_seconds_limit():
 
 def test_generate_configuration_model_from_base():
     g, _ = figure2_instance()
-    edges, part = generate("configuration-model", {"swaps": 40}, seed=2, base=_arcs(g))
+    edges, part = generate("configuration-model", {"swaps": 40, "base": _arcs(g)}, seed=2)
     assert edges.n_vertices == 12
     assert edges.n_arcs == 38
     assert part is None
@@ -486,32 +514,32 @@ def _edge_sets(draw, fewest, most, arcs):
 
 @st.composite
 def _family_calls(draw):
-    """A family, parameters it takes at small values, a seed and, for the
-    rewire, a small base edge set, possibly with vertices without arcs."""
+    """A family, parameters it takes at small values (for the rewire, a
+    small base edge set, possibly with vertices without arcs) and a seed."""
     family = draw(st.sampled_from(sorted(FAMILIES)))
-    params, base = {}, None
+    params = {}
     if family == "planted-partition":
         probability = st.sampled_from([0.0, 0.05, 0.3, 1.0])
         params = {"block_sizes": draw(_SIZES), "p_in": draw(probability), "p_out": draw(probability)}
     elif family == "configuration-model":
         base = draw(_edge_sets(4, 9, 12))
         assume(underlying_undirected(build_directed_graph(base)).m >= 2)
-        params = {"swaps": draw(st.integers(0, 6))}
+        params = {"base": base, "swaps": draw(st.integers(0, 6))}
     elif family == "star":
         params = {"n_leaves": draw(st.integers(1, 6))}
     elif family == "directed-cycle":
         params = {"n": draw(st.integers(2, 7))}
     elif family == "disjoint-cliques":
         params = {"sizes": draw(_SIZES)}
-    return family, params, draw(st.integers(0, 3)), base
+    return family, params, draw(st.integers(0, 3))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_family_calls())
 def test_generated_partition_covers_the_edge_list_and_loads_back(call):
-    family, params, seed, base = call
+    family, params, seed = call
     try:
-        edges, part = generate(family, params, seed, base, days=1)
+        edges, part = generate(family, params, seed, days=1)
     except ValueError as err:
         # the only refusals of valid parameters: no arc, or no legal swap
         assert re.search("made no arcs|rewire stalled", str(err))
@@ -541,14 +569,14 @@ def test_generate_rewires_the_undirected_view_of_its_base(edges, swaps, seed):
         expected = configuration_rewire(und, swaps, seed)
     except ValueError as refused:
         with pytest.raises(ValueError) as err:
-            generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+            generate("configuration-model", {"swaps": swaps, "base": edges}, seed)
         assert str(err.value) == str(refused)
         return
     if expected.m == 0:
         with pytest.raises(ValueError, match="configuration-model made no arcs"):
-            generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+            generate("configuration-model", {"swaps": swaps, "base": edges}, seed)
         return
-    arcs, part = generate("configuration-model", {"swaps": swaps}, seed, base=edges)
+    arcs, part = generate("configuration-model", {"swaps": swaps, "base": edges}, seed)
     assert part is None
     ids = np.array([int(label[1:]) for label in arcs.labels])
     assert ids.tolist() == np.flatnonzero(expected.degrees).tolist()
