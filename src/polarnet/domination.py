@@ -122,13 +122,14 @@ def check_max_picks(max_picks: int) -> None:
 def coverage_target(rho: float, n_target: int) -> int:
     """Smallest integer count satisfying a fractional coverage requirement.
 
-    Products that land within 1e-9 of an integer are snapped to it before
-    rounding up, so e.g. 0.3 * 10 asks for 3 picks rather than 4.
+    Products that land within 1e-9 of a positive integer are snapped to it
+    before rounding up, so e.g. 0.3 * 10 asks for 3 picks rather than 4,
+    and a positive ``rho`` over a non-empty target set asks for at least one.
     """
     check_rho(rho)
     scaled = rho * n_target
     nearest = round(scaled)
-    if abs(scaled - nearest) < 1e-9:
+    if nearest > 0 and abs(scaled - nearest) < 1e-9:
         return int(nearest)
     return int(math.ceil(scaled))
 

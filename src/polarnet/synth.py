@@ -42,8 +42,11 @@ from .graph import (
 
 _INT = np.int64
 # a key's fate before a slow swap of the rewire: present (_TAKEN), absent
-# (_FREE), or absent until the later fast swap whose row the fate is adds it
+# (_FREE), or absent until the later swap decided up front whose row the
+# fate is adds it
 _TAKEN, _FREE = -2, -1
+# the low half of an int64 word that packs a value and a tag
+_LOW = 2**32 - 1
 # the most days whose seconds an int64 timestamp still holds
 MAX_DAYS = np.iinfo(_INT).max // 86400
 # the most vertices a family built from sizes has: planted-partition, and
@@ -132,10 +135,13 @@ def _batch_size(m: int) -> int:
 
     Sized so that about one proposal in eight is slow, mostly because it
     shares an edge with an earlier one of its batch: 11-13 % on graphs of
-    35k-254k edges. Of the slow ones, 90-92 % are decided from the batch's
-    one vectorised lookup; 6-9 % read an edge that an earlier slow swap
-    changed and are searched for again in Python. Batches twice or half
-    this size were slower on those graphs. At least 256: below that, a
+    35k-254k edges. Of the slow ones, 74-84 % share no edge or key with
+    another and are decided in the batch's second vectorised round; the
+    rest run in Python, in order, and 8-9 % of all slow ones read an edge
+    that an earlier slow swap changed and are searched for again there.
+    Batches twice this size were slower on those graphs, and so were
+    batches half this size but for 30k swaps on 254k edges (5 % faster
+    there, 11 % slower over its 10·m swaps). At least 256: below that, a
     batch's fixed numpy cost outweighs the Python re-checks it saves.
     """
     return max(256, m // 16)
@@ -172,6 +178,60 @@ def _swapped(ke: np.ndarray, kf: np.ndarray, flip: np.ndarray,
     return x, y, (a != d) & (c != b) & (x != y)
 
 
+def _sort_tagged(values: np.ndarray, tags: np.ndarray, packed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` sorted, and ``tags``, ints from 0 to 2³² − 1, in the same
+    order. ``packed`` says the values fit int32: then this is one ``np.sort``
+    of ``value << 32 | tag`` words, equal values in tag order, and the values
+    come back as int32 (69 µs against 119 µs for an ``np.argsort`` and its
+    gathers at 8k keys, 139 against 263 µs at 16k, on a 2-core x86-64 VM
+    with numpy 2.4). Otherwise it is one ``np.argsort``."""
+    if packed:
+        words = values.astype(_INT)
+        words <<= 32
+        words |= tags
+        words.sort()
+        return (words >> 32).astype(np.int32), words & _LOW
+    order = np.argsort(values)
+    return values[order], tags[order]
+
+
+def _changes(ke: np.ndarray, kf: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+             packed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The key changes of swaps ``rows`` from ``ke``, ``kf`` to ``x``, ``y``:
+    the keys sorted (see ``_ended``), and their codes ``2 * row + added``."""
+    changed, codes = _sort_tagged(np.concatenate([ke, kf, x, y]),
+                                  np.concatenate([np.tile(2 * rows, 2), np.tile(2 * rows + 1, 2)]), packed)
+    return _ended(changed), codes
+
+
+def _independent_rows(keys: np.ndarray, fates: np.ndarray, packed: bool) -> np.ndarray:
+    """Which slow rows of a batch their fates alone decide, as a mask.
+
+    ``keys`` is (4, s): each slow row's two keys as it reads them after the
+    fast swaps, and the two it would make (-1 when its shape rejects it).
+    ``fates`` is (2, s), those of the keys it would make. A row is
+    independent when none of its keys is a key of another slow row (two rows
+    that read one edge read one key) and neither fate is a later fast swap's
+    row: no other slow row can then change what it reads or what it finds.
+    """
+    s = keys.shape[1]
+    values, rows = _sort_tagged(keys.ravel(), np.tile(np.arange(s), 4), packed)
+    clash = (values[1:] == values[:-1]) & (rows[1:] != rows[:-1]) & (values[1:] >= 0)
+    alone = (fates < 0).all(axis=0)
+    alone[rows[1:][clash]] = alone[rows[:-1][clash]] = False
+    return alone
+
+
+def _decided_from(row: int, changed: tuple, slow_rows: np.ndarray, slow_keys: np.ndarray,
+                  alone: np.ndarray) -> list[int]:
+    """The slow rows after fast swap ``row`` that the second round decided
+    from what it did: those with a key among ``changed``, the keys ``row``
+    removed and made. Such a row read an edge ``row`` changed or took a
+    fate from it. ``slow_keys`` and ``alone`` are as ``_independent_rows``
+    takes and gives them."""
+    return slow_rows[alone & (slow_rows > row) & np.isin(slow_keys, changed).any(axis=0)].tolist()
+
+
 def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
                 j: np.ndarray, flip: np.ndarray, wanted: int) -> tuple[int, int]:
     """Run proposals ``(i, j, flip)`` of the swap chain in order, up to the
@@ -182,17 +242,24 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     (see ``_ended``). A proposal is "slow" when its outcome may depend on an
     earlier one of the batch: it shares an edge with an earlier one, a new
     key with another one, or its new key is the old key of an edge an
-    earlier one touched. Slow proposals are decided in Python, in order, and
-    every other one from the batch-start state. A slow swap whose edge changed earlier in the batch
-    makes a key nobody foresaw; a later fast swap that adds the same key is
-    made slow too.
+    earlier one touched. Every other one is "fast", decided from the
+    batch-start state.
 
-    The fast swaps are applied first. Then the new keys of every slow
-    proposal, and their fates (present, absent, or added by a later fast
-    swap), are looked up in one pass. The in-order loop takes a fate as
-    given unless an earlier slow swap changed one of the proposal's edges or
-    that key, or demoted the fast swap the fate comes from; only then does
-    it search for the key again.
+    The fast swaps are applied first. Then every slow proposal's keys, from
+    its edges after the fast swaps, and their fates (present, absent, or
+    added by a later fast swap) are looked up in one pass. A slow proposal
+    that shares no edge and no key with another slow one, and whose fates
+    claim no later fast swap, is decided from its fates in the same pass
+    (``_independent_rows``): 74-84 % of them on graphs of 35k-254k edges.
+    Those accepted are applied up front as a second round of fast swaps.
+    Only the other slow proposals run in Python, in order. The loop takes a
+    fate as given unless an earlier slow swap changed one of the proposal's
+    edges or that key, or demoted the swap the fate comes from; only then
+    does it search for the key again, in a table of the changes both rounds
+    made. A slow swap whose edge changed earlier in the batch makes a key
+    nobody foresaw; a later swap of either round that makes the same key is
+    demoted to run in the loop after it, from the keys it read, and so is
+    every row decided in bulk from a demoted fast swap's edges or keys.
 
     When more than ``wanted`` proposals were accepted, the chain is cut at
     the ``wanted``-th: a proposal's fate depends only on earlier rows, so
@@ -204,15 +271,14 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     """
     k = len(i)
     t = np.arange(k)
+    packed = keys.dtype == np.int32
     ki, kj = keys[i], keys[j]
     p, q, shaped = _swapped(ki, kj, flip, n)
     live = i != j  # i == j is rejected whatever the state
 
     # new keys in sorted order: membership is one cache-friendly search,
     # and equal neighbours are keys that two proposals would make
-    new = np.concatenate([p, q])
-    order = np.argsort(new)
-    ordered = new[order]
+    ordered, order = _sort_tagged(np.concatenate([p, q]), np.arange(2 * k), packed)
     found = np.empty(2 * k, dtype=bool)
     found[order] = present[np.searchsorted(present, ordered)] == ordered
     in_p, in_q = found[:k], found[k:]
@@ -222,22 +288,19 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     shares_key = twice[:k] | twice[k:]
     ok = live & shaped & ~in_p & ~in_q
 
-    # the first live proposal touching each edge
-    owner = np.full(len(keys), k)
-    np.minimum.at(owner, i[live], t[live])
-    np.minimum.at(owner, j[live], t[live])
-    shares_edge = (owner[i] < t) | (owner[j] < t)
-    touched = np.flatnonzero(owner < k)
-    first = owner[touched]
+    # the batch-start key of each edge a live proposal touches, and the
+    # first proposal touching it: the least row of its run of equal keys
+    touches, by_row = _sort_tagged(np.concatenate([ki[live], kj[live]]), np.tile(t[live], 2), packed)
+    heads = _run_firsts(touches)
+    toucher = np.minimum.reduceat(by_row, np.flatnonzero(heads))
+    shares_edge = np.zeros(k, dtype=bool)
+    shares_edge[by_row[toucher[np.cumsum(heads) - 1] < by_row]] = True
+    touched, toucher = _ended(touches[heads]), np.append(toucher, k)
     # a new key that is the batch-start key of an edge touched earlier
-    old = keys[touched]
-    by_old = np.argsort(old)
-    old_sorted = _ended(old[by_old])
-    old_first = np.append(first[by_old], k)
     freed = np.zeros(k, dtype=bool)
     for new_key, hit in ((p, in_p), (q, in_q)):
-        at = np.searchsorted(old_sorted, new_key[hit])
-        freed[hit] |= (old_sorted[at] == new_key[hit]) & (old_first[at] < t[hit])
+        at = np.searchsorted(touched, new_key[hit])
+        freed[hit] |= (touched[at] == new_key[hit]) & (toucher[at] < t[hit])
     slow = live & (shares_edge | shares_key | freed)
     fast = np.flatnonzero(ok & ~slow)
 
@@ -246,36 +309,51 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
     keys[i[fast]] = p[fast]
     keys[j[fast]] = q[fast]
     # each key changes at most once through fast swaps; code = 2 * row + added
-    changes = np.concatenate([ki[fast], kj[fast], p[fast], q[fast]])
-    by_change = np.argsort(changes)
-    change_keys = _ended(changes[by_change])
-    change_codes = np.concatenate([np.tile(2 * fast, 2), np.tile(2 * fast + 1, 2)])[by_change]
+    change_keys, change_codes = _changes(ki[fast], kj[fast], p[fast], q[fast], fast, packed)
 
     # every slow proposal from its edges after the fast swaps: its new keys
-    # x, y (x = -1 when its shape rejects it) and their fates, which hold
+    # x, y (both -1 when its shape rejects it) and their fates, which hold
     # unless the loop below changes one of its edges or keys, or demotes the
     # fast swap a fate comes from
     slow_rows = np.flatnonzero(slow)
-    ke, kf, flipped = keys[i[slow_rows]], keys[j[slow_rows]], flip[slow_rows]
+    e, f = i[slow_rows], j[slow_rows]
+    ke, kf, flipped = keys[e], keys[f], flip[slow_rows]
     x, y, shaped = _swapped(ke, kf, flipped, n)
-    x[~shaped] = -1
-    sought = np.concatenate([x, y])
+    x[~shaped] = y[~shaped] = -1
+    # sorted, the needles search about three times faster
+    sought, order = _sort_tagged(np.concatenate([x, y]), np.arange(2 * len(slow_rows)), packed)
     at = change_keys.searchsorted(sought)
     hit = change_keys[at] == sought
-    fate = np.where(present[present.searchsorted(sought)] == sought, _TAKEN, _FREE)
+    found = np.where(present[present.searchsorted(sought)] == sought, _TAKEN, _FREE)
     when, added = np.divmod(change_codes[at[hit]], 2)
-    earlier = when < np.tile(slow_rows, 2)[hit]
+    earlier = when < np.tile(slow_rows, 2)[order[hit]]
     # added earlier: taken; added later: claimed by that swap; removed
     # earlier: free; removed later: still taken
-    fate[hit] = np.where(added == 1, np.where(earlier, _TAKEN, when), np.where(earlier, _FREE, _TAKEN))
+    found[hit] = np.where(added == 1, np.where(earlier, _TAKEN, when), np.where(earlier, _FREE, _TAKEN))
+    fate = np.empty_like(found)
+    fate[order] = found
     by = np.full(len(sought), -1)  # the fast swap a fate comes from
-    by[hit] = when
+    by[order[hit]] = when
+    fate, by = fate.reshape(2, -1), by.reshape(2, -1)
 
-    state: dict[int, bool] = {}  # keys changed by slow swaps: present or not
-    current: dict[int, int] = {}  # edges changed by slow swaps: their key
-    demoted: set[int] = set()  # fast swaps made slow
+    # the second round: independent slow rows, decided from their fates
+    slow_keys = np.stack([ke, kf, x, y])
+    alone = _independent_rows(slow_keys, fate, packed)
+    won = alone & shaped & (fate == _FREE).all(axis=0)
+    rows = slow_rows[won]
+    keys[i[rows]] = x[won]
+    keys[j[rows]] = y[won]
+    accepts = np.zeros(k, dtype=bool)  # accepted up front, in either round
+    accepts[fast] = accepts[rows] = True
+    # the changes of each round, a table each: a key changes at most once in
+    # each, and in the fast round first
+    tables = ((change_keys, change_codes), _changes(ke[won], kf[won], x[won], y[won], rows, packed))
+
+    state: dict[int, bool] = {}  # keys changed by loop swaps: present or not
+    current: dict[int, int] = {}  # edges changed by loop swaps or taken back: their key
+    demoted: set[int] = set()  # rows decided up front and taken back
     waiting: list[int] = []  # demoted rows not yet run, a heap
-    done: list[tuple[int, int, int, int, int]] = []  # rows accepted below: row, edges, their keys before
+    done: list[tuple[int, int, int]] = []  # rows accepted below, and the keys they read
 
     # a Python int needle would make searchsorted copy int32 keys to int64
     needle = keys.dtype.type
@@ -284,18 +362,41 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
         """The fate of ``key`` before proposal ``row``."""
         if key in state:
             return _TAKEN if state[key] else _FREE
-        at = change_keys.searchsorted(needle(key))
-        if change_keys[at] == key:
-            when, added = divmod(int(change_codes[at]), 2)
-            if when not in demoted:
-                if when < row:
-                    return _TAKEN if added else _FREE
-                if added:
-                    return when
-        return _TAKEN if present[present.searchsorted(needle(key))] == key else _FREE
+        fate = None
+        for changed, codes in tables:
+            at = changed.searchsorted(needle(key))
+            if changed[at] == key:
+                when, added = divmod(int(codes[at]), 2)
+                if when not in demoted:
+                    if when > row:
+                        return when if added else _TAKEN
+                    fate = _TAKEN if added else _FREE
+        if fate is None:
+            return _TAKEN if present[present.searchsorted(needle(key))] == key else _FREE
+        return fate
 
-    accepted = len(fast)
-    columns = (slow_rows, i[slow_rows], j[slow_rows], flipped, ke, kf, x, y, *by.reshape(2, -1), *fate.reshape(2, -1))
+    def demote(row: int) -> None:
+        """Take back the up-front decision of ``row`` and of every row
+        decided in bulk from it: they run below, in order, from the keys
+        they read."""
+        nonlocal accepted
+        if row in demoted:
+            return
+        if slow[row]:  # decided in the second round, from its keys after the fast swaps
+            read = slow_keys[:2, slow_rows.searchsorted(row)]
+        else:
+            read = ki[row], kj[row]
+            for later in _decided_from(row, (*read, p[row], q[row]), slow_rows, slow_keys, alone):
+                demote(later)
+        demoted.add(row)
+        heapq.heappush(waiting, row)
+        accepted -= int(accepts[row])
+        current[int(i[row])], current[int(j[row])] = map(int, read)
+
+    accepted = len(fast) + len(rows)
+    loop = ~alone
+    columns = (slow_rows[loop], e[loop], f[loop], flipped[loop], ke[loop], kf[loop], x[loop], y[loop],
+               *by[:, loop], *fate[:, loop])
     queue = list(zip(*(col.tolist() for col in columns)))
     queue.reverse()  # popped from the end, in row order
     while queue or waiting:
@@ -331,33 +432,39 @@ def _swap_batch(keys: np.ndarray, present: np.ndarray, n: int, i: np.ndarray,
         state[ke] = state[kf] = False
         state[x] = state[y] = True
         current[e], current[f] = x, y
-        done.append((row, e, f, ke, kf))
+        done.append((row, ke, kf))
         accepted += 1
         for later in {fate_x, fate_y} - {_FREE}:
-            # it must run after this swap, from its batch-start edges
-            demoted.add(later)
-            heapq.heappush(waiting, later)
-            current[int(i[later])], current[int(j[later])] = int(ki[later]), int(kj[later])
-            accepted -= 1
+            # a later swap decided up front makes this key: it runs after this one
+            demote(later)
 
     if current:
         keys[np.fromiter(current, dtype=_INT, count=len(current))] = list(current.values())
     if accepted <= wanted:
         return accepted, k
 
+    # the keys each accepted row read: at batch start for a fast swap, after
+    # the fast swaps for a row of the second round, and as it ran for a loop row
+    read = np.stack([ki, kj])
+    read[:, slow_rows] = slow_keys[:2]
     if demoted:
-        fast = fast[~np.isin(fast, np.fromiter(demoted, dtype=_INT, count=len(demoted)))]
-    rows, e, f, ke, kf = np.array(done, dtype=_INT).reshape(-1, 5).T
-    rows = np.concatenate([fast, rows])
-    cut = np.partition(rows, wanted - 1)[wanted - 1]
-    later = rows > cut
-    # every edge of a later row, ordered by edge, then by row
-    edges = np.concatenate([i[fast], e, j[fast], f])[np.tile(later, 2)]
-    before = np.concatenate([ki[fast], ke, kj[fast], kf])[np.tile(later, 2)]
-    order = np.lexsort((np.tile(rows[later], 2), edges))
-    first = order[_run_firsts(edges[order])]
-    keys[edges[first]] = before[first]
-    return wanted, int(cut) + 1
+        accepts[np.fromiter(demoted, dtype=_INT, count=len(demoted))] = False
+    if done:
+        rows, ke, kf = np.array(done, dtype=_INT).T
+        accepts[rows] = True
+        read[:, rows] = ke, kf
+    rows = np.flatnonzero(accepts)
+    later = rows[wanted:]
+    # every edge of a later row, ordered by edge, then by row: one sort of
+    # edge << 32 | row words, as edge indices and rows stay below 2³¹
+    words = np.concatenate([i[later], j[later]])
+    words <<= 32
+    words |= np.tile(later, 2)
+    words.sort()
+    first = words[_run_firsts(words >> 32)]
+    edge, row = first >> 32, first & _LOW
+    keys[edge] = np.where(i[row] == edge, read[0, row], read[1, row])
+    return wanted, int(rows[wanted - 1]) + 1
 
 
 # the most accepted swaps per edge a rewire takes: a hundred times the
@@ -446,16 +553,16 @@ def configuration_rewire(g: UndirectedView, swaps: int, seed: int = 0) -> Undire
     swaps unfinished (e.g. on a complete graph, where no legal swap exists).
 
     The chain is ``_rewire_keys``, which ``generate`` runs on an edge set's
-    keys too. Only the proposals that share an edge or a key with an
-    earlier one of their batch are decided in order, in Python, most of
-    them from one lookup made for all of them (see ``_swap_batch``). The
-    result equals the sequential chain fed the same proposals (see
-    ``_proposals``). That stream is new with the batched chain, so a seed
-    gives a different graph than it did in earlier versions. Cost, on a
-    shared 2-core x86-64 VM (AVX-512, numpy 2.4) with a 254k-edge graph on
-    3,000 vertices: about 1 µs per proposal, so about 55 ms for 30k swaps
-    in 3 batches (66 ms in the 6 batches of a chain without the cut) and
-    2.4–3.4 s for the 10·m swaps ``generate`` defaults to.
+    keys too. A batch decides most proposals in two vectorised rounds; only
+    those that share an edge or a key with another slow one of their batch
+    are decided in order, in Python, most of them from one lookup made for
+    all of them (see ``_swap_batch``). The result equals the sequential
+    chain fed the same proposals (see ``_proposals``). That stream is new
+    with the batched chain, so a seed gives a different graph than it did
+    in earlier versions. Cost, on a shared 2-core x86-64 VM (AVX-512, numpy
+    2.4) with a 254k-edge graph on 3,000 vertices: about 0.8 µs per
+    proposal, so 27 ms for 30k swaps in 3 batches and 2.4–2.9 s in a fresh
+    ``synth`` process for the 10·m swaps ``generate`` defaults to.
     Memory is a few arrays of m keys, int32 whenever n² < 2³¹ − 1 (the
     dtype ``graph._pair_keys`` chooses). A negative or non-integral
     ``swaps`` (infinity too), or more than ``MAX_SWAPS_PER_EDGE`` per edge,

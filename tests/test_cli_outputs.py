@@ -28,6 +28,8 @@ cases read the same base as a tab-separated file with a header line, through
 The two `synth planted-partition` cases were recaptured when `synth` stopped
 writing a partition row for a vertex without arcs: `v7` is in no arc, so
 its row went and `vertices:` reads 8, not 9; `edges.csv` is unchanged.
+The `dominate unrestricted tiny rho` case asks a triangle for a coverage
+fraction of 1e-12, which must still ask for one covered vertex.
 
 ``PYTHONPATH=src python tests/test_cli_outputs.py`` captures the cases that
 `cli_outputs.json` does not hold yet and leaves every pinned case as it is. If
@@ -95,6 +97,9 @@ DAYS = (
 )
 DAYS_EXCLUDED = ["--exclude-from", "162000", "--exclude-to", "248400"]
 
+# a 3-arc triangle: at --rho 1e-12 the greedy must still cover one vertex
+TRIANGLE = "a,b,0\nb,c,0\nc,a,0\n"
+
 DOMINATE_RUNS = {
     "rho": ["--rho", "0.5", "--rho", "1.0"],  # 1.0 is out of reach for some groups
     "curve": ["--curve", "--max-spreaders", "3"],
@@ -128,6 +133,8 @@ def _cases() -> dict[str, list[str]]:
                     if dest == "out":
                         argv += ["--out", "out"]
                     cases[f"dominate {mode} {run} {fmt} {dest}"] = argv
+    cases["dominate unrestricted tiny rho json stdout"] = [
+        "dominate", "--input", "triangle.csv", "--rho", "1e-12", "--format", "json"]
     for fmt in ("csv", "json"):
         for dest in ("stdout", "out"):
             argv = ["polarization", "--input", "edges.csv", "--partition", "part.csv",
@@ -177,6 +184,7 @@ def run_matrix(work: Path) -> dict[str, dict]:
         (case_dir / "windows.csv").write_text(WINDOWS, encoding="utf-8")
         (case_dir / "part3.csv").write_text(PARTITION3, encoding="utf-8")
         (case_dir / "days.csv").write_text(DAYS, encoding="utf-8")
+        (case_dir / "triangle.csv").write_text(TRIANGLE, encoding="utf-8")
         out = case_dir / "out"
         out.mkdir()
         stdout = io.StringIO()

@@ -391,6 +391,8 @@ def test_coverage_target_rounding():
     # float products that should land exactly on an integer stay there
     assert coverage_target(0.7, 100) == 70
     assert coverage_target(0.29, 100) == 29
+    # a positive rho below 1e-9 / n still asks for one target, not zero
+    assert coverage_target(1e-12, 3) == 1
 
 
 def test_rho_validation():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import io
 import re
+import types
 
 import numpy as np
 import pytest
@@ -252,11 +254,40 @@ def test_rewire_equals_sequential_chain_over_its_proposals(g, swaps, seed):
     assert not np.any(rows == shuffled.indices)
 
 
+# 12k edges on 300 vertices in two planted blocks
+_LARGER = underlying_undirected(planted_partition([150, 150], 0.3, 0.02, seed=4)[0])
+
+
 def test_rewire_equals_sequential_chain_on_a_larger_graph():
-    # 12k edges: batches of m // 16 proposals, with fast and slow ones
-    g = underlying_undirected(planted_partition([150, 150], 0.3, 0.02, seed=4)[0])
+    # batches of m // 16 proposals, with fast and slow ones
+    g = _LARGER
     expected = oracles.rewire_reference(g, 5000, _proposal_stream(g.m, 9))
     assert configuration_rewire(g, 5000, seed=9).edge_pairs().tolist() == [list(e) for e in expected]
+
+
+def _assert_sequential(g, swaps, seed):
+    """``configuration_rewire`` gives the sequential chain's edges, or its stall message."""
+    try:
+        expected = oracles.rewire_reference(g, swaps, _proposal_stream(g.m, seed))
+    except ValueError as stalled:
+        with pytest.raises(ValueError) as err:
+            configuration_rewire(g, swaps, seed=seed)
+        assert str(err.value) == str(stalled)
+        return
+    assert configuration_rewire(g, swaps, seed=seed).edge_pairs().tolist() == [list(e) for e in expected]
+
+
+# batches of m // 2 proposals: most are slow and many share an edge or a key
+# with another slow one, so rows decided in bulk meet loop rows that demote
+# them or the fast swaps they came from, and cuts fall among them
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(random_graphs(), st.integers(1, 200)), st.tuples(st.just(_LARGER), st.integers(1, 20_000))),
+       st.integers(0, 2**32 - 1))
+def test_rewire_equals_sequential_chain_when_most_proposals_are_slow(graph_and_swaps, seed):
+    g, swaps = graph_and_swaps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_batch_size", lambda m: max(256, m // 2))
+        _assert_sequential(g, swaps, seed)
 
 
 def test_rewire_equals_sequential_chain_when_a_batch_mixes_every_kind_of_slow_row():
@@ -299,6 +330,70 @@ def test_rewire_equals_sequential_chain_when_its_last_batch_is_cut(monkeypatch, 
     assert calls[-1] == last_batch
 
 
+def _second_round(monkeypatch):
+    """Per ``_swap_batch`` call: its proposals' edges, the rows of each
+    change table it builds (the fast swaps', then the second round's), the
+    rows demoted to run in order, the rows decided in bulk from each demoted
+    fast swap, and its result."""
+    batches = []
+    inner_batch, inner_changes, inner_decided = synth._swap_batch, synth._changes, synth._decided_from
+
+    def batch(keys, present, n, i, j, flip, wanted):
+        batches.append({"edges": (i.tolist(), j.tolist()), "tables": [], "demoted": [], "decided_from": {}})
+        batches[-1]["result"] = result = inner_batch(keys, present, n, i, j, flip, wanted)
+        return result
+
+    def changes(ke, kf, x, y, rows, packed):
+        batches[-1]["tables"].append(set(rows.tolist()))
+        return inner_changes(ke, kf, x, y, rows, packed)
+
+    def decided_from(row, *rest):
+        batches[-1]["decided_from"][row] = rows = inner_decided(row, *rest)
+        return rows
+
+    def heappush(waiting, row):
+        batches[-1]["demoted"].append(row)
+        heapq.heappush(waiting, row)
+
+    monkeypatch.setattr(synth, "_swap_batch", batch)
+    monkeypatch.setattr(synth, "_changes", changes)
+    monkeypatch.setattr(synth, "_decided_from", decided_from)
+    monkeypatch.setattr(synth, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+    return batches
+
+
+# 40-vertex graphs, 1000 swaps, found by a seed search over graph and chain
+# seeds. (17, 1): in batch 0 the stale loop row 137 makes key 302, which row
+# 180, accepted in the second round, makes too; 180 runs again after it and
+# is rejected. (169, 0): in batch 3 loop row 124 makes key 661, which fast
+# swap 224 makes; 224 runs again, and so does row 233, accepted in the
+# second round because 224 removed a key 233 makes (they share no edge).
+# (16, 0): the last batch, batch 16, is cut at row 64, before row 77, which
+# the second round accepted
+@pytest.mark.parametrize("graph_seed, chain_seed, batch, claimed, fated, after_cut", [
+    (17, 1, 0, [180], [], []),
+    (169, 0, 3, [], [(224, 233)], []),
+    (16, 0, 16, [], [], [77]),
+])
+def test_rewire_equals_sequential_chain_on_each_path_of_the_second_round(
+        monkeypatch, graph_seed, chain_seed, batch, claimed, fated, after_cut):
+    batches = _second_round(monkeypatch)
+    rng = np.random.default_rng(graph_seed)
+    g = undirected_from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
+    _assert_sequential(g, 1000, chain_seed)
+    seen = batches[batch]
+    (_, bulk), decided_from = seen["tables"], seen["decided_from"]
+    i, j = seen["edges"]
+    # demoted by a loop row, not with the fast swap they came from
+    by_loop = set(seen["demoted"]) - {row for rows in decided_from.values() for row in rows}
+    assert sorted(by_loop & bulk) == claimed
+    # a fast swap demoted by a loop row, and the rows decided from its fates, not its edges
+    assert [(f, s) for f in sorted(by_loop & set(decided_from)) for s in decided_from[f]
+            if not {i[s], j[s]} & {i[f], j[f]}] == fated
+    _, ran = seen["result"]
+    assert sorted(row for row in bulk - set(seen["demoted"]) if row >= ran) == after_cut
+
+
 def test_rewire_stall_in_a_batch_sized_from_the_rate_matches_the_sequential_chain(monkeypatch):
     # K9 without three edges: legal swaps are rare. After the first batches,
     # the rate sizes two batches below the 256 of _batch_size, and the stall
@@ -315,17 +410,43 @@ def test_rewire_stall_in_a_batch_sized_from_the_rate_matches_the_sequential_chai
     assert [size for size, _, _ in calls] == [256, 256, 256, 256, 180, 209, 187]
 
 
-def test_rewire_ends_in_one_short_batch_on_a_dense_graph(monkeypatch):
-    # dense-daily's shape: 3,000 vertices in three planted blocks, about
-    # 254k edges. 30k swaps take two full batches and one rate-sized batch
+@pytest.fixture(scope="module")
+def dense_graph():
+    """dense-daily's shape: 3,000 vertices in three planted blocks, about 254k edges."""
+    return underlying_undirected(planted_partition([1000] * 3, 0.08, 0.004, seed=1)[0])
+
+
+def test_rewire_ends_in_one_short_batch_on_a_dense_graph(monkeypatch, dense_graph):
+    # 30k swaps take two full batches and one rate-sized batch
     calls = _batches(monkeypatch)
-    g = underlying_undirected(planted_partition([1000] * 3, 0.08, 0.004, seed=1)[0])
+    g = dense_graph
     shuffled = configuration_rewire(g, 30_000, seed=1)
     assert np.array_equal(shuffled.degrees, g.degrees)
     sizes = [size for size, _, _ in calls]
     assert sum(size < _batch_size(g.m) for size in sizes) <= 1
     assert len(sizes) == 3
     assert sum(accepted for _, _, (accepted, _) in calls) == 30_000
+
+
+def test_rewire_runs_only_interacting_slow_rows_in_order_on_a_dense_graph(monkeypatch, dense_graph):
+    # of the three batches' 4,397 slow rows, 1,178 share an edge or a key
+    # with another slow row or claim a later fast swap's key and are queued
+    # for the in-order loop; it runs them and 14 rows demoted to it
+    slow, queued = [], []
+    inner = synth._independent_rows
+
+    def independent_rows(keys, fates, packed):
+        alone = inner(keys, fates, packed)
+        slow.append(len(alone))
+        queued.append(int(np.count_nonzero(~alone)))
+        return alone
+
+    monkeypatch.setattr(synth, "_independent_rows", independent_rows)
+    batches = _second_round(monkeypatch)
+    configuration_rewire(dense_graph, 30_000, seed=1)
+    ran = sum(queued) + sum(len(seen["demoted"]) for seen in batches)
+    assert (sum(slow), sum(queued), ran) == (4397, 1178, 1192)
+    assert 3 * ran < sum(slow)
 
 
 @pytest.mark.parametrize("n, key_dtype", [(46340, np.int32), (46342, np.int64)])
